@@ -12,16 +12,19 @@ wall time is the one intentionally non-reproducible field, so the manifest
 is the one file excluded from byte-level comparisons.  Numerical failures
 (as opposed to config errors) write failure.json and exit 3.
 
-The config schema is documented in the README; configs/ holds a worked
-example per subcommand.
+Every config key is declared once, in COMMON_KEYS and SCHEMA below; the
+README documents them, and configs/ holds a worked example per subcommand.
 """
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -58,191 +61,256 @@ def _atomic_write(path, data):
     os.replace(tmp, path)
 
 
-def _write_csv(path, header, rows):
-    """RFC-4180 CSV with LF line endings and minimal quoting."""
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    _atomic_write(path, buf.getvalue())
-
-
-def _write_json(path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+def _render(name, content):
+    """Artifact text.  A .csv is RFC-4180 with LF line endings and minimal
+    quoting, every number formatted by _fmt.  A .json is strict JSON: a
+    non-finite value is a numerical failure, never an invalid artifact."""
+    if name.endswith(".csv"):
+        header, rows = content
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows)
+        return buf.getvalue()
+    try:
+        return json.dumps(content, indent=2, sort_keys=True, allow_nan=False,
+                          default=lambda x: x.tolist()) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError(f"{name}: {exc}") from exc
 
 
-# -- config validation -------------------------------------------------------
+def _write(run_dir, name, content):
+    _atomic_write(os.path.join(run_dir, name), _render(name, content))
+
+
+# -- config schema -------------------------------------------------------------
 #
-# Each checker appends "path: message" strings; nothing raises until the end,
-# so a bad config reports every problem in one pass.
+# Every config key is declared once, below: its type, its default (or that it
+# is required) and its bounds.  One walker checks a document against the
+# table, flags unknown keys at every level, rejects every non-finite number
+# and expands defaults, collecting all problems as "path: message" so a bad
+# config reports them at once.  Checks that span several keys run afterwards.
+
+_REQUIRED = object()  # no default: the key must be given
+_OPTIONAL = object()  # no default: the key is left out when absent
 
 
-class _Checker:
-    def __init__(self, raw, subcommand):
-        self.raw = raw
-        self.sub = subcommand
-        self.problems = []
-        self.used = set()
+class _Key(NamedTuple):
+    """``of`` holds a choice's values, a vector's length, a list's item _Key,
+    an object's {name: _Key}, or a kinded object's {kind: {name: _Key}}."""
 
-    def fail(self, path, message):
-        self.problems.append(f"{path}: {message}")
+    type: str  # number, integer, choice, vector, list, object or kinded
+    default: object = _REQUIRED
+    of: object = None
+    positive: bool = False
+    minimum: float | None = None
+    as_given: bool = False  # keep ints as written: run hashes depend on it
 
-    def get(self, key, default=None, required=False):
-        self.used.add(key)
-        if key in self.raw:
-            return self.raw[key]
-        if required:
-            self.fail(key, "required field is missing")
-        return default
 
-    def number(self, key, default=None, required=False, positive=False,
-               nonnegative=False, integer=False, minimum=None):
-        val = self.get(key, default, required)
-        if val is None:
-            return None
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            self.fail(key, f"expected a number, got {type(val).__name__}")
-            return None
-        if integer and not float(val).is_integer():
-            self.fail(key, f"expected an integer, got {val}")
-            return None
-        if not np.isfinite(val):
-            self.fail(key, "must be finite")
-            return None
-        if positive and not val > 0:
-            self.fail(key, f"must be > 0, got {val}")
-            return None
-        if nonnegative and val < 0:
-            self.fail(key, f"must be >= 0, got {val}")
-            return None
-        if minimum is not None and val < minimum:
-            self.fail(key, f"must be >= {minimum}, got {val}")
-            return None
-        return int(val) if integer else float(val)
+_COULOMB = ("coulomb", "coulomb+darwin")
+_VEC3 = _Key("vector", of=3)
+_VEC3_ZERO = _Key("vector", [0.0, 0.0, 0.0], of=3)
+_POSITIVE = _Key("number", positive=True)
 
-    def choice(self, key, options, default=None, required=False):
-        val = self.get(key, default, required)
-        if val is None:
-            return None
-        if val not in options:
-            self.fail(key, f"must be one of {list(options)}, got {val!r}")
-            return None
+COMMON_KEYS = {
+    "sgn": _Key("choice", 1, of=(1, -1)),
+    "c": _Key("number", 1.0, positive=True),
+    "seed": _Key("integer", 0, minimum=0),
+}
+_PARTICLES = {
+    "particles": _Key("list", of=_Key("object", of={
+        "m": _Key("number", positive=True, as_given=True),
+        "x": _VEC3,
+        "p": _VEC3_ZERO,
+        "q": _Key("number", 0.0),
+    })),
+    "potential": _Key("choice", "none", of=restframe.POTENTIALS),
+    "x0": _Key("number", 0.0),
+}
+_PAIR = {
+    "m1": _POSITIVE,
+    "m2": _POSITIVE,
+    "charge_product": _Key("number", 0.0),
+    "rho0": _VEC3,
+    "pi0": _VEC3_ZERO,
+    "potential": _Key("choice", "coulomb", of=restframe.POTENTIALS),
+    "dtau": _POSITIVE,
+    "n_steps": _Key("integer", minimum=1),
+    "sample_every": _Key("integer", 1, minimum=1),
+}
+SCHEMA = {
+    "validate-foliation": {
+        "embedding": _Key("kinded", of={
+            "identity": {},
+            "tilted": {"velocity": _VEC3},
+            "rigid": {"omega": _Key("number")},
+            "differential": {"omega": _Key("number"), "r0": _POSITIVE},
+        }),
+        "grid": _Key("object", {}, of={
+            "tau_min": _Key("number", 0.0),
+            "tau_max": _Key("number", 1.0),
+            "n_tau": _Key("integer", 3, minimum=1),
+            "sigma_extent": _Key("number", 2.0, positive=True),
+            "n_sigma": _Key("integer", 9, minimum=2),
+        }),
+        "asymptotic_tol": _Key("number", 1e-3, positive=True),
+    },
+    "radar": {
+        "worldline": _Key("kinded", of={
+            "inertial": {
+                "origin": _VEC3_ZERO,
+                "h": _VEC3_ZERO,
+                "domain_min": _Key("number", -100.0),
+                "domain_max": _Key("number", 100.0),
+            },
+            "rindler": {
+                "accel": _POSITIVE,
+                "domain_min": _Key("number", -10.0),
+                "domain_max": _Key("number", 10.0),
+            },
+        }),
+        "events": _Key("list", _OPTIONAL, of=_Key("vector", of=4, as_given=True)),
+        "random_events": _Key("object", _OPTIONAL, of={
+            "n": _Key("integer", 16, minimum=1),
+            "time_scale": _Key("number", 1.0, positive=True),
+            "space_scale": _Key("number", 1.0, positive=True),
+            "space_offset": _VEC3_ZERO,
+        }),
+        "scan_points": _Key("integer", 512, minimum=16),
+    },
+    "centers": _PARTICLES,
+    "tube": {
+        **_PARTICLES,
+        "n_frames": _Key("integer", 200, minimum=1),
+        "rapidity_max": _Key("number", 3.0, positive=True),
+    },
+    "evolve": _PAIR,
+    "reconstruct": {**_PAIR, "z": _VEC3_ZERO, "h": _VEC3_ZERO},
+    "spectrum": {
+        "n_points": _Key("integer", 2048, minimum=16),
+        "length": _POSITIVE,
+        "m1": _POSITIVE,
+        "m2": _POSITIVE,
+        "alpha": _POSITIVE,
+        "kinetic": _Key("choice", "salpeter", of=relquant.KINETIC_KINDS),
+        "ell": _Key("integer", 0, minimum=0),
+        "softening": _Key("number", _OPTIONAL, minimum=0),  # see _default_softening
+        "n_levels": _Key("integer", 6, minimum=1),
+    },
+}
+
+
+def _is_finite_number(v):
+    """A finite int or float.  The bound is a comparison, not math.isfinite,
+    so an int beyond the float range counts as non-finite, not an error."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return abs(v) <= sys.float_info.max
+
+
+def _walk(key, val, path, problems):
+    """Resolve ``val`` against ``key``; a bad value appends its problem and
+    resolves to None."""
+    def bad(message):
+        problems.append(f"{path}: {message}")
+
+    if key.type == "choice":
+        if isinstance(val, bool) or val not in key.of:
+            return bad(f"must be one of {list(key.of)}, got {val!r}")
         return val
-
-    def check_unknown(self):
-        for key in self.raw:
-            if key not in self.used:
-                self.fail(key, "unknown key")
-
-
-def _vec3_field(chk, key, default=None, required=False):
-    """Top-level 3-vector field on the checker's own document."""
-    val = chk.get(key, default=None, required=required)
-    if val is None:
-        return default
-    if (
-        not isinstance(val, list)
-        or len(val) != 3
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in val)
-        or not np.all(np.isfinite(np.asarray(val, dtype=float)))
-    ):
-        chk.fail(key, "expected a list of 3 finite numbers")
-        return None
-    return [float(v) for v in val]
-
-
-def _resolve_vector3(chk, container, key, path, default=None, required=False):
-    if key in container:
-        val = container[key]
-        arr = val if isinstance(val, list) else None
-        if (
-            arr is None
-            or len(arr) != 3
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in arr)
-            or not np.all(np.isfinite(np.asarray(arr, dtype=float)))
-        ):
-            chk.fail(f"{path}.{key}", "expected a list of 3 finite numbers")
-            return None
-        return [float(v) for v in arr]
-    if required:
-        chk.fail(f"{path}.{key}", "required field is missing")
-        return None
-    return default
+    if key.type in ("number", "integer"):
+        if not _is_finite_number(val):
+            return bad(f"expected a finite number, got {val!r}")
+        if key.type == "integer" and not (isinstance(val, int) or val.is_integer()):
+            return bad(f"expected an integer, got {val}")
+        if key.positive and not val > 0:
+            return bad(f"must be > 0, got {val}")
+        if key.minimum is not None and val < key.minimum:
+            return bad(f"must be >= {key.minimum}, got {val}")
+        return val if key.as_given else int(val) if key.type == "integer" else float(val)
+    if key.type == "vector":
+        if not (isinstance(val, list) and len(val) == key.of and all(map(_is_finite_number, val))):
+            return bad(f"expected a list of {key.of} finite numbers")
+        return list(val) if key.as_given else [float(v) for v in val]
+    if key.type == "list":
+        if not isinstance(val, list) or not val:
+            return bad("expected a non-empty list")
+        return [_walk(key.of, v, f"{path}[{i}]", problems) for i, v in enumerate(val)]
+    if not isinstance(val, dict):
+        return bad("expected an object")
+    keys = key.of
+    if key.type == "kinded":
+        kinds = tuple(key.of)
+        keys = {"kind": _Key("choice", of=kinds),
+                **(key.of[val["kind"]] if val.get("kind") in kinds else {})}
+    prefix = f"{path}." if path else ""
+    problems.extend(f"{prefix}{name}: unknown key" for name in val if name not in keys)
+    out = {}
+    for name, sub in keys.items():
+        if name in val or sub.default not in (_REQUIRED, _OPTIONAL):
+            out[name] = _walk(sub, val.get(name, sub.default), prefix + name, problems)
+        elif sub.default is _REQUIRED:
+            problems.append(f"{prefix}{name}: required field is missing")
+            out[name] = None
+    return out
 
 
-def _validate_particles(chk, allow_potential=True):
-    """Particle list + potential block shared by centers/tube."""
-    resolved = {}
-    particles = chk.get("particles", required=True)
-    out = []
-    if particles is not None:
-        if not isinstance(particles, list) or not particles:
-            chk.fail("particles", "expected a non-empty list")
-        else:
-            for i, p in enumerate(particles):
-                path = f"particles[{i}]"
-                if not isinstance(p, dict):
-                    chk.fail(path, "expected an object")
-                    continue
-                for key in p:
-                    if key not in ("m", "x", "p", "q"):
-                        chk.fail(f"{path}.{key}", "unknown key")
-                m = p.get("m")
-                if not isinstance(m, (int, float)) or isinstance(m, bool) or not m > 0:
-                    chk.fail(f"{path}.m", f"mass must be a number > 0, got {m!r}")
-                    m = None
-                x = _resolve_vector3(chk, p, "x", path, required=True)
-                mom = _resolve_vector3(chk, p, "p", path, default=[0.0, 0.0, 0.0])
-                q = p.get("q", 0.0)
-                if not isinstance(q, (int, float)) or isinstance(q, bool):
-                    chk.fail(f"{path}.q", "charge must be a number")
-                    q = None
-                out.append({"m": m, "x": x, "p": mom, "q": float(q) if q is not None else None})
-    potential = "none"
-    if allow_potential:
-        potential = chk.choice("potential", restframe.POTENTIALS, default="none")
-    x0 = chk.number("x0", default=0.0)
-    resolved["particles"] = out
-    resolved["potential"] = potential
-    resolved["x0"] = x0
-    # mirror the ParticleSystem coincidence invariant at validation time
-    if potential in ("coulomb", "coulomb+darwin"):
-        seen = {}
-        for i, p in enumerate(out):
-            if p["x"] is None or p.get("q") in (None, 0.0):
-                continue
-            key = tuple(p["x"])
-            if key in seen:
-                chk.fail(
-                    f"particles[{i}].x",
-                    f"coincides with particles[{seen[key]}].x; "
-                    f"singular with potential={potential!r}",
-                )
-            seen[key] = i
-    return resolved
+# -- checks that span several keys, on the walked config (bad values are None)
 
 
-def _build_system(resolved, c):
+def _tau_order(cfg, problems):
+    g = cfg["grid"]
+    if g and None not in (g["tau_min"], g["tau_max"]) and not g["tau_max"] >= g["tau_min"]:
+        problems.append("grid.tau_max: must be >= tau_min")
+
+
+def _events_given(cfg, problems):
+    if "events" not in cfg and "random_events" not in cfg:
+        problems.append("events: provide either events or random_events")
+
+
+def _worldline_domain(cfg, problems):
+    wl = cfg["worldline"]
+    if wl and wl["kind"]:
+        if wl["kind"] == "inertial":
+            # a spatial origin: proper time zero sits at lab time zero
+            wl["origin"] = [0.0] + (wl["origin"] or [0.0] * 3)
+        wl["domain"] = [wl.pop("domain_min"), wl.pop("domain_max")]
+
+
+def _charges_apart(cfg, problems):
+    # mirrors the ParticleSystem coincidence invariant
+    seen = {}
+    for i, p in enumerate(cfg["particles"] or []):
+        if cfg["potential"] in _COULOMB and p and p["x"] and p["q"]:
+            j = seen.setdefault(tuple(p["x"]), i)
+            if j != i:
+                problems.append(f"particles[{i}].x: coincides with particles[{j}].x; "
+                                f"singular with potential={cfg['potential']!r}")
+
+
+def _coulomb_charge(cfg, problems):
+    if cfg["potential"] in _COULOMB and cfg["charge_product"] == 0.0:
+        problems.append("charge_product: must be nonzero for a coulomb potential")
+
+
+def _default_softening(cfg, problems):
+    if "softening" not in cfg and cfg["n_points"] and cfg["length"]:
+        cfg["softening"] = cfg["length"] / (4.0 * cfg["n_points"])
+
+
+_RULES = {
+    "validate-foliation": (_tau_order,),
+    "radar": (_events_given, _worldline_domain),
+    "centers": (_charges_apart,),
+    "tube": (_charges_apart,),
+    "evolve": (_coulomb_charge,),
+    "reconstruct": (_coulomb_charge,),
+    "spectrum": (_default_softening,),
+}
+
+
+def _build_system(resolved):
     parts = resolved["particles"]
     return collective.ParticleSystem(
         masses=np.array([p["m"] for p in parts], dtype=float),
@@ -251,8 +319,12 @@ def _build_system(resolved, c):
         charges=np.array([p["q"] for p in parts], dtype=float),
         potential=resolved["potential"],
         x0=resolved["x0"],
-        c=c,
+        c=resolved["c"],
     )
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not allowed: config numbers must be finite")
 
 
 def parse_config(text, subcommand, seed_override=None):
@@ -262,206 +334,29 @@ def parse_config(text, subcommand, seed_override=None):
     ConfigError carrying every problem found, each tagged with its key path.
     """
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ConfigError([f"<document>: not valid JSON ({exc})"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["<document>: top level must be an object"])
 
-    chk = _Checker(raw, subcommand)
-    resolved = {"subcommand": subcommand}
-    resolved["sgn"] = chk.choice("sgn", (1, -1), default=1)
-    resolved["c"] = chk.number("c", default=1.0, positive=True)
-    seed = chk.number("seed", default=0, integer=True, nonnegative=True)
+    problems = []
+    keys = {**COMMON_KEYS, **SCHEMA[subcommand]}
+    resolved = _walk(_Key("object", of=keys), raw, "", problems)
     if seed_override is not None:
-        seed = seed_override
-    resolved["seed"] = seed
-
-    if subcommand == "validate-foliation":
-        emb = chk.get("embedding", required=True)
-        block = {"kind": None}
-        if emb is not None:
-            if not isinstance(emb, dict):
-                chk.fail("embedding", "expected an object")
-            else:
-                sub = _Checker(emb, subcommand)
-                kind = sub.choice(
-                    "kind", ("identity", "tilted", "rigid", "differential"),
-                    required=True,
-                )
-                block["kind"] = kind
-                if kind == "tilted":
-                    block["velocity"] = _vec3_field(sub, "velocity", required=True)
-                elif kind in ("rigid", "differential"):
-                    block["omega"] = sub.number("omega", required=True)
-                    if kind == "differential":
-                        block["r0"] = sub.number("r0", required=True, positive=True)
-                sub.check_unknown()
-                chk.problems.extend(
-                    f"embedding.{p}" for p in sub.problems
-                )
-        resolved["embedding"] = block
-        grid = chk.get("grid", default={})
-        gblock = {}
-        if not isinstance(grid, dict):
-            chk.fail("grid", "expected an object")
-        else:
-            sub = _Checker(grid, subcommand)
-            gblock["tau_min"] = sub.number("tau_min", default=0.0)
-            gblock["tau_max"] = sub.number("tau_max", default=1.0)
-            gblock["n_tau"] = sub.number("n_tau", default=3, integer=True, minimum=1)
-            gblock["sigma_extent"] = sub.number("sigma_extent", default=2.0, positive=True)
-            gblock["n_sigma"] = sub.number("n_sigma", default=9, integer=True, minimum=2)
-            sub.check_unknown()
-            chk.problems.extend(f"grid.{p}" for p in sub.problems)
-            if (
-                gblock.get("tau_min") is not None
-                and gblock.get("tau_max") is not None
-                and not gblock["tau_max"] >= gblock["tau_min"]
-            ):
-                chk.fail("grid.tau_max", "must be >= tau_min")
-        resolved["grid"] = gblock
-        resolved["asymptotic_tol"] = chk.number(
-            "asymptotic_tol", default=1e-3, positive=True
-        )
-
-    elif subcommand == "radar":
-        wl = chk.get("worldline", required=True)
-        block = {"kind": None}
-        if wl is not None:
-            if not isinstance(wl, dict):
-                chk.fail("worldline", "expected an object")
-            else:
-                sub = _Checker(wl, subcommand)
-                kind = sub.choice("kind", ("inertial", "rindler"), required=True)
-                block["kind"] = kind
-                if kind == "inertial":
-                    # spatial anchor; proper time zero sits at lab time zero
-                    block["origin"] = [0.0] + (
-                        _vec3_field(sub, "origin", default=[0.0, 0.0, 0.0])
-                        or [0.0] * 3
-                    )
-                    block["h"] = _vec3_field(sub, "h", default=[0.0, 0.0, 0.0])
-                    block["domain"] = [
-                        sub.number("domain_min", default=-100.0),
-                        sub.number("domain_max", default=100.0),
-                    ]
-                else:
-                    block["accel"] = sub.number("accel", required=True, positive=True)
-                    block["domain"] = [
-                        sub.number("domain_min", default=-10.0),
-                        sub.number("domain_max", default=10.0),
-                    ]
-                sub.check_unknown()
-                chk.problems.extend(f"worldline.{p}" for p in sub.problems)
-        resolved["worldline"] = block
-        events = chk.get("events")
-        rand = chk.get("random_events")
-        if events is None and rand is None:
-            chk.fail("events", "provide either events or random_events")
-        if events is not None:
-            ok = isinstance(events, list) and events
-            if ok:
-                for i, ev in enumerate(events):
-                    if (
-                        not isinstance(ev, list)
-                        or len(ev) != 4
-                        or not all(
-                            isinstance(v, (int, float)) and not isinstance(v, bool)
-                            for v in ev
-                        )
-                    ):
-                        chk.fail(f"events[{i}]", "expected a list of 4 numbers")
-                        ok = False
-            else:
-                chk.fail("events", "expected a non-empty list")
-            resolved["events"] = events if ok else None
-        if rand is not None:
-            if not isinstance(rand, dict):
-                chk.fail("random_events", "expected an object")
-            else:
-                sub = _Checker(rand, subcommand)
-                resolved["random_events"] = {
-                    "n": sub.number("n", default=16, integer=True, minimum=1),
-                    "time_scale": sub.number("time_scale", default=1.0, positive=True),
-                    "space_scale": sub.number("space_scale", default=1.0, positive=True),
-                    "space_offset": _vec3_field(
-                        sub, "space_offset", default=[0.0, 0.0, 0.0]
-                    ),
-                }
-                sub.used.add("space_offset")
-                sub.check_unknown()
-                chk.problems.extend(f"random_events.{p}" for p in sub.problems)
-        resolved["scan_points"] = chk.number(
-            "scan_points", default=512, integer=True, minimum=16
-        )
-
-    elif subcommand in ("centers", "tube"):
-        resolved.update(_validate_particles(chk))
-        if subcommand == "tube":
-            resolved["n_frames"] = chk.number(
-                "n_frames", default=200, integer=True, minimum=1
-            )
-            resolved["rapidity_max"] = chk.number(
-                "rapidity_max", default=3.0, positive=True
-            )
-
-    elif subcommand in ("evolve", "reconstruct"):
-        for key, default in (("m1", None), ("m2", None)):
-            resolved[key] = chk.number(key, default=default, required=True, positive=True)
-        resolved["charge_product"] = chk.number("charge_product", default=0.0)
-        resolved["rho0"] = _vec3_field(chk, "rho0", required=True)
-        resolved["pi0"] = _vec3_field(chk, "pi0", default=[0.0, 0.0, 0.0])
-        resolved["potential"] = chk.choice(
-            "potential", restframe.POTENTIALS, default="coulomb"
-        )
-        resolved["dtau"] = chk.number("dtau", required=True, positive=True)
-        resolved["n_steps"] = chk.number(
-            "n_steps", required=True, integer=True, minimum=1
-        )
-        resolved["sample_every"] = chk.number(
-            "sample_every", default=1, integer=True, minimum=1
-        )
-        if (
-            resolved["rho0"] is not None
-            and resolved["potential"] in ("coulomb", "coulomb+darwin")
-            and resolved["charge_product"] == 0.0
-        ):
-            chk.fail("charge_product", "must be nonzero for a coulomb potential")
-        if subcommand == "reconstruct":
-            resolved["z"] = _vec3_field(chk, "z", default=[0.0, 0.0, 0.0])
-            resolved["h"] = _vec3_field(chk, "h", default=[0.0, 0.0, 0.0])
-
-    elif subcommand == "spectrum":
-        resolved["n_points"] = chk.number(
-            "n_points", default=2048, integer=True, minimum=16
-        )
-        resolved["length"] = chk.number("length", required=True, positive=True)
-        resolved["m1"] = chk.number("m1", required=True, positive=True)
-        resolved["m2"] = chk.number("m2", required=True, positive=True)
-        resolved["alpha"] = chk.number("alpha", required=True, positive=True)
-        resolved["kinetic"] = chk.choice(
-            "kinetic", relquant.KINETIC_KINDS, default="salpeter"
-        )
-        resolved["ell"] = chk.number("ell", default=0, integer=True, nonnegative=True)
-        soft = chk.number("softening", default=None, nonnegative=True)
-        if soft is None and resolved["n_points"] and resolved["length"]:
-            soft = resolved["length"] / (4.0 * resolved["n_points"])
-        resolved["softening"] = soft
-        resolved["n_levels"] = chk.number(
-            "n_levels", default=6, integer=True, minimum=1
-        )
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown subcommand {subcommand!r}")
-
-    chk.check_unknown()
-    if chk.problems:
-        raise ConfigError(chk.problems)
-    return resolved
+        resolved["seed"] = _walk(COMMON_KEYS["seed"], seed_override, "--seed", problems)
+    for rule in _RULES[subcommand]:
+        rule(resolved, problems)
+    if problems:
+        raise ConfigError(problems)
+    return {"subcommand": subcommand, **resolved}
 
 
 # -- subcommand handlers -----------------------------------------------------
+#
+# Each handler returns its artifacts as {file name: content}: (header, rows)
+# for a .csv, an object for a .json.  run renders them all before writing
+# any, so a failed run leaves only failure.json.
 
 
 def _make_embedding(block, c):
@@ -478,40 +373,28 @@ def _make_embedding(block, c):
     )
 
 
-def _run_validate_foliation(cfg, run_dir, rng):
+def _run_validate_foliation(cfg, rng):
     emb = _make_embedding(cfg["embedding"], cfg["c"])
-    g = cfg["grid"]
-    grid = foliation.GridSpec(
-        tau_min=g["tau_min"], tau_max=g["tau_max"], n_tau=g["n_tau"],
-        sigma_extent=g["sigma_extent"], n_sigma=g["n_sigma"],
-    )
     report = foliation.check_admissibility(
-        emb, grid, sgn=cfg["sgn"], asym_tol=cfg["asymptotic_tol"]
+        emb, foliation.GridSpec(**cfg["grid"]), sgn=cfg["sgn"],
+        asym_tol=cfg["asymptotic_tol"],
     )
-    rows = [
-        (v.condition, _fmt(v.tau), _fmt(v.sigma[0]), _fmt(v.sigma[1]),
-         _fmt(v.sigma[2]), _fmt(v.witness))
-        for v in report.violations
-    ]
-    _write_csv(
-        os.path.join(run_dir, "violations.csv"),
-        ("condition", "tau", "s1", "s2", "s3", "witness"),
-        rows,
-    )
-    _write_json(
-        os.path.join(run_dir, "report.json"),
-        {
+    return {
+        "violations.csv": (
+            ("condition", "tau", "s1", "s2", "s3", "witness"),
+            [(v.condition, v.tau, *v.sigma, v.witness) for v in report.violations],
+        ),
+        "report.json": {
             "passed": bool(report.passed),
-            "conditions_passed": _jsonable(report.conditions_passed),
+            "conditions_passed": [int(ok) for ok in report.conditions_passed],
             "n_nodes": int(report.n_nodes),
             "n_violations": len(report.violations),
-            "asymptotic_normal": _jsonable(report.asymptotic_normal),
+            "asymptotic_normal": report.asymptotic_normal,
         },
-    )
-    return ["violations.csv", "report.json"]
+    }
 
 
-def _run_radar(cfg, run_dir, rng):
+def _run_radar(cfg, rng):
     block = cfg["worldline"]
     if block["kind"] == "inertial":
         wline = radar.inertial_worldline(
@@ -539,191 +422,131 @@ def _run_radar(cfg, run_dir, rng):
     for ev in events:
         try:
             res = radar.einstein_sync(wline, ev, scan_points=cfg["scan_points"])
-            rows.append(
-                tuple(_fmt(v) for v in ev)
-                + (_fmt(res.tau), _fmt(res.s_emit), _fmt(res.s_absorb),
-                   _fmt(res.residuals[0]), _fmt(res.residuals[1]), "ok")
-            )
+            rows.append((*ev, res.tau, res.s_emit, res.s_absorb, *res.residuals, "ok"))
         except radar.NoSolutionError as exc:
-            rows.append(
-                tuple(_fmt(v) for v in ev)
-                + ("nan", "nan", "nan", "nan", "nan", f"no_solution:{exc.missing}")
-            )
-    _write_csv(
-        os.path.join(run_dir, "radar.csv"),
-        ("t", "x", "y", "z", "tau", "s_emit", "s_absorb",
-         "residual_emit", "residual_absorb", "status"),
-        rows,
-    )
-    return ["radar.csv"]
+            rows.append((*ev, *[np.nan] * 5, f"no_solution:{exc.missing}"))
+    header = ("t", "x", "y", "z", "tau", "s_emit", "s_absorb",
+              "residual_emit", "residual_absorb", "status")
+    return {"radar.csv": (header, rows)}
 
 
-def _run_centers(cfg, run_dir, rng):
-    sys_ = _build_system(cfg, cfg["c"])
-    g = collective.poincare_generators(sys_, sgn=cfg["sgn"])
+def _run_centers(cfg, rng):
+    g = collective.poincare_generators(_build_system(cfg), sgn=cfg["sgn"])
     mc, h, s_bar = collective.invariant_mass_spin(g)
-    x_e = collective.center_of_energy(g)
-    fp = collective.fokker_pryce_worldline(g)
     x_nw, z, _ = collective.newton_wigner_and_jacobi(g)
-    fp0 = fp(0.0)
     rows = [
-        ("center_of_energy",) + tuple(_fmt(v) for v in x_e),
-        ("fokker_pryce_tau0",) + tuple(_fmt(v) for v in fp0[1:]),
-        ("newton_wigner",) + tuple(_fmt(v) for v in x_nw),
+        ("center_of_energy", *collective.center_of_energy(g)),
+        ("fokker_pryce_tau0", *collective.fokker_pryce_worldline(g)(0.0)[1:]),
+        ("newton_wigner", *x_nw),
     ]
-    _write_csv(os.path.join(run_dir, "centers.csv"), ("center", "x", "y", "z"), rows)
-    _write_json(
-        os.path.join(run_dir, "invariants.json"),
-        {
+    return {
+        "centers.csv": (("center", "x", "y", "z"), rows),
+        "invariants.json": {
             "Mc": float(mc),
-            "h": _jsonable(h),
-            "S_bar": _jsonable(s_bar),
+            "h": h,
+            "S_bar": s_bar,
             "tube_radius": float(np.linalg.norm(s_bar) / mc),
-            "jacobi_z": _jsonable(z),
+            "jacobi_z": z,
         },
-    )
-    return ["centers.csv", "invariants.json"]
+    }
 
 
-def _run_tube(cfg, run_dir, rng):
-    sys_ = _build_system(cfg, cfg["c"])
+def _run_tube(cfg, rng):
     sample = collective.moller_tube_sample(
-        sys_,
+        _build_system(cfg),
         n_frames=cfg["n_frames"],
         rapidity_max=cfg["rapidity_max"],
         seed=cfg["seed"],
         sgn=cfg["sgn"],
     )
-    rows = [
-        (_fmt(sample.rapidities[i]),)
-        + tuple(_fmt(v) for v in sample.directions[i])
-        + (_fmt(sample.distances[i]),)
-        for i in range(sample.distances.shape[0])
-    ]
-    _write_csv(
-        os.path.join(run_dir, "tube.csv"),
-        ("rapidity", "nx", "ny", "nz", "distance"),
-        rows,
-    )
-    _write_json(
-        os.path.join(run_dir, "tube.json"),
-        {
+    rows = [(xi, *n, d) for xi, n, d in
+            zip(sample.rapidities, sample.directions, sample.distances)]
+    return {
+        "tube.csv": (("rapidity", "nx", "ny", "nz", "distance"), rows),
+        "tube.json": {
             "bound": float(sample.bound),
             "max_distance": float(sample.max_distance),
             "n_frames": int(sample.distances.shape[0]),
             "within_bound": bool(np.all(sample.distances <= sample.bound * (1 + 1e-12))),
         },
-    )
-    return ["tube.csv", "tube.json"]
+    }
 
 
-def _make_relative(cfg):
-    return restframe.RelativeState(
+def _sampled_rows(n, every):
+    """Every ``every``-th of ``n`` rows, always ending on the last one."""
+    idx = np.arange(0, n, every)
+    return idx if idx[-1] == n - 1 else np.append(idx, n - 1)
+
+
+def _evolve(cfg):
+    """The evolve artifacts and the trajectory they sample."""
+    rel = restframe.RelativeState(
         m1=cfg["m1"], m2=cfg["m2"],
         rho=np.asarray(cfg["rho0"]), pi=np.asarray(cfg["pi0"]),
         charge_product=cfg["charge_product"], c=cfg["c"],
     )
-
-
-def _run_evolve(cfg, run_dir, rng):
-    rel = _make_relative(cfg)
     traj = restframe.evolve(rel, cfg["potential"], cfg["dtau"], cfg["n_steps"])
-    every = cfg["sample_every"]
-    idx = np.arange(0, traj.tau.shape[0], every)
-    if idx[-1] != traj.tau.shape[0] - 1:
-        idx = np.append(idx, traj.tau.shape[0] - 1)
     rows = [
-        (_fmt(traj.tau[k]),)
-        + tuple(_fmt(v) for v in traj.rho[k])
-        + tuple(_fmt(v) for v in traj.pi[k])
-        + (_fmt(traj.H[k]), _fmt(np.linalg.norm(traj.L[k])))
-        for k in idx
+        (traj.tau[k], *traj.rho[k], *traj.pi[k], traj.H[k], np.linalg.norm(traj.L[k]))
+        for k in _sampled_rows(traj.tau.shape[0], cfg["sample_every"])
     ]
-    _write_csv(
-        os.path.join(run_dir, "trajectory.csv"),
-        ("tau", "rho_x", "rho_y", "rho_z", "pi_x", "pi_y", "pi_z", "H", "L"),
-        rows,
-    )
-    _write_json(
-        os.path.join(run_dir, "evolve.json"),
-        {
+    header = ("tau", "rho_x", "rho_y", "rho_z", "pi_x", "pi_y", "pi_z", "H", "L")
+    artifacts = {
+        "trajectory.csv": (header, rows),
+        "evolve.json": {
             "scheme": traj.scheme,
             "energy_drift": float(traj.energy_drift),
             "H0": float(traj.H[0]),
             "n_steps": int(cfg["n_steps"]),
             "max_fixed_point_sweeps": traj.meta.get("max_fixed_point_sweeps", 0),
         },
-    )
-    return ["trajectory.csv", "evolve.json"], traj
+    }
+    return artifacts, traj
 
 
-def _run_reconstruct(cfg, run_dir, rng):
-    artifacts, traj = _run_evolve(cfg, run_dir, rng)
+def _run_reconstruct(cfg, rng):
+    artifacts, traj = _evolve(cfg)
     rec = restframe.reconstruct_worldlines(
         traj, z=np.asarray(cfg["z"]), h=np.asarray(cfg["h"]), sgn=cfg["sgn"]
     )
-    every = cfg["sample_every"]
-    idx = np.arange(0, rec.tau.shape[0], every)
-    if idx[-1] != rec.tau.shape[0] - 1:
-        idx = np.append(idx, rec.tau.shape[0] - 1)
-    rows = []
-    for i in range(2):
-        for k in idx:
-            rows.append(
-                (str(i + 1), _fmt(rec.tau[k]))
-                + tuple(_fmt(v) for v in rec.events[i, k])
-            )
-    _write_csv(
-        os.path.join(run_dir, "worldlines.csv"),
-        ("particle", "tau", "t", "x", "y", "z"),
-        rows,
-    )
-    _write_json(
-        os.path.join(run_dir, "reconstruct.json"),
-        {
+    idx = _sampled_rows(rec.tau.shape[0], cfg["sample_every"])
+    rows = [(i + 1, rec.tau[k], *rec.events[i, k]) for i in range(2) for k in idx]
+    return {
+        **artifacts,
+        "worldlines.csv": (("particle", "tau", "t", "x", "y", "z"), rows),
+        "reconstruct.json": {
             "all_segments_causal": bool(rec.all_timelike),
             "Mc": float(rec.Mc),
-            "h": _jsonable(rec.h),
+            "h": rec.h,
         },
-    )
-    return artifacts + ["worldlines.csv", "reconstruct.json"]
+    }
 
 
-def _run_spectrum(cfg, run_dir, rng):
+def _run_spectrum(cfg, rng):
+    def levels_at(n_points, n_levels):
+        return relquant.radial_levels(
+            n_points, cfg["length"], cfg["m1"], cfg["m2"], cfg["alpha"],
+            c=cfg["c"], kinetic=cfg["kinetic"], ell=cfg["ell"],
+            softening=cfg["softening"], n_levels=n_levels,
+        )
+
+    levels = levels_at(cfg["n_points"], cfg["n_levels"])
+    half = levels_at(cfg["n_points"] // 2, 1)
     mu = cfg["m1"] * cfg["m2"] / (cfg["m1"] + cfg["m2"])
-    levels = relquant.radial_levels(
-        cfg["n_points"], cfg["length"], cfg["m1"], cfg["m2"], cfg["alpha"],
-        c=cfg["c"], kinetic=cfg["kinetic"], ell=cfg["ell"],
-        softening=cfg["softening"], n_levels=cfg["n_levels"],
-    )
     rest = (cfg["m1"] + cfg["m2"]) * cfg["c"] ** 2
     rows = []
     for n, binding in enumerate(levels, start=1):
         bohr = -mu * cfg["c"] ** 2 * cfg["alpha"] ** 2 / (2.0 * (n + cfg["ell"]) ** 2)
-        rows.append(
-            (str(n), _fmt(rest + binding), _fmt(binding), _fmt(binding / bohr))
-        )
-    _write_csv(
-        os.path.join(run_dir, "levels.csv"),
-        ("n", "E_n", "binding", "bohr_ratio"),
-        rows,
-    )
-    half = relquant.radial_levels(
-        cfg["n_points"] // 2, cfg["length"], cfg["m1"], cfg["m2"], cfg["alpha"],
-        c=cfg["c"], kinetic=cfg["kinetic"], ell=cfg["ell"],
-        softening=cfg["softening"], n_levels=1,
-    )
-    change = abs(levels[0] - half[0]) / abs(levels[0])
-    _write_json(
-        os.path.join(run_dir, "convergence.json"),
-        {
+        rows.append((n, rest + binding, binding, binding / bohr))
+    return {
+        "levels.csv": (("n", "E_n", "binding", "bohr_ratio"), rows),
+        "convergence.json": {
             "ground_binding": float(levels[0]),
             "ground_binding_half_resolution": float(half[0]),
-            "relative_change": float(change),
+            "relative_change": float(abs(levels[0] - half[0]) / abs(levels[0])),
             "n_points": int(cfg["n_points"]),
         },
-    )
-    return ["levels.csv", "convergence.json"]
+    }
 
 
 _HANDLERS = {
@@ -731,57 +554,56 @@ _HANDLERS = {
     "radar": _run_radar,
     "centers": _run_centers,
     "tube": _run_tube,
-    "evolve": lambda cfg, d, r: _run_evolve(cfg, d, r)[0],
+    "evolve": lambda cfg, rng: _evolve(cfg)[0],
     "reconstruct": _run_reconstruct,
     "spectrum": _run_spectrum,
 }
 
 
+def _config_digest(cfg):
+    """The run directory name: a hash of the canonical resolved config."""
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+
+
 def run(cfg, out_base):
     """Execute a resolved config; returns (exit_code, run_dir)."""
-    canonical = json.dumps(_jsonable(cfg), sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+    digest = _config_digest(cfg)
     run_dir = os.path.join(out_base, digest)
     os.makedirs(run_dir, exist_ok=True)
     rng = np.random.default_rng(cfg["seed"])
 
     start = time.monotonic()
     try:
-        artifacts = _HANDLERS[cfg["subcommand"]](cfg, run_dir, rng)
+        artifacts = _HANDLERS[cfg["subcommand"]](cfg, rng)
+        texts = {name: _render(name, content) for name, content in artifacts.items()}
     except (InstantFormError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        _write_json(
-            os.path.join(run_dir, "failure.json"),
-            {
-                "error": type(exc).__name__,
-                "message": str(exc),
-                "subcommand": cfg["subcommand"],
-            },
-        )
+        _write(run_dir, "failure.json", {
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "subcommand": cfg["subcommand"],
+        })
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL, run_dir
+    for name, text in texts.items():
+        _atomic_write(os.path.join(run_dir, name), text)
 
     wall = time.monotonic() - start
-    checksums = {}
-    for name in artifacts:
-        with open(os.path.join(run_dir, name), "rb") as fh:
-            checksums[name] = hashlib.sha256(fh.read()).hexdigest()
-    _write_json(
-        os.path.join(run_dir, "manifest.json"),
-        {
-            "subcommand": cfg["subcommand"],
-            "config": _jsonable(cfg),
-            "config_hash": digest,
-            "seed": int(cfg["seed"]),
-            "wall_time_s": wall,
-            "versions": {
-                "instantform": __version__,
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "python": sys.version.split()[0],
-            },
-            "artifacts": checksums,
+    _write(run_dir, "manifest.json", {
+        "subcommand": cfg["subcommand"],
+        "config": cfg,
+        "config_hash": digest,
+        "seed": int(cfg["seed"]),
+        "wall_time_s": wall,
+        "versions": {
+            "instantform": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": sys.version.split()[0],
         },
-    )
+        "artifacts": {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+                      for name, text in texts.items()},
+    })
     return _EXIT_OK, run_dir
 
 

@@ -110,43 +110,6 @@ class Embedding:
             jac[:, r + 1] = (self(tau, sigma + dp) - self(tau, sigma - dp)) / (2.0 * h)
         return jac
 
-    def second_derivatives(self, tau, sigma):
-        """(4, 4, 4) array H[mu, A, B] = d^2 z^mu / dsigma^A dsigma^B."""
-        sigma = np.asarray(sigma, dtype=float)
-        h = self._step(tau, sigma)
-        if self._jacobian is not None:
-            # differentiate the exact Jacobian once
-            out = np.empty((4, 4, 4))
-            for a in range(4):
-                tp, sp = (tau + h, sigma) if a == 0 else (tau, _shift(sigma, a - 1, h))
-                tm, sm = (tau - h, sigma) if a == 0 else (tau, _shift(sigma, a - 1, -h))
-                out[:, a, :] = (self.jacobian(tp, sp) - self.jacobian(tm, sm)) / (2.0 * h)
-            return 0.5 * (out + np.swapaxes(out, 1, 2))
-        # direct stencils on z itself
-        coords = np.concatenate(([tau], sigma))
-
-        def at(c):
-            return self(c[0], c[1:])
-
-        out = np.empty((4, 4, 4))
-        z0 = at(coords)
-        for a in range(4):
-            ea = np.zeros(4)
-            ea[a] = h
-            out[:, a, a] = (at(coords + ea) - 2.0 * z0 + at(coords - ea)) / h**2
-            for b in range(a + 1, 4):
-                eb = np.zeros(4)
-                eb[b] = h
-                mixed = (
-                    at(coords + ea + eb)
-                    - at(coords + ea - eb)
-                    - at(coords - ea + eb)
-                    + at(coords - ea - eb)
-                ) / (4.0 * h**2)
-                out[:, a, b] = mixed
-                out[:, b, a] = mixed
-        return out
-
 
 def _shift(sigma, r, h):
     out = np.array(sigma, dtype=float)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from instantform.errors import ConfigError
 def run_cli(tmp_path, sub, cfg, out_name="out", seed=None):
     out = str(tmp_path / out_name)
     cfg_path = tmp_path / f"{sub}-config.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     argv = [sub, "--config", str(cfg_path), "--out", out]
     if seed is not None:
         argv += ["--seed", str(seed)]
@@ -262,3 +264,101 @@ def test_unknown_subcommand_exits_2(capsys):
         cli.main(["frobnicate", "--config", "x.json"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def strict_json(path):
+    def refuse(name):
+        raise ValueError(f"{name} in {path}")
+
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("sub, text", [
+    # Python's json reads NaN/Infinity; 1e999 overflows to inf
+    pytest.param("centers", '{"particles": [{"m": Infinity, "x": [0, 0, 0]},'
+                 ' {"m": 1.0, "x": [1, 0, 0], "q": NaN}]}', id="centers-constants"),
+    pytest.param("centers", '{"particles": [{"m": 1e999, "x": [0, 0, 0]},'
+                 ' {"m": 1.0, "x": [1, 0, 0]}]}', id="centers-overflow"),
+    pytest.param("radar", '{"worldline": {"kind": "rindler", "accel": 1.0},'
+                 ' "events": [[0.0, NaN, 0.0, 0.0]]}', id="radar-constant"),
+    pytest.param("radar", '{"worldline": {"kind": "rindler", "accel": 1.0},'
+                 ' "events": [[0.0, 1.5, -1e999, 0.0]]}', id="radar-overflow"),
+])
+def test_nonfinite_config_exits_2(tmp_path, sub, text):
+    code, out = run_cli(tmp_path, sub, text)
+    assert code == 2
+    assert not os.path.exists(out)
+
+
+def test_deeply_nested_json_exits_2(tmp_path):
+    code, out = run_cli(tmp_path, "centers", '{"particles": ' + "[" * 100000)
+    assert code == 2
+    assert not os.path.exists(out)
+
+
+def test_negative_seed_override_exits_2(tmp_path):
+    code, out = run_cli(tmp_path, "tube", TUBE_CFG, seed=-1)
+    assert code == 2
+    assert not os.path.exists(out)
+
+
+def test_nonfinite_result_exits_3_with_strict_json(tmp_path):
+    # finite inputs whose invariant mass overflows to NaN
+    cfg = {"particles": [{"m": 1e200, "x": [1, 0, 0], "p": [0, 1e200, 0]},
+                         {"m": 1, "x": [0, 0, 0]}]}
+    code, out = run_cli(tmp_path, "centers", cfg)
+    assert code == 3
+    rd = only_run_dir(out)
+    assert os.listdir(rd) == ["failure.json"]  # no partial artifacts
+    failure = strict_json(os.path.join(rd, "failure.json"))
+    assert failure["error"] == "FloatingPointError"
+    assert "invariants.json" in failure["message"]
+
+
+# run-directory names of the committed configs; a change to how configs
+# resolve moves them
+COMMITTED_DIGESTS = {
+    "centers": "3130599065c3",
+    "evolve": "60d02243ba70",
+    "radar": "0f938664a80b",
+    "reconstruct": "ec096f3ab5e4",
+    "spectrum": "1569e45c06a6",
+    "tube": "b40c0c30105b",
+    "validate-foliation": "07f90c7196e8",
+}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_committed_config_run_hash(path):
+    sub = path.stem.replace("_", "-")
+    cfg = cli.parse_config(path.read_text(encoding="utf-8"), sub)
+    assert cli._config_digest(cfg) == COMMITTED_DIGESTS[sub]
+
+
+def schema_key_names(table):
+    """Every key name declared in one schema table, nested ones included."""
+    names = set()
+    for name, key in table.items():
+        names.add(name)
+        inner = key.of.of if key.type == "list" else key.of
+        if key.type == "kinded":
+            names.add("kind")
+            for kind_table in inner.values():
+                names |= schema_key_names(kind_table)
+        elif isinstance(inner, dict):
+            names |= schema_key_names(inner)
+    return names
+
+
+def test_readme_documents_every_config_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", section))))
+    declared = set()
+    for table in (cli.COMMON_KEYS, *cli.SCHEMA.values()):
+        declared |= schema_key_names(table)
+    assert sorted(declared - documented) == []
