@@ -264,6 +264,14 @@ def _tau_order(cfg, problems):
         problems.append("grid.tau_max: must be >= tau_min")
 
 
+def _subluminal_velocity(cfg, problems):
+    emb = cfg["embedding"]
+    if emb and emb["kind"] == "tilted" and emb["velocity"]:
+        v = np.asarray(emb["velocity"])
+        if not v @ v < 1.0:  # the test foliation.tilted_embedding applies
+            problems.append("embedding.velocity: must have norm < 1")
+
+
 def _events_given(cfg, problems):
     if "events" not in cfg and "random_events" not in cfg:
         problems.append("events: provide either events or random_events")
@@ -300,7 +308,7 @@ def _default_softening(cfg, problems):
 
 
 _RULES = {
-    "validate-foliation": (_tau_order,),
+    "validate-foliation": (_tau_order, _subluminal_velocity),
     "radar": (_events_given, _worldline_domain),
     "centers": (_charges_apart,),
     "tube": (_charges_apart,),
@@ -445,7 +453,7 @@ def _run_centers(cfg, rng):
             "Mc": float(mc),
             "h": h,
             "S_bar": s_bar,
-            "tube_radius": float(np.linalg.norm(s_bar) / mc),
+            "tube_radius": collective.tube_radius(g),
             "jacobi_z": z,
         },
     }
@@ -577,7 +585,9 @@ def run(cfg, out_base):
     try:
         artifacts = _HANDLERS[cfg["subcommand"]](cfg, rng)
         texts = {name: _render(name, content) for name, content in artifacts.items()}
-    except (InstantFormError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    # ArithmeticError: FloatingPointError, and ZeroDivisionError or
+    # OverflowError from Python float arithmetic on extreme inputs
+    except (InstantFormError, ArithmeticError, np.linalg.LinAlgError) as exc:
         _write(run_dir, "failure.json", {
             "error": type(exc).__name__,
             "message": str(exc),

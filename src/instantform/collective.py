@@ -17,7 +17,8 @@ Conventions: four-momenta in momentum units (p0 = E/c = sqrt(m^2 c^2 + p^2));
 interaction energies enter the time components divided by c.  The boost
 moment of an interacting pair is the pair potential weighted at the midpoint
 of the two positions, which reduces to the standard free-particle generators
-as charges go to zero.
+as charges go to zero.  The Darwin term of a pair takes each particle's own
+momentum, for lab snapshots and rest-frame states (module restframe) alike.
 
 The energy radius |S_bar| / Mc bounds the center-of-energy world-tube:
 moller_tube_sample measures the tube by computing the center of energy in
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import NonTimelikeError, SingularPotentialError
 from .minkowski import boost_from_h, levi_civita4, metric
-from .potentials import POTENTIALS, coulomb_energy, darwin_energy
+from .potentials import POTENTIALS, pair_energies
 
 __all__ = [
     "ParticleSystem",
@@ -112,28 +113,8 @@ class ParticleSystem:
 
     def pair_potential_energies(self):
         """List of (i, j, V_ij) with V_ij an energy; empty for potential none."""
-        out = []
-        if self.potential == "none":
-            return out
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                q1q2 = self.charges[i] * self.charges[j]
-                if q1q2 == 0.0:
-                    continue
-                rvec = self.positions[i] - self.positions[j]
-                v = coulomb_energy(q1q2, rvec)
-                if self.potential == "coulomb+darwin":
-                    v += darwin_energy(
-                        q1q2,
-                        self.masses[i],
-                        self.masses[j],
-                        self.c,
-                        rvec,
-                        self.momenta[i],
-                        self.momenta[j],
-                    )
-                out.append((i, j, v))
-        return out
+        return pair_energies(self.potential, self.masses, self.charges, self.c,
+                             self.positions, self.momenta)
 
 
 @dataclass
@@ -152,26 +133,29 @@ class PoincareGenerators:
     c: float = 1.0
 
 
+def energy_and_moment(energies, positions, pairs, c):
+    """Total energy sum E_i + sum V_ij/c and energy-weighted moment
+    sum x_i E_i + sum (V_ij/c)(x_i + x_j)/2, with pairs from pair_energies."""
+    total = energies.sum() + sum(v for _, _, v in pairs) / c
+    moment = positions.T @ energies
+    for i, j, v in pairs:
+        moment = moment + (v / c) * 0.5 * (positions[i] + positions[j])
+    return total, moment
+
+
 def poincare_generators(sys, sgn=1):
     """Build the ten Poincare generators from a snapshot."""
     if sgn not in (1, -1):
         raise ValueError("sgn must be +1 or -1")
-    e = sys.energies()
-    pairs = sys.pair_potential_energies()
-    vsum = sum(v for _, _, v in pairs)
-
     p4 = np.empty(4)
-    p4[0] = e.sum() + vsum / sys.c
+    p4[0], boost_moment = energy_and_moment(
+        sys.energies(), sys.positions, sys.pair_potential_energies(), sys.c
+    )
     p4[1:] = sys.momenta.sum(axis=0)
 
     jmat = np.zeros((4, 4))
     orbital = sys.positions.T @ sys.momenta            # sum_i x_i^j p_i^k
     jmat[1:, 1:] = orbital - orbital.T                 # J^{jk} = sum x^j p^k - x^k p^j
-    boost_moment = sys.positions.T @ e                 # sum_i x_i^k E_i (momentum units)
-    for i, j, v in pairs:
-        boost_moment = boost_moment + (v / sys.c) * 0.5 * (
-            sys.positions[i] + sys.positions[j]
-        )
     jk0 = boost_moment - sys.x0 * p4[1:]
     jmat[1:, 0] = jk0
     jmat[0, 1:] = -jk0
@@ -208,6 +192,13 @@ def center_of_energy(g, time=None):
     return (g.J[1:, 0] + time * g.P[1:]) / g.P[0]
 
 
+def _rest_center(g, mc, h):
+    """(boost to the rest frame, static rest-frame center J_rest^{k0}/Mc)."""
+    to_rest = boost_from_h(-h)
+    j_rest = to_rest @ g.J @ to_rest.T
+    return to_rest, j_rest[1:, 0] / mc
+
+
 def fokker_pryce_worldline(g):
     """Covariant center of inertia as a map tau -> event (tau = rest time c t).
 
@@ -216,9 +207,7 @@ def fokker_pryce_worldline(g):
     that world-line back with the standard boost of h.
     """
     mc, h, _ = invariant_mass_spin(g)
-    to_rest = boost_from_h(-h)
-    j_rest = to_rest @ g.J @ to_rest.T
-    x_rest = j_rest[1:, 0] / mc
+    _, x_rest = _rest_center(g, mc, h)
     back = boost_from_h(h)
 
     def line(tau):
@@ -310,6 +299,17 @@ def external_generators(z, h, mc, s_bar, sgn=1, c=1.0):
     return PoincareGenerators(P=p4, J=jmat, evaluation_time=0.0, sgn=sgn, c=c)
 
 
+def map_and_resync(sys, lam, a, new_time):
+    """(positions, momenta) after x -> lam x + a on each event and four-momentum
+    (no a), with each event slid along its new straight line to time new_time."""
+    e = sys.energies()
+    p4 = np.concatenate((e[:, None], sys.momenta), axis=1) @ lam.T
+    events = np.concatenate((np.full((sys.n, 1), sys.x0), sys.positions), axis=1)
+    events = events @ lam.T + a
+    vel = p4[:, 1:] / p4[:, :1]                  # dx/dx0 = p/p0
+    return events[:, 1:] + vel * (new_time - events[:, :1]), p4[:, 1:].copy()
+
+
 def poincare_transform_free(sys, lam=None, translation=None, new_time=0.0):
     """Exact Poincare transform of a free snapshot (re-synchronized).
 
@@ -324,20 +324,11 @@ def poincare_transform_free(sys, lam=None, translation=None, new_time=0.0):
         lam = np.eye(4)
     lam = np.asarray(lam, dtype=float)
     a = np.zeros(4) if translation is None else np.asarray(translation, dtype=float)
-
-    e = sys.energies()
-    p4 = np.concatenate((e[:, None], sys.momenta), axis=1)
-    p4_new = p4 @ lam.T
-    events = np.concatenate(
-        (np.full((sys.n, 1), sys.x0), sys.positions), axis=1
-    )
-    ev_new = events @ lam.T + a
-    vel = p4_new[:, 1:] / p4_new[:, :1]          # dx/dx0 = p/p0
-    x_new = ev_new[:, 1:] + vel * (new_time - ev_new[:, :1])
+    x_new, p_new = map_and_resync(sys, lam, a, new_time)
     return ParticleSystem(
         masses=sys.masses.copy(),
         positions=x_new,
-        momenta=p4_new[:, 1:].copy(),
+        momenta=p_new,
         charges=sys.charges.copy(),
         potential="none",
         x0=float(new_time),
@@ -383,9 +374,7 @@ def moller_tube_sample(sys, n_frames, rapidity_max, seed=0, sgn=1):
         raise ValueError("rapidity_max must be >= 0")
     g = poincare_generators(sys, sgn)
     mc, h, s_bar = invariant_mass_spin(g)
-    to_rest = boost_from_h(-h)
-    j_rest = to_rest @ g.J @ to_rest.T
-    x_rest = j_rest[1:, 0] / mc
+    to_rest, x_rest = _rest_center(g, mc, h)
 
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n_frames, 3))

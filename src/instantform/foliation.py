@@ -23,6 +23,7 @@ phi_tilde = sqrt(det g3) the volume density, R the two shape coordinates
 the exponent), and the eigenvector frame encoded as Z-Y-Z Euler angles.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,10 +182,19 @@ def induced_geometry(emb, tau, sigma, sgn=1):
     span a spacelike 3-plane (vanishing or non-timelike normal).
     """
     sigma = np.asarray(sigma, dtype=float)
-    eta = metric(sgn)
     jac = emb.jacobian(tau, sigma)
-    g4 = jac.T @ eta @ jac
-    g4 = 0.5 * (g4 + g4.T)
+    return _geometry(emb, tau, sigma, jac, _induced_metric(jac, sgn), sgn)
+
+
+def _induced_metric(jac, sgn):
+    """Symmetrized induced 4-metric g_AB = J^T eta J."""
+    g4 = jac.T @ metric(sgn) @ jac
+    return 0.5 * (g4 + g4.T)
+
+
+def _geometry(emb, tau, sigma, jac, g4, sgn):
+    """The GeometryAtPoint of Jacobian ``jac`` and its induced metric ``g4``."""
+    eta = metric(sgn)
     g3 = -sgn * g4[1:, 1:]
 
     n_cov = _covariant_normal(jac)
@@ -255,19 +265,12 @@ def extrinsic_curvature(emb, tau, sigma, sgn=1, fd_step=None):
     gm = induced_geometry(emb, tau - h, sigma, sgn)
     dtau_g3 = (gp.g3 - gm.g3) / (2.0 * h)
 
-    # Christoffel symbols of g3, first kind: gamma_{t,rs}
-    gamma1 = np.empty((3, 3, 3))
-    for t in range(3):
-        for r in range(3):
-            for s in range(3):
-                gamma1[t, r, s] = 0.5 * (dg3[r][t, s] + dg3[s][t, r] - dg3[t][r, s])
+    # Christoffel symbols of g3, first kind:
+    # gamma_{t,rs} = (d_r g3_ts + d_s g3_tr - d_t g3_rs) / 2
+    gamma1 = 0.5 * (dg3.transpose(1, 0, 2) + dg3.transpose(1, 2, 0) - dg3)
     # N_{r|s} = d_s N_r - gamma^t_{rs} N_t = d_s N_r - g3^{tu} gamma1[u,r,s] N_t
-    g3_inv = np.linalg.inv(center.g3)
-    nt = g3_inv @ center.shift_cov          # N^u
-    cov = np.empty((3, 3))
-    for r in range(3):
-        for s in range(3):
-            cov[r, s] = dshift[s, r] - nt @ gamma1[:, r, s]
+    nt = np.linalg.inv(center.g3) @ center.shift_cov          # N^u
+    cov = dshift.T - np.tensordot(nt, gamma1, axes=1)
     return (cov + cov.T - dtau_g3) / (2.0 * center.lapse)
 
 
@@ -424,7 +427,6 @@ def check_admissibility(emb, grid, sgn=1, asym_tol=1e-3):
     normals on the outermost sigma shell, across all tau samples, against
     their common mean direction with tolerance ``asym_tol`` per component.
     """
-    eta = metric(sgn)
     taus = grid.tau_values()
     axis = grid.sigma_axis()
     violations = []
@@ -433,37 +435,32 @@ def check_admissibility(emb, grid, sgn=1, asym_tol=1e-3):
     n_nodes = 0
     ext = grid.sigma_extent
 
-    for tau in taus:
-        for s1 in axis:
-            for s2 in axis:
-                for s3 in axis:
-                    sigma = np.array([s1, s2, s3])
-                    n_nodes += 1
-                    on_shell = np.max(np.abs(sigma)) >= ext * (1.0 - 1e-12)
-                    jac = emb.jacobian(tau, sigma)
-                    g4 = jac.T @ eta @ jac
-                    g3 = -sgn * 0.5 * (g4[1:, 1:] + g4[1:, 1:].T)
+    for tau, s1, s2, s3 in itertools.product(taus, axis, axis, axis):
+        sigma = np.array([s1, s2, s3])
+        n_nodes += 1
+        on_shell = np.max(np.abs(sigma)) >= ext * (1.0 - 1e-12)
+        jac = emb.jacobian(tau, sigma)
+        g4 = _induced_metric(jac, sgn)
 
-                    # condition 2: spacelike surfaces
-                    gtt = sgn * g4[0, 0]
-                    eigs = np.linalg.eigvalsh(g3)
-                    if not (gtt > 0.0 and eigs[0] > 0.0):
-                        ok[1] = False
-                        witness = float(min(gtt, eigs[0]))
-                        violations.append(Violation(2, float(tau), sigma, witness))
+        # condition 2: spacelike surfaces
+        gtt = sgn * g4[0, 0]
+        eigs = np.linalg.eigvalsh(-sgn * g4[1:, 1:])
+        if not (gtt > 0.0 and eigs[0] > 0.0):
+            ok[1] = False
+            violations.append(Violation(2, float(tau), sigma, float(min(gtt, eigs[0]))))
 
-                    # condition 1: positive lapse (needs the normal)
-                    try:
-                        geo = induced_geometry(emb, tau, sigma, sgn)
-                    except DegenerateSurfaceError:
-                        ok[0] = False
-                        violations.append(Violation(1, float(tau), sigma, float("nan")))
-                        continue
-                    if not geo.lapse > 0.0:
-                        ok[0] = False
-                        violations.append(Violation(1, float(tau), sigma, geo.lapse))
-                    if on_shell:
-                        shell_normals.append(geo.normal)
+        # condition 1: positive lapse (needs the normal)
+        try:
+            geo = _geometry(emb, tau, sigma, jac, g4, sgn)
+        except DegenerateSurfaceError:
+            ok[0] = False
+            violations.append(Violation(1, float(tau), sigma, float("nan")))
+            continue
+        if not geo.lapse > 0.0:
+            ok[0] = False
+            violations.append(Violation(1, float(tau), sigma, geo.lapse))
+        if on_shell:
+            shell_normals.append(geo.normal)
 
     asym = None
     if shell_normals:

@@ -7,9 +7,9 @@ one unit (lengths for events, momentum units for four-momenta).  The metric is
     eta = sgn * diag(+1, -1, -1, -1),      sgn in {+1, -1}
 
 so sgn=+1 is the mostly-minus particle-physics convention and sgn=-1 the
-mostly-plus one.  Every function takes sgn explicitly (default +1); quantities
-that are convention-independent, like the interval x0^2 - |x|^2, are computed
-without it.
+mostly-plus one.  Functions whose result depends on the convention take sgn
+explicitly (default +1); convention-independent quantities, like the interval
+x0^2 - |x|^2 and the boost and Wigner-rotation matrices, take no sgn.
 
 Boosts are parameterized by the dimensionless vector h = p/(Mc), i.e. by
 gamma * beta rather than beta, which keeps every real 3-vector h a valid
@@ -67,14 +67,11 @@ def is_timelike_future(v):
     return bool(np.all(interval(v) > 0.0) and np.all(v[..., 0] > 0.0))
 
 
-def boost_from_h(h, sgn=1):
+def boost_from_h(h):
     """Pure (rotation-free) boost with velocity parameter h = gamma*beta.
 
     Maps the rest-frame momentum (Mc, 0, 0, 0) to (Mc*sqrt(1+h^2), Mc*h).
-    The matrix itself does not depend on the metric convention; sgn is
-    accepted for interface uniformity and validated only.
     """
-    _check_sgn(sgn)
     h = np.asarray(h, dtype=float)
     if h.shape != (3,):
         raise ValueError(f"h must be a 3-vector, got shape {h.shape}")
@@ -87,7 +84,7 @@ def boost_from_h(h, sgn=1):
     return lam
 
 
-def standard_boost(p, sgn=1):
+def standard_boost(p):
     """Standard boost B(p): the pure boost taking (Mc, 0) to the momentum p.
 
     p must be timelike and future-pointing; raises NonTimelikeError otherwise.
@@ -96,7 +93,7 @@ def standard_boost(p, sgn=1):
     m2 = interval(p)
     if m2 <= 0.0 or p[0] <= 0.0:
         raise NonTimelikeError(f"momentum {p} is not timelike future-pointing")
-    return boost_from_h(p[1:] / np.sqrt(m2), sgn)
+    return boost_from_h(p[1:] / np.sqrt(m2))
 
 
 def rotation_to_lorentz(r):
@@ -114,7 +111,7 @@ def is_lorentz(lam, sgn=1, tol=1e-12):
     return bool(np.max(np.abs(lam.T @ eta @ lam - eta)) <= tol)
 
 
-def wigner_rotation(p, lam, sgn=1):
+def wigner_rotation(p, lam):
     """Spatial rotation R(lam, p) = B(lam p)^-1 lam B(p) as a 3x3 matrix.
 
     For timelike future-pointing p the composition of standard boosts above
@@ -122,9 +119,9 @@ def wigner_rotation(p, lam, sgn=1):
     """
     p = np.asarray(p, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    bp = standard_boost(p, sgn)
+    bp = standard_boost(p)
     p2 = lam @ p
-    bp2 = standard_boost(p2, sgn)
+    bp2 = standard_boost(p2)
     w = np.linalg.solve(bp2, lam @ bp)
     return w[1:, 1:].copy()
 

@@ -60,17 +60,40 @@ def darwin_energy(q1q2, m1, m2, c, r_vec, p1, p2):
     )
 
 
-def relative_potential_energy(potential, q1q2, m1, m2, c, rho, pi):
-    """V(rho, pi) for the two-body relative problem (an energy)."""
+def _pair_energy(potential, q1q2, m1, m2, c, r_vec, p1, p2):
+    """Potential energy of one pair: Coulomb plus, for coulomb+darwin, the
+    Darwin term with momenta p1, p2."""
     if potential == "none":
         return 0.0
-    rho = np.asarray(rho, dtype=float)
-    v = coulomb_energy(q1q2, rho)
+    v = coulomb_energy(q1q2, r_vec)
     if potential == "coulomb":
         return v
     if potential == "coulomb+darwin":
-        return v + darwin_energy(q1q2, m1, m2, c, rho, pi, -np.asarray(pi, dtype=float))
+        return v + darwin_energy(q1q2, m1, m2, c, r_vec, p1, p2)
     raise ValueError(f"unknown potential {potential!r}")
+
+
+def pair_energies(potential, masses, charges, c, positions, momenta):
+    """[(i, j, V_ij)] over the charged pairs of a snapshot, V_ij an energy; the
+    Darwin term takes each particle's own momentum.  Empty for potential none."""
+    out = []
+    if potential == "none":
+        return out
+    n = masses.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q1q2 = charges[i] * charges[j]
+            if q1q2 != 0.0:
+                v = _pair_energy(potential, q1q2, masses[i], masses[j], c,
+                                 positions[i] - positions[j], momenta[i], momenta[j])
+                out.append((i, j, v))
+    return out
+
+
+def relative_potential_energy(potential, q1q2, m1, m2, c, rho, pi):
+    """V(rho, pi) for the two-body relative problem (an energy)."""
+    rho = np.asarray(rho, dtype=float)
+    return _pair_energy(potential, q1q2, m1, m2, c, rho, pi, -np.asarray(pi, dtype=float))
 
 
 def relative_potential_gradients(potential, q1q2, m1, m2, c, rho, pi):

@@ -160,8 +160,7 @@ def einstein_sync(w, event, scan_points=512):
     """
     event = np.asarray(event, dtype=float)
     s_grid = np.linspace(w.domain[0], w.domain[1], int(scan_points))
-    d = event - np.asarray(w.position(s_grid), dtype=float)
-    fvals = d[..., 0] ** 2 - np.sum(d[..., 1:] ** 2, axis=-1)
+    fvals = interval(event - np.asarray(w.position(s_grid), dtype=float))
 
     f = _null_f(w, event)
     roots = []

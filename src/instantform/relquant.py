@@ -20,14 +20,13 @@ and extracts low eigenvalues iteratively; it is slower and coarser but makes
 no radial-reduction assumptions, so it serves as a cross-check.
 
 The Coulomb singularity is softened, V = -alpha*c/sqrt(r^2 + eps^2), with
-eps defaulting to a quarter grid spacing; the finite-difference oracle
-``nonrel_fd_levels`` keeps the bare 1/r to stay independent.
+eps defaulting to a quarter grid spacing.
 """
 
 import warnings
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import NonConvergenceError
@@ -38,7 +37,6 @@ __all__ = [
     "radial_grid",
     "build_radial_hamiltonian",
     "radial_levels",
-    "nonrel_fd_levels",
     "cartesian_ground_state",
 ]
 
@@ -84,7 +82,8 @@ def build_radial_hamiltonian(n_points, length, m1, m2, alpha, c=1.0,
     the exact representation of T(k^2) under Dirichlet walls at 0 and L.
     softening defaults to length/(4*n_points); for ell > 0 the centrifugal
     barrier ell(ell+1)/(2 mu (r^2 + eps^2)) joins the potential, softened
-    the same way.
+    the same way.  Raises FloatingPointError when the kinetic or potential
+    term is not finite on the grid, as for a vanishingly small ``length``.
     """
     r, k = radial_grid(n_points, length)
     if softening is None:
@@ -98,15 +97,20 @@ def build_radial_hamiltonian(n_points, length, m1, m2, alpha, c=1.0,
             stacklevel=2,
         )
 
-    idx = np.arange(1, n_points + 1)
-    s = np.sin(np.pi / (n_points + 1) * np.outer(idx, idx))
     tk = kinetic_dispersion(k, m1, m2, c, kinetic)
-    h = (2.0 / (n_points + 1)) * (s @ (tk[:, None] * s))
-
     v = -alpha * c / np.sqrt(r**2 + softening**2)
     if ell:
         mu = m1 * m2 / (m1 + m2)
         v = v + ell * (ell + 1) / (2.0 * mu * (r**2 + softening**2))
+    if not (np.all(np.isfinite(tk)) and np.all(np.isfinite(v))):
+        raise FloatingPointError(
+            f"radial Hamiltonian is not finite on this grid (length={length}, "
+            f"n_points={n_points}, softening={softening})"
+        )
+
+    idx = np.arange(1, n_points + 1)
+    s = np.sin(np.pi / (n_points + 1) * np.outer(idx, idx))
+    h = (2.0 / (n_points + 1)) * (s @ (tk[:, None] * s))
     h[np.diag_indices_from(h)] += v
     return 0.5 * (h + h.T), r
 
@@ -121,21 +125,6 @@ def radial_levels(n_points, length, m1, m2, alpha, c=1.0, kinetic="salpeter",
         vals, vecs = eigh(h, subset_by_index=(0, n_levels - 1))
         return vals, vecs, r
     vals = eigh(h, eigvals_only=True, subset_by_index=(0, n_levels - 1))
-    return vals
-
-
-def nonrel_fd_levels(n_points, length, mu, alpha, c=1.0, n_levels=6):
-    """Independent check: second-order finite differences, bare Coulomb.
-
-    -u''/(2 mu) - (alpha c / r) u on the same interior grid, assembled as a
-    tridiagonal matrix with no sine transform and no softening involved.
-    """
-    r, _ = radial_grid(n_points, length)
-    dr = length / (n_points + 1)
-    diag = 1.0 / (mu * dr**2) - alpha * c / r
-    off = np.full(n_points - 1, -0.5 / (mu * dr**2))
-    vals = eigh_tridiagonal(diag, off, select="i",
-                            select_range=(0, n_levels - 1))[0]
     return vals
 
 

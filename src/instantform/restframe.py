@@ -30,6 +30,7 @@ from .foliation import Embedding
 from .minkowski import boost_from_h
 from .potentials import (
     POTENTIALS,
+    pair_energies,
     relative_potential_energy,
     relative_potential_gradients,
 )
@@ -82,26 +83,6 @@ class RestFrameState:
         return np.sqrt((self.masses * self.c) ** 2 + np.sum(self.kappas**2, axis=1))
 
 
-def _pair_terms(masses, positions, momenta, charges, potential, c):
-    """[(i, j, V_ij)] evaluated from internal data; energies."""
-    out = []
-    if potential == "none":
-        return out
-    n = masses.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            q1q2 = charges[i] * charges[j]
-            if q1q2 == 0.0:
-                continue
-            rvec = positions[i] - positions[j]
-            # relative momentum of the pair: (kappa_i - kappa_j)/2 matches the
-            # two-body rest-frame convention and the frozen Darwin form
-            pij = 0.5 * (momenta[i] - momenta[j])
-            v = relative_potential_energy(potential, q1q2, masses[i], masses[j], c, rvec, pij)
-            out.append((i, j, v))
-    return out
-
-
 def to_rest_frame(sys, sgn=1):
     """Map a lab snapshot to its rest-frame instant-form representation.
 
@@ -115,26 +96,16 @@ def to_rest_frame(sys, sgn=1):
     size is recorded in ``projection_residual``.
     """
     g = collective.poincare_generators(sys, sgn)
-    mc, h, s_bar = invariants = collective.invariant_mass_spin(g)
+    mc, h, s_bar = collective.invariant_mass_spin(g)
     _, z, _ = collective.newton_wigner_and_jacobi(g)
 
-    lam = boost_from_h(-h)
-    e = sys.energies()
-    p4 = np.concatenate((e[:, None], sys.momenta), axis=1) @ lam.T
-    events = np.concatenate((np.full((sys.n, 1), sys.x0), sys.positions), axis=1) @ lam.T
-    vel = p4[:, 1:] / p4[:, :1]
-    x_rest = events[:, 1:] + vel * (0.0 - events[:, :1])     # straight-line resync
-
-    kappas = p4[:, 1:].copy()
+    x_rest, kappas = collective.map_and_resync(sys, boost_from_h(-h), np.zeros(4), 0.0)
     kap_residual = float(np.linalg.norm(kappas.sum(axis=0)))
     kappas -= kappas.sum(axis=0) / sys.n
 
     energies = np.sqrt((sys.masses * sys.c) ** 2 + np.sum(kappas**2, axis=1))
-    pairs = _pair_terms(sys.masses, x_rest, kappas, sys.charges, sys.potential, sys.c)
-    e_int = energies.sum() + sum(v for _, _, v in pairs) / sys.c
-    moment = x_rest.T @ energies
-    for i, j, v in pairs:
-        moment = moment + (v / sys.c) * 0.5 * (x_rest[i] + x_rest[j])
+    pairs = pair_energies(sys.potential, sys.masses, sys.charges, sys.c, x_rest, kappas)
+    e_int, moment = collective.energy_and_moment(energies, x_rest, pairs, sys.c)
     shift = moment / e_int
     etas = x_rest - shift
 
@@ -167,15 +138,11 @@ class InternalGenerators:
 
 def internal_generators(st):
     """Evaluate the internal generators of a rest-frame state."""
-    energies = st.internal_energies()
-    pairs = _pair_terms(st.masses, st.etas, st.kappas, st.charges, st.potential, st.c)
-    e_int = float(energies.sum() + sum(v for _, _, v in pairs) / st.c)
+    pairs = pair_energies(st.potential, st.masses, st.charges, st.c, st.etas, st.kappas)
+    e_int, k_int = collective.energy_and_moment(st.internal_energies(), st.etas, pairs, st.c)
     p_int = st.kappas.sum(axis=0)
     s_bar = np.sum(np.cross(st.etas, st.kappas), axis=0)
-    k_int = st.etas.T @ energies
-    for i, j, v in pairs:
-        k_int = k_int + (v / st.c) * 0.5 * (st.etas[i] + st.etas[j])
-    return InternalGenerators(E_int=e_int, P_int=p_int, S_bar=s_bar, K_int=k_int)
+    return InternalGenerators(E_int=float(e_int), P_int=p_int, S_bar=s_bar, K_int=k_int)
 
 
 @dataclass
@@ -224,14 +191,7 @@ def rest_frame_from_relative(rel, potential, z=None, h=None, sgn=1, charges=None
     """
     if potential not in POTENTIALS:
         raise ValueError(f"potential must be one of {POTENTIALS}")
-    e1 = np.sqrt((rel.m1 * rel.c) ** 2 + rel.pi @ rel.pi)
-    e2 = np.sqrt((rel.m2 * rel.c) ** 2 + rel.pi @ rel.pi)
-    v = relative_potential_energy(
-        potential, rel.charge_product, rel.m1, rel.m2, rel.c, rel.rho, rel.pi
-    )
-    mc = e1 + e2 + v / rel.c
-    w1 = (e2 + 0.5 * v / rel.c) / mc
-    w2 = (e1 + 0.5 * v / rel.c) / mc
+    mc, w1, w2 = _mass_and_weights(rel, potential, rel.rho, rel.pi)
     etas = np.array([w1 * rel.rho, -w2 * rel.rho])
     kappas = np.array([rel.pi, -rel.pi])
     if charges is None:
@@ -258,20 +218,31 @@ def rest_frame_from_relative(rel, potential, z=None, h=None, sgn=1, charges=None
     )
 
 
+def _energies(rel, pi):
+    """Kinetic energies (E1, E2) of the pair at relative momentum pi."""
+    return (np.sqrt((rel.m1 * rel.c) ** 2 + pi @ pi),
+            np.sqrt((rel.m2 * rel.c) ** 2 + pi @ pi))
+
+
+def _mass_and_weights(rel, potential, rho, pi):
+    """(Mc, w1, w2) at (rho, pi): Mc = E1 + E2 + V/c, and the energy weights
+    w1 = (E2 + V/2c)/Mc, w2 = (E1 + V/2c)/Mc of eta_1 = w1 rho, eta_2 = -w2 rho."""
+    e1, e2 = _energies(rel, pi)
+    v = relative_potential_energy(
+        potential, rel.charge_product, rel.m1, rel.m2, rel.c, rho, pi
+    ) / rel.c
+    mc = e1 + e2 + v
+    return mc, (e2 + 0.5 * v) / mc, (e1 + 0.5 * v) / mc
+
+
 def invariant_mass_hamiltonian(rel, potential):
     """Mc(rho, pi): the invariant mass of the pair, in momentum units."""
-    e1 = np.sqrt((rel.m1 * rel.c) ** 2 + rel.pi @ rel.pi)
-    e2 = np.sqrt((rel.m2 * rel.c) ** 2 + rel.pi @ rel.pi)
-    v = relative_potential_energy(
-        potential, rel.charge_product, rel.m1, rel.m2, rel.c, rel.rho, rel.pi
-    )
-    return float(e1 + e2 + v / rel.c)
+    return float(_mass_and_weights(rel, potential, rel.rho, rel.pi)[0])
 
 
 def _gradients(rel, potential, rho, pi):
     """(dH/drho, dH/dpi) of the invariant-mass Hamiltonian."""
-    e1 = np.sqrt((rel.m1 * rel.c) ** 2 + pi @ pi)
-    e2 = np.sqrt((rel.m2 * rel.c) ** 2 + pi @ pi)
+    e1, e2 = _energies(rel, pi)
     g_rho, g_pi = relative_potential_gradients(
         potential, rel.charge_product, rel.m1, rel.m2, rel.c, rho, pi
     )
@@ -338,9 +309,20 @@ def evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
     def record(k, rho, pi):
         rhos[k] = rho
         pis[k] = pi
-        state = RelativeState(rel.m1, rel.m2, rho, pi, rel.charge_product, rel.c)
-        hs[k] = invariant_mass_hamiltonian(state, potential)
+        hs[k] = _mass_and_weights(rel, potential, rho, pi)[0]
         ls[k] = np.cross(rho, pi)
+
+    def fixed_point(update, x, what, k):
+        """Iterate x <- update(x) until an update moves x by at most fp_tol."""
+        for sweep in range(fp_max_iter):
+            x_new = update(x)
+            delta = np.max(np.abs(x_new - x))
+            x = x_new
+            if delta <= fp_tol * max(1.0, np.max(np.abs(x))):
+                return x, sweep + 1
+        raise NonConvergenceError(
+            f"implicit {what} substep stalled at step {k} (last update {delta:.3e})"
+        )
 
     def check_separation(k, rho_old, rho):
         # closest approach of the swept segment to the origin
@@ -360,46 +342,23 @@ def evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
         rho_old = rho
         if implicit:
             # half kick, implicit in the updated momentum
-            pi_h = pi.copy()
-            for sweep in range(fp_max_iter):
-                g_rho, _ = _gradients(rel, potential, rho, pi_h)
-                pi_new = pi - 0.5 * dtau * g_rho
-                delta = np.max(np.abs(pi_new - pi_h))
-                pi_h = pi_new
-                if delta <= fp_tol * max(1.0, np.max(np.abs(pi_h))):
-                    break
-            else:
-                raise NonConvergenceError(
-                    f"implicit momentum substep stalled at step {k} "
-                    f"(last update {delta:.3e})"
-                )
-            max_sweeps = max(max_sweeps, sweep + 1)
+            pi_h, sweeps = fixed_point(
+                lambda p: pi - 0.5 * dtau * _gradients(rel, potential, rho, p)[0],
+                pi, "momentum", k,
+            )
+            max_sweeps = max(max_sweeps, sweeps)
             # symmetric drift, implicit in the updated position
             _, g_pi_old = _gradients(rel, potential, rho, pi_h)
-            rho_new = rho + dtau * g_pi_old
-            for sweep in range(fp_max_iter):
-                _, g_pi_new = _gradients(rel, potential, rho_new, pi_h)
-                rho_next = rho + 0.5 * dtau * (g_pi_old + g_pi_new)
-                delta = np.max(np.abs(rho_next - rho_new))
-                rho_new = rho_next
-                if delta <= fp_tol * max(1.0, np.max(np.abs(rho_new))):
-                    break
-            else:
-                raise NonConvergenceError(
-                    f"implicit position substep stalled at step {k} "
-                    f"(last update {delta:.3e})"
-                )
-            max_sweeps = max(max_sweeps, sweep + 1)
+            rho_new, sweeps = fixed_point(
+                lambda r: rho + 0.5 * dtau * (g_pi_old + _gradients(rel, potential, r, pi_h)[1]),
+                rho + dtau * g_pi_old, "position", k,
+            )
+            max_sweeps = max(max_sweeps, sweeps)
             rho = rho_new
-            g_rho_end, _ = _gradients(rel, potential, rho, pi_h)
-            pi = pi_h - 0.5 * dtau * g_rho_end
         else:
-            g_rho, _ = _gradients(rel, potential, rho, pi)
-            pi_h = pi - 0.5 * dtau * g_rho
-            _, g_pi = _gradients(rel, potential, rho, pi_h)
-            rho = rho + dtau * g_pi
-            g_rho_end, _ = _gradients(rel, potential, rho, pi_h)
-            pi = pi_h - 0.5 * dtau * g_rho_end
+            pi_h = pi - 0.5 * dtau * _gradients(rel, potential, rho, pi)[0]
+            rho = rho + dtau * _gradients(rel, potential, rho, pi_h)[1]
+        pi = pi_h - 0.5 * dtau * _gradients(rel, potential, rho, pi_h)[0]
         check_separation(k, rho_old, rho)
         record(k, rho, pi)
 
@@ -455,11 +414,10 @@ def reconstruct_worldlines(traj, z, h, sgn=1):
     rel = RelativeState(traj.m1, traj.m2, traj.rho[0], traj.pi[0],
                         traj.charge_product, traj.c)
     for k in range(n):
-        rel.rho = traj.rho[k]
-        rel.pi = traj.pi[k]
-        st = rest_frame_from_relative(rel, traj.potential)
-        for i in range(2):
-            events[i, k] = fp_events[k] + tetrad @ st.etas[i]
+        rho = traj.rho[k]
+        _, w1, w2 = _mass_and_weights(rel, traj.potential, rho, traj.pi[k])
+        events[0, k] = fp_events[k] + tetrad @ (w1 * rho)
+        events[1, k] = fp_events[k] + tetrad @ (-w2 * rho)
 
     deltas = np.diff(events, axis=1)
     timelike = deltas[..., 0] ** 2 - np.sum(deltas[..., 1:] ** 2, axis=-1) >= -1e-12
@@ -485,12 +443,9 @@ def wigner_hyperplane_embedding(z, h, mc, s_bar, sgn=1):
     g = collective.external_generators(z, h, mc, s_bar, sgn=sgn)
     fp = collective.fokker_pryce_worldline(g)
     boost = boost_from_h(np.asarray(h, dtype=float))
-    jac = np.empty((4, 4))
-    jac[:, 0] = boost[:, 0]
-    jac[:, 1:] = boost[:, 1:]
 
     def zfun(tau, sigma):
         return fp(tau) + boost[:, 1:] @ sigma
 
-    return Embedding(zfun, jacobian=lambda tau, sigma: jac.copy(),
+    return Embedding(zfun, jacobian=lambda tau, sigma: boost.copy(),
                      name="wigner-hyperplane")

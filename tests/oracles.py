@@ -7,6 +7,7 @@ that no oracle shares code with what it checks.
 """
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -116,3 +117,18 @@ def newtonian_relative_orbit(m1, m2, q1q2, rho0, p0, dt, n_steps):
 def orthogonal_boost_wigner_tangent(xi1, xi2):
     """tan of the Wigner angle for two orthogonal boosts of given rapidities."""
     return np.sinh(xi1) * np.sinh(xi2) / (np.cosh(xi1) + np.cosh(xi2))
+
+
+def nonrel_fd_levels(n_points, length, mu, alpha, c=1.0, n_levels=6):
+    """Second-order finite differences for the bare Coulomb radial problem.
+
+    -u''/(2 mu) - (alpha c / r) u on the interior grid r_j = j L/(n+1),
+    assembled as a tridiagonal matrix with no sine transform and no
+    softening involved.
+    """
+    dr = length / (n_points + 1)
+    r = dr * np.arange(1, n_points + 1)
+    diag = 1.0 / (mu * dr**2) - alpha * c / r
+    off = np.full(n_points - 1, -0.5 / (mu * dr**2))
+    return eigh_tridiagonal(diag, off, select="i",
+                            select_range=(0, n_levels - 1))[0]

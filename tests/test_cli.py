@@ -319,6 +319,30 @@ def test_nonfinite_result_exits_3_with_strict_json(tmp_path):
     assert "invariants.json" in failure["message"]
 
 
+def test_superluminal_tilted_velocity_exits_2(tmp_path, capsys):
+    cfg = {"embedding": {"kind": "tilted", "velocity": [0.1, 0.0, -1.0]}}
+    code, out = run_cli(tmp_path, "validate-foliation", cfg)
+    assert code == 2
+    assert not os.path.exists(out)
+    assert "embedding.velocity: must have norm < 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, cfg, error", [
+    pytest.param("validate-foliation",
+                 {"embedding": {"kind": "differential", "omega": 1.0, "r0": 1e-300}},
+                 "ZeroDivisionError", id="differential-r0"),
+    pytest.param("spectrum",
+                 {"n_points": 64, "length": 1e-300, "m1": 1.0, "m2": 1.0, "alpha": 0.1},
+                 "FloatingPointError", id="spectrum-length"),
+])
+def test_tiny_positive_scale_exits_3_with_strict_json(tmp_path, sub, cfg, error):
+    code, out = run_cli(tmp_path, sub, cfg)
+    assert code == 3
+    rd = only_run_dir(out)
+    assert os.listdir(rd) == ["failure.json"]
+    assert strict_json(os.path.join(rd, "failure.json"))["error"] == error
+
+
 # run-directory names of the committed configs; a change to how configs
 # resolve moves them
 COMMITTED_DIGESTS = {

@@ -6,10 +6,10 @@ from instantform.relquant import (
     build_radial_hamiltonian,
     cartesian_ground_state,
     kinetic_dispersion,
-    nonrel_fd_levels,
     radial_grid,
     radial_levels,
 )
+from oracles import nonrel_fd_levels
 
 # weak-coupling hydrogen-like setup shared by several tests
 M1 = M2 = 1.0

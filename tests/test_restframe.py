@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from instantform.collective import (
+    ParticleSystem,
     PoincareGenerators,
     invariant_mass_spin,
     poincare_generators,
@@ -9,6 +13,7 @@ from instantform.collective import (
 )
 from instantform.errors import CollisionError
 from instantform.minkowski import boost_from_h, wigner_rotation
+from instantform.potentials import POTENTIALS
 from instantform.radar import radar_coordinates
 from instantform.restframe import (
     RelativeState,
@@ -51,6 +56,58 @@ def test_interacting_at_rest_is_exact():
     np.testing.assert_allclose(ig.P_int, 0.0, atol=1e-12)
     np.testing.assert_allclose(ig.K_int, 0.0, atol=1e-12)
     assert st.projection_residual[0] < 1e-12
+
+
+def test_darwin_three_body_at_rest_energy_is_mass():
+    """E_int = Mc beyond two bodies: one Darwin convention for both sides."""
+    rng = np.random.default_rng(23)
+    mom = 0.4 * rng.standard_normal((3, 3))
+    sys = ParticleSystem(
+        masses=rng.uniform(0.5, 2.0, 3),
+        positions=3.0 * rng.standard_normal((3, 3)),
+        momenta=mom - mom.mean(axis=0),
+        charges=np.array([1.0, -1.0, 1.0]),
+        potential="coulomb+darwin",
+    )
+    st = to_rest_frame(sys)
+    assert internal_generators(st).E_int == pytest.approx(st.Mc, rel=1e-12)
+
+
+# lattice sites keep every pair at least 3 - sqrt(3) apart after jitter
+_SITES = 3.0 * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+
+
+@hst.composite
+def snapshots(draw):
+    """Snapshots of 2-4 particles under each potential: free ones at any lab
+    time, at rest or moving; interacting ones at rest at lab time 0, where
+    to_rest_frame has no straight-line drift to make."""
+    n = draw(hst.integers(2, 4))
+    potential = draw(hst.sampled_from(POTENTIALS))
+    free = potential == "none"
+    unit = hst.floats(-0.5, 0.5)
+    momenta = draw(arrays(float, (n, 3), elements=unit))
+    if not free or draw(hst.booleans()):
+        momenta -= momenta.mean(axis=0)
+    return ParticleSystem(
+        masses=draw(arrays(float, n, elements=hst.floats(1.0, 2.0))),
+        positions=_SITES[:n] + draw(arrays(float, (n, 3), elements=unit)),
+        momenta=momenta,
+        charges=draw(arrays(float, n, elements=hst.sampled_from([-0.5, 0.0, 0.5]))),
+        potential=potential,
+        x0=draw(hst.floats(-1.0, 1.0)) if free else 0.0,
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(snapshots())
+def test_rest_frame_conditions_property(sys):
+    st = to_rest_frame(sys)
+    ig = internal_generators(st)
+    scale = st.Mc * (1.0 + np.max(np.abs(st.etas)))
+    np.testing.assert_allclose(ig.P_int, 0.0, atol=1e-12 * st.Mc)
+    np.testing.assert_allclose(ig.K_int, 0.0, atol=1e-12 * scale)
+    assert ig.E_int == pytest.approx(st.Mc, rel=1e-12)
 
 
 def test_interacting_boosted_records_projection():
