@@ -302,6 +302,11 @@ def _coulomb_charge(cfg, problems):
         problems.append("charge_product: must be nonzero for a coulomb potential")
 
 
+def _levels_fit(cfg, problems):
+    if None not in (cfg["n_levels"], cfg["n_points"]) and cfg["n_levels"] > cfg["n_points"]:
+        problems.append(f"n_levels: must be <= n_points ({cfg['n_points']})")
+
+
 def _default_softening(cfg, problems):
     if "softening" not in cfg and cfg["n_points"] and cfg["length"]:
         cfg["softening"] = cfg["length"] / (4.0 * cfg["n_points"])
@@ -314,7 +319,7 @@ _RULES = {
     "tube": (_charges_apart,),
     "evolve": (_coulomb_charge,),
     "reconstruct": (_coulomb_charge,),
-    "spectrum": (_default_softening,),
+    "spectrum": (_levels_fit, _default_softening),
 }
 
 
@@ -440,21 +445,20 @@ def _run_radar(cfg, rng):
 
 def _run_centers(cfg, rng):
     g = collective.poincare_generators(_build_system(cfg), sgn=cfg["sgn"])
-    mc, h, s_bar = collective.invariant_mass_spin(g)
-    x_nw, z, _ = collective.newton_wigner_and_jacobi(g)
+    triple = collective._center_triple(g)
     rows = [
         ("center_of_energy", *collective.center_of_energy(g)),
-        ("fokker_pryce_tau0", *collective.fokker_pryce_worldline(g)(0.0)[1:]),
-        ("newton_wigner", *x_nw),
+        ("fokker_pryce_tau0", *triple.fp_line(0.0)[1:]),
+        ("newton_wigner", *triple.x_NW0),
     ]
     return {
         "centers.csv": (("center", "x", "y", "z"), rows),
         "invariants.json": {
-            "Mc": float(mc),
-            "h": h,
-            "S_bar": s_bar,
-            "tube_radius": collective.tube_radius(g),
-            "jacobi_z": z,
+            "Mc": float(triple.Mc),
+            "h": triple.h,
+            "S_bar": triple.S_bar,
+            "tube_radius": triple.tube_radius,
+            "jacobi_z": triple.Mc * triple.x_NW0,
         },
     }
 

@@ -207,6 +207,10 @@ def fokker_pryce_worldline(g):
     that world-line back with the standard boost of h.
     """
     mc, h, _ = invariant_mass_spin(g)
+    return _fokker_pryce_line(g, mc, h)
+
+
+def _fokker_pryce_line(g, mc, h):
     _, x_rest = _rest_center(g, mc, h)
     back = boost_from_h(h)
 
@@ -233,13 +237,21 @@ def newton_wigner_and_jacobi(g):
     are z = Mc * x_NW(0) and h = P/Mc.
     """
     mc, h, s_bar = invariant_mass_spin(g)
-    x_nw = (g.J[1:, 0] + np.cross(s_bar, g.P[1:]) / (mc + g.P[0])) / g.P[0]
+    x_nw = _newton_wigner(g, mc, s_bar)
     return x_nw, mc * x_nw, h
+
+
+def _newton_wigner(g, mc, s_bar):
+    return (g.J[1:, 0] + np.cross(s_bar, g.P[1:]) / (mc + g.P[0])) / g.P[0]
 
 
 def tube_radius(g):
     """Energy radius |S_bar| / Mc of the center-of-energy world-tube."""
     mc, _, s_bar = invariant_mass_spin(g)
+    return _tube_radius(mc, s_bar)
+
+
+def _tube_radius(mc, s_bar):
     return float(np.linalg.norm(s_bar) / mc)
 
 
@@ -257,17 +269,20 @@ class CenterTriple:
 
 
 def center_triple(sys, sgn=1):
-    g = poincare_generators(sys, sgn)
+    return _center_triple(poincare_generators(sys, sgn))
+
+
+def _center_triple(g):
+    """CenterTriple of a set of generators, from one invariant_mass_spin."""
     mc, h, s_bar = invariant_mass_spin(g)
-    x_nw, _, _ = newton_wigner_and_jacobi(g)
     return CenterTriple(
         Mc=mc,
         h=h,
         S_bar=s_bar,
         X_E0=center_of_energy(g, 0.0),
-        x_NW0=x_nw,
-        fp_line=fokker_pryce_worldline(g),
-        tube_radius=tube_radius(g),
+        x_NW0=_newton_wigner(g, mc, s_bar),
+        fp_line=_fokker_pryce_line(g, mc, h),
+        tube_radius=_tube_radius(mc, s_bar),
     )
 
 
@@ -398,6 +413,6 @@ def moller_tube_sample(sys, n_frames, rapidity_max, seed=0, sgn=1):
         distances=distances,
         rapidities=xis,
         directions=dirs,
-        bound=float(np.linalg.norm(s_bar) / mc),
+        bound=_tube_radius(mc, s_bar),
         events_lab=events_lab,
     )

@@ -15,9 +15,17 @@ Two discretizations are provided.  The radial one expands the reduced wave
 function u(r) = r R(r) on a uniform grid with u(0) = u(L) = 0; the sine
 transform (DST-I) diagonalizes any function of k^2 on that grid, so the
 square roots above are exact in the basis rather than Taylor-expanded.  The
-Cartesian one builds the same operator on a 3-d FFT grid as a LinearOperator
-and extracts low eigenvalues iteratively; it is slower and coarser but makes
-no radial-reduction assumptions, so it serves as a cross-check.
+Cartesian one builds the same operator on a 3-d FFT grid; it is coarser but
+makes no radial-reduction assumptions, so it serves as a cross-check.
+
+Neither solver forms a matrix.  The kinetic term is diagonal in momentum
+and the potential in position, so H applied to a block of vectors costs two
+transforms (two DST-Is on the radial grid, an FFT pair on the cube), and
+the lowest levels come from LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517
+(2001)) preconditioned in momentum space by 1/(T(k) + shift), the choice of
+plane-wave codes (Teter, Payne & Allan, PRB 40, 12255 (1989)).
+``build_radial_hamiltonian`` still assembles the dense radial matrix, as a
+view of the same operator for checks.
 
 The Coulomb singularity is softened, V = -alpha*c/sqrt(r^2 + eps^2), with
 eps defaulting to a quarter grid spacing.
@@ -26,8 +34,8 @@ eps defaulting to a quarter grid spacing.
 import warnings
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.fft import dst, irfftn, rfftn
+from scipy.sparse.linalg import lobpcg
 
 from .errors import NonConvergenceError
 
@@ -41,6 +49,13 @@ __all__ = [
 ]
 
 KINETIC_KINDS = ("salpeter", "nonrelativistic")
+
+# radial_levels: residual tolerance as a fraction of the energy scale
+# (see _energy_scale); both solvers: LOBPCG iterations of one attempt
+_RADIAL_TOL = 1e-8
+_MAXITER = 200
+# LOBPCG calls before a residual check that keeps failing is final
+_ATTEMPTS = 3
 
 
 def kinetic_dispersion(k, m1, m2, c=1.0, kind="salpeter"):
@@ -73,17 +88,11 @@ def radial_grid(n_points, length):
     return idx * dr, idx * np.pi / length
 
 
-def build_radial_hamiltonian(n_points, length, m1, m2, alpha, c=1.0,
-                             kinetic="salpeter", ell=0, softening=None):
-    """Dense symmetric Hamiltonian for u(r) on the interior grid.
+def _radial_terms(n_points, length, m1, m2, alpha, c, kinetic, ell, softening):
+    """(r_j, T(k_m), V(r_j)) of the radial problem, V with the ell barrier.
 
-    Returns (H, r).  The kinetic part is assembled in the sine basis,
-    T = (2/(n+1)) S diag(T(k_m)) S with S_mj = sin(m j pi/(n+1)), which is
-    the exact representation of T(k^2) under Dirichlet walls at 0 and L.
-    softening defaults to length/(4*n_points); for ell > 0 the centrifugal
-    barrier ell(ell+1)/(2 mu (r^2 + eps^2)) joins the potential, softened
-    the same way.  Raises FloatingPointError when the kinetic or potential
-    term is not finite on the grid, as for a vanishingly small ``length``.
+    Warns for alpha <= 0 and raises FloatingPointError when either term is
+    not finite on the grid, as for a vanishingly small ``length``.
     """
     r, k = radial_grid(n_points, length)
     if softening is None:
@@ -94,7 +103,7 @@ def build_radial_hamiltonian(n_points, length, m1, m2, alpha, c=1.0,
         warnings.warn(
             "alpha <= 0 gives a repulsive or free system; the spectrum "
             "will contain no bound levels",
-            stacklevel=2,
+            stacklevel=3,
         )
 
     tk = kinetic_dispersion(k, m1, m2, c, kinetic)
@@ -107,7 +116,24 @@ def build_radial_hamiltonian(n_points, length, m1, m2, alpha, c=1.0,
             f"radial Hamiltonian is not finite on this grid (length={length}, "
             f"n_points={n_points}, softening={softening})"
         )
+    return r, tk, v
 
+
+def build_radial_hamiltonian(n_points, length, m1, m2, alpha, c=1.0,
+                             kinetic="salpeter", ell=0, softening=None):
+    """Dense matrix of the radial operator on the interior grid, for checks.
+
+    Returns (H, r).  ``radial_levels`` never forms this matrix; it applies
+    the same operator through sine transforms.  The kinetic part is
+    T = (2/(n+1)) S diag(T(k_m)) S with S_mj = sin(m j pi/(n+1)), the exact
+    representation of T(k^2) under Dirichlet walls at 0 and L.
+    softening defaults to length/(4*n_points); for ell > 0 the centrifugal
+    barrier ell(ell+1)/(2 mu (r^2 + eps^2)) joins the potential, softened
+    the same way.  Raises FloatingPointError when the kinetic or potential
+    term is not finite on the grid, as for a vanishingly small ``length``.
+    """
+    r, tk, v = _radial_terms(n_points, length, m1, m2, alpha, c, kinetic,
+                             ell, softening)
     idx = np.arange(1, n_points + 1)
     s = np.sin(np.pi / (n_points + 1) * np.outer(idx, idx))
     h = (2.0 / (n_points + 1)) * (s @ (tk[:, None] * s))
@@ -115,16 +141,104 @@ def build_radial_hamiltonian(n_points, length, m1, m2, alpha, c=1.0,
     return 0.5 * (h + h.T), r
 
 
+def _sine(u):
+    """Orthonormal DST-I down the columns; it is its own inverse."""
+    return dst(u, type=1, norm="ortho", axis=0)
+
+
+def _energy_scale(mu, c, alpha, v):
+    """Binding scale mu (c alpha)^2, or the well depth max|V| when the
+    softening, wider than the Bohr radius, makes the well shallower."""
+    return min(mu * (c * alpha) ** 2, np.abs(v).max())
+
+
+def _start_block(columns):
+    """Orthonormal start block: the unit columns plus a seeded perturbation.
+
+    The perturbation, 1e-3 of each column, keeps the preconditioned
+    residuals of nearly parallel columns independent, which lobpcg needs
+    at its first step, and breaks symmetries the columns share.
+    """
+    x = columns / np.linalg.norm(columns, axis=0)
+    noise = np.random.default_rng(7).standard_normal(x.shape)
+    return np.linalg.qr(x + 1e-3 / np.sqrt(x.shape[0]) * noise)[0]
+
+
+def _lowest_eigenpairs(apply_h, apply_m, x, tol, maxiter, where):
+    """Lowest eigenpairs of a symmetric operator, one per column of ``x``.
+
+    Runs preconditioned LOBPCG from the orthonormal start block ``x``.
+    lobpcg can return early without a warning, so every level's residual
+    |H x - lambda x| is checked here against ``tol``; a failed check
+    restarts from the returned block, and after _ATTEMPTS calls raises
+    NonConvergenceError.  Returns (ascending values, vectors).
+    """
+    for _ in range(_ATTEMPTS):
+        with warnings.catch_warnings():
+            # it warns when it stops short (checked below) and when it hands
+            # a block too large for the problem to a dense solver
+            warnings.simplefilter("ignore", UserWarning)
+            vals, x = lobpcg(apply_h, x, M=apply_m, tol=tol, maxiter=maxiter,
+                             largest=False)
+        order = np.argsort(vals)
+        vals, x = vals[order], x[:, order]
+        res = np.linalg.norm(apply_h(x) - x * vals, axis=0)
+        if np.all(res <= tol):
+            return vals, x
+    raise NonConvergenceError(
+        f"LOBPCG left a residual of {res.max():.2e} (tolerance {tol:.2e}) "
+        f"for the {len(vals)} lowest levels on {where} after {_ATTEMPTS} "
+        f"attempts of {maxiter} iterations"
+    )
+
+
 def radial_levels(n_points, length, m1, m2, alpha, c=1.0, kinetic="salpeter",
                   ell=0, softening=None, n_levels=6, return_states=False):
-    """Lowest bound-state energies of the radial problem, ascending."""
-    h, r = build_radial_hamiltonian(
-        n_points, length, m1, m2, alpha, c, kinetic, ell, softening
+    """Lowest bound-state energies of the radial problem, ascending.
+
+    Matrix-free: H u = DST(T * DST(u)) + V u with the orthonormal DST-I,
+    solved on sine coefficients by LOBPCG with the diagonal preconditioner
+    1/(T(k) + shift).  The shift is the Bohr binding of the highest
+    requested level, E / (2 (ell + n_levels)^2), with the energy scale
+    E = mu (c alpha)^2, or max|V| if that is smaller.  The start block is
+    hydrogen-like, r^(ell+j) exp(-r/((ell+j) a)) for j = 1..n_levels with
+    the Bohr radius a = 1/(mu c alpha) kept inside [dr, length].  Every
+    level's residual is brought below 1e-8 of E, or below the round-off of
+    one product where that is larger; NonConvergenceError otherwise.
+    Raises ValueError unless 1 <= n_levels <= n_points.  With
+    ``return_states`` returns (values, orthonormal vectors as columns, r).
+    """
+    if not 1 <= n_levels <= n_points:
+        raise ValueError(f"n_levels must be between 1 and n_points={n_points}")
+    r, tk, v = _radial_terms(n_points, length, m1, m2, alpha, c, kinetic,
+                             ell, softening)
+    mu = m1 * m2 / (m1 + m2)
+    scale = _energy_scale(mu, c, alpha, v)
+    tol = (_RADIAL_TOL * (scale + tk[0])
+           + 64 * np.finfo(float).eps * (tk[-1] + np.abs(v).max()))
+    inverse = 1.0 / (tk + scale / (2.0 * (ell + n_levels) ** 2) + tk[0])
+
+    # the iteration runs on sine coefficients, where T and the
+    # preconditioner are diagonal and only V needs the two transforms
+    def apply_h(coef):
+        return tk[:, None] * coef + _sine(v[:, None] * _sine(coef))
+
+    def apply_m(coef):
+        return inverse[:, None] * coef
+
+    bohr = 1.0 / (mu * c * alpha) if alpha > 0 else length
+    a = min(max(bohr, r[0]), length)
+    shell = ell + np.arange(1, n_levels + 1)
+    # in logs, scaled per column, so that no power of r overflows
+    log_x = shell * np.log(r[:, None] / a) - r[:, None] / (shell * a)
+    start = _sine(_start_block(np.exp(log_x - log_x.max(axis=0))))
+
+    vals, coef = _lowest_eigenpairs(
+        apply_h, apply_m, start, tol, _MAXITER,
+        f"the {n_points}-point radial grid (length={length}, ell={ell})",
     )
     if return_states:
-        vals, vecs = eigh(h, subset_by_index=(0, n_levels - 1))
-        return vals, vecs, r
-    vals = eigh(h, eigvals_only=True, subset_by_index=(0, n_levels - 1))
+        return vals, _sine(coef), r
     return vals
 
 
@@ -134,12 +248,16 @@ def cartesian_ground_state(n_points, length, m1, m2, alpha, c=1.0,
     """Low eigenvalues of the same operator on a 3-d periodic FFT grid.
 
     The kinetic term is diagonal in k after an FFT, the potential diagonal
-    in position, so one matvec costs two 3-d FFTs.  Uses a Lanczos solve for
-    the smallest algebraic eigenvalues; raises NonConvergenceError if it
-    fails to settle.  The box is a cube of side ``length`` centered on the
-    charge, momenta are the periodic FFT frequencies, and ``softening``
-    defaults to the grid spacing (a cube this coarse needs more smoothing
-    than the radial grid).
+    in position, so one product costs an FFT pair.  Uses the LOBPCG solve
+    of ``radial_levels`` with the preconditioner 1/(T(|k|) + shift) on the
+    FFT grid; every level's residual must fall below ``tol`` times the
+    energy scale E of ``radial_levels`` within ``maxiter`` iterations
+    (default 200) of one of a few restarts, else NonConvergenceError.  The
+    start block is a seeded perturbation of exp(-r/(0.1 length)), which
+    breaks the cube's symmetries.  The box is a cube of side ``length``
+    centered on the charge, momenta are the periodic FFT frequencies, and
+    ``softening`` defaults to the grid spacing (a cube this coarse needs
+    more smoothing than the radial grid).
     """
     if n_points < 8:
         raise ValueError("n_points must be >= 8")
@@ -148,32 +266,36 @@ def cartesian_ground_state(n_points, length, m1, m2, alpha, c=1.0,
         softening = dx
     axis = (np.arange(n_points) - n_points // 2) * dx
     x, y, z = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
-    r = np.sqrt(x**2 + y**2 + z**2 + softening**2)
-    v = -alpha * c / r
+    r2 = x**2 + y**2 + z**2
+    v = -alpha * c / np.sqrt(r2 + softening**2)
 
     kax = 2.0 * np.pi * np.fft.fftfreq(n_points, d=dx)
-    kx, ky, kz = np.meshgrid(kax, kax, kax, indexing="ij", sparse=True)
-    kmag = np.sqrt(kx**2 + ky**2 + kz**2)
-    tk = kinetic_dispersion(kmag, m1, m2, c, kinetic)
+    half = 2.0 * np.pi * np.fft.rfftfreq(n_points, d=dx)  # rfftn's last axis
+    kx, ky, kz = np.meshgrid(kax, kax, half, indexing="ij", sparse=True)
+    tk = kinetic_dispersion(np.sqrt(kx**2 + ky**2 + kz**2), m1, m2, c, kinetic)
+    scale = _energy_scale(m1 * m2 / (m1 + m2), c, alpha, v)
+    t_min = kinetic_dispersion(kax[1], m1, m2, c, kinetic)
+    inverse = 1.0 / (tk + scale / (2.0 * n_levels**2) + t_min)
 
     shape = (n_points,) * 3
     size = n_points**3
 
-    def matvec(psi):
-        grid = psi.reshape(shape)
-        out = np.fft.ifftn(tk * np.fft.fftn(grid)) + v * grid
-        return np.real(out).ravel()
+    def in_k(diag, grids):
+        return irfftn(diag * rfftn(grids, axes=(1, 2, 3)), s=shape, axes=(1, 2, 3))
 
-    op = LinearOperator((size, size), matvec=matvec, dtype=float)
-    rng = np.random.default_rng(7)
-    v0 = np.exp(-np.sqrt(x**2 + y**2 + z**2) / (0.1 * length)).ravel()
-    v0 += 1e-3 * rng.standard_normal(size)
-    try:
-        vals = eigsh(op, k=n_levels, which="SA", v0=v0, tol=tol,
-                     maxiter=maxiter, return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise NonConvergenceError(
-            f"Lanczos failed to converge {n_levels} levels on the "
-            f"{n_points}^3 grid: {exc}"
-        ) from exc
-    return np.sort(vals)
+    # a block of columns as a stack of grids and back
+    def apply_h(u):
+        grids = u.T.reshape((-1,) + shape)
+        return (in_k(tk, grids) + v * grids).reshape(-1, size).T
+
+    def apply_m(u):
+        return in_k(inverse, u.T.reshape((-1,) + shape)).reshape(-1, size).T
+
+    envelope = np.exp(-np.sqrt(r2) / (0.1 * length)).reshape(size, 1)
+    vals, _ = _lowest_eigenpairs(
+        apply_h, apply_m, _start_block(np.repeat(envelope, n_levels, axis=1)),
+        tol * (scale + t_min),
+        _MAXITER if maxiter is None else maxiter,
+        f"the {n_points}^3 grid",
+    )
+    return vals

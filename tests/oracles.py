@@ -7,7 +7,7 @@ that no oracle shares code with what it checks.
 """
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.optimize import brentq
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -132,3 +132,33 @@ def nonrel_fd_levels(n_points, length, mu, alpha, c=1.0, n_levels=6):
     off = np.full(n_points - 1, -0.5 / (mu * dr**2))
     return eigh_tridiagonal(diag, off, select="i",
                             select_range=(0, n_levels - 1))[0]
+
+
+def dense_radial_levels(n_points, length, m1, m2, alpha, c=1.0,
+                        kinetic="salpeter", ell=0, softening=None, n_levels=6,
+                        return_states=False):
+    """Dense sine-basis matrix and ``eigh`` for the softened radial problem.
+
+    Builds its own grid r_j = j L/(n+1) and dispersion, assembles
+    T = (2/(n+1)) S diag(T(k_m)) S with S_mj = sin(m j pi/(n+1)) as an n x n
+    matrix at O(n^3) cost, adds the softened Coulomb potential and the
+    ell barrier on the diagonal, and diagonalizes.  No transform and no
+    iterative solver are involved.  Returns the lowest values, and with
+    ``return_states`` also their vectors as columns.
+    """
+    idx = np.arange(1, n_points + 1)
+    r = idx * length / (n_points + 1)
+    k = idx * np.pi / length
+    mu = m1 * m2 / (m1 + m2)
+    if kinetic == "salpeter":
+        tk = (np.sqrt((m1 * c**2) ** 2 + (k * c) ** 2)
+              + np.sqrt((m2 * c**2) ** 2 + (k * c) ** 2) - (m1 + m2) * c**2)
+    else:
+        tk = k**2 / (2.0 * mu)
+    eps2 = (length / (4.0 * n_points) if softening is None else softening) ** 2
+    v = -alpha * c / np.sqrt(r**2 + eps2) + ell * (ell + 1) / (2.0 * mu * (r**2 + eps2))
+    s = np.sin(np.pi / (n_points + 1) * np.outer(idx, idx))
+    h = (2.0 / (n_points + 1)) * (s @ (tk[:, None] * s))
+    h[np.diag_indices_from(h)] += v
+    vals, vecs = eigh(0.5 * (h + h.T), subset_by_index=(0, n_levels - 1))
+    return (vals, vecs) if return_states else vals

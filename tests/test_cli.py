@@ -184,6 +184,15 @@ def test_spectrum_levels_and_convergence(tmp_path):
     assert conv["n_points"] == 512
 
 
+def test_spectrum_more_levels_than_points_exits_2(tmp_path, capsys):
+    cfg = {"n_points": 16, "length": 100.0, "m1": 1.0, "m2": 1.0, "alpha": 0.1,
+           "n_levels": 20}
+    code, out = run_cli(tmp_path, "spectrum", cfg)
+    assert code == 2
+    assert not os.path.exists(out)
+    assert "n_levels: must be <= n_points (16)" in capsys.readouterr().err
+
+
 def test_reconstruct_outputs(tmp_path):
     cfg = {
         "m1": 1.0, "m2": 1.0, "rho0": [1.0, 0.0, 0.0],

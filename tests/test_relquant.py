@@ -9,7 +9,7 @@ from instantform.relquant import (
     radial_grid,
     radial_levels,
 )
-from oracles import nonrel_fd_levels
+from oracles import dense_radial_levels, nonrel_fd_levels
 
 # weak-coupling hydrogen-like setup shared by several tests
 M1 = M2 = 1.0
@@ -105,6 +105,44 @@ def test_eigenvectors_orthonormal():
     assert np.max(np.abs(gram - np.eye(5))) < 1e-8
     assert vals.shape == (5,)
     assert vecs.shape == (512, 5)
+
+
+@pytest.mark.parametrize("n_points, length, alpha, kw", [
+    pytest.param(2048, LENGTH, ALPHA, dict(n_levels=6), id="cli-defaults"),
+    pytest.param(1024, LENGTH, ALPHA, dict(ell=2, n_levels=5), id="ell2"),
+    pytest.param(2048, LENGTH, ALPHA, dict(ell=1, n_levels=3, kinetic="nonrelativistic"),
+                 id="ell1-n2048"),
+    pytest.param(2048, 100.0, 0.5, dict(softening=0.8, n_levels=2), id="strong-softened"),
+    pytest.param(8, LENGTH, ALPHA, dict(n_levels=1), id="n8"),
+    pytest.param(16, LENGTH, ALPHA, dict(n_levels=6), id="n16"),
+    pytest.param(64, 50.0, -0.5, dict(n_levels=3), id="repulsive"),
+    pytest.param(64, 50.0, 0.0, dict(n_levels=3, kinetic="nonrelativistic"), id="free"),
+])
+def test_matrix_free_levels_match_dense_oracle(n_points, length, alpha, kw):
+    want = dense_radial_levels(n_points, length, M1, M2, alpha, **kw)
+    if alpha <= 0:
+        with pytest.warns(UserWarning):
+            got = radial_levels(n_points, length, M1, M2, alpha, **kw)
+    else:
+        got = radial_levels(n_points, length, M1, M2, alpha, **kw)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+def test_matrix_free_states_match_dense_oracle():
+    vals, vecs, r = radial_levels(512, LENGTH, M1, M2, ALPHA, n_levels=5,
+                                  return_states=True)
+    want, want_vecs = dense_radial_levels(512, LENGTH, M1, M2, ALPHA, n_levels=5,
+                                          return_states=True)
+    np.testing.assert_allclose(vals, want, rtol=1e-9, atol=0)
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(5))) < 1e-12
+    # the same states up to sign
+    assert np.all(np.abs(np.sum(vecs * want_vecs, axis=0)) > 1 - 1e-9)
+
+
+def test_more_levels_than_points_raises():
+    with pytest.raises(ValueError, match="n_levels"):
+        radial_levels(16, 100.0, M1, M2, 0.1, n_levels=17)
 
 
 def test_ell_one_ground_near_bohr_n2():
