@@ -23,7 +23,6 @@ phi_tilde = sqrt(det g3) the volume density, R the two shape coordinates
 the exponent), and the eigenvector frame encoded as Z-Y-Z Euler angles.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,17 +60,26 @@ GAMMA_DEFAULT = np.array(
 )
 
 
+#: Grid nodes per batched block of check_admissibility; bounds its peak memory.
+_BLOCK = 4096
+
+
 class Embedding:
     """An embedding z(tau, sigma) with optional closed-form Jacobian.
+
+    Array-first: tau is a scalar or an array of shape S with sigma shaped
+    S + (3,); the callables get float arrays of those shapes (a scalar tau as
+    a numpy float) and must broadcast over the leading axes.
 
     Parameters
     ----------
     z : callable
-        (tau, sigma) -> length-4 array, sigma a length-3 array.
+        (tau, sigma) -> array of shape S + (4,).
     jacobian : callable, optional
-        (tau, sigma) -> (4, 4) array with column A equal to dz/dsigma^A,
-        A ordered (tau, 1, 2, 3).  When omitted, central finite differences
-        of z with step ``fd_step`` times the local coordinate scale are used.
+        (tau, sigma) -> S + (4, 4) array with [..., :, A] equal to dz/dsigma^A,
+        A ordered (tau, 1, 2, 3); one (4, 4) array is broadcast over a batch.
+        When omitted, central finite differences of z with step ``fd_step``
+        times the local coordinate scale are used.
     name : str
         Used in error messages and reports.
     fd_step : float
@@ -84,38 +92,40 @@ class Embedding:
         self.name = name
         self.fd_step = float(fd_step)
 
+    def _points(self, tau, sigma):
+        tau, sigma = np.asarray(tau, dtype=float), np.asarray(sigma, dtype=float)
+        if sigma.shape != tau.shape + (3,):
+            raise ValueError(f"{self.name}: sigma shape {sigma.shape} does not fit tau {tau.shape}")
+        return tau, sigma
+
     def __call__(self, tau, sigma):
-        out = np.asarray(self._z(float(tau), np.asarray(sigma, dtype=float)), dtype=float)
-        if out.shape != (4,):
-            raise ValueError(f"{self.name}: z must return a 4-vector, got shape {out.shape}")
+        tau, sigma = self._points(tau, sigma)
+        out = np.asarray(self._z(tau[()], sigma), dtype=float)
+        if out.shape != tau.shape + (4,):
+            raise ValueError(f"{self.name}: z must return shape {tau.shape + (4,)}, "
+                             f"got {out.shape}")
         return out
 
-    def _step(self, tau, sigma):
-        scale = max(1.0, abs(tau), float(np.max(np.abs(sigma))))
-        return self.fd_step * scale
-
     def jacobian(self, tau, sigma):
-        """(4, 4) matrix J with J[:, A] = dz/dsigma^A, A in (tau, 1, 2, 3)."""
-        sigma = np.asarray(sigma, dtype=float)
+        """J[..., :, A] = dz/dsigma^A, A in (tau, 1, 2, 3), shaped S + (4, 4)."""
+        tau, sigma = self._points(tau, sigma)
+        shape = tau.shape + (4, 4)
         if self._jacobian is not None:
-            jac = np.asarray(self._jacobian(float(tau), sigma), dtype=float)
-            if jac.shape != (4, 4):
-                raise ValueError(f"{self.name}: jacobian must be 4x4, got {jac.shape}")
+            jac = np.asarray(self._jacobian(tau[()], sigma), dtype=float)
+            if jac.shape == (4, 4) and shape != (4, 4):
+                jac = np.broadcast_to(jac, shape)
+            if jac.shape != shape:
+                raise ValueError(f"{self.name}: jacobian must have shape {shape}, got {jac.shape}")
             return jac
-        h = self._step(tau, sigma)
-        jac = np.empty((4, 4))
-        jac[:, 0] = (self(tau + h, sigma) - self(tau - h, sigma)) / (2.0 * h)
-        for r in range(3):
-            dp = np.zeros(3)
-            dp[r] = h
-            jac[:, r + 1] = (self(tau, sigma + dp) - self(tau, sigma - dp)) / (2.0 * h)
+        x = np.concatenate((tau[..., None], sigma), axis=-1)
+        h = self.fd_step * np.max(np.abs(x), axis=-1, initial=1.0)
+        jac = np.empty(shape)
+        for a in range(4):
+            dx = np.zeros(x.shape)
+            dx[..., a] = h
+            zp, zm = (self(p[..., 0], p[..., 1:]) for p in (x + dx, x - dx))
+            jac[..., a] = (zp - zm) / (2.0 * h)[..., None]
         return jac
-
-
-def _shift(sigma, r, h):
-    out = np.array(sigma, dtype=float)
-    out[r] += h
-    return out
 
 
 @dataclass
@@ -160,19 +170,52 @@ class GeometryAtPoint:
     shift_con: np.ndarray  # N^r = g3^{rs} N_s
 
 
-def _covariant_normal(jac):
-    """n_mu = eps_{mu nu rho si} z1^nu z2^rho z3^si via cofactor expansion."""
-    m = jac[:, 1:]
-    n = np.empty(4)
-    rows = (
-        ((1, 2, 3), 1.0),
-        ((0, 2, 3), -1.0),
-        ((0, 1, 3), 1.0),
-        ((0, 1, 2), -1.0),
-    )
-    for mu, (idx, sign) in enumerate(rows):
-        n[mu] = sign * np.linalg.det(m[list(idx), :])
-    return n
+# rows of the 3x3 minors of the tangent block and their cofactor signs
+_MINORS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_MINOR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _dot(a, b):
+    """a . b over the last axis, one BLAS dot per point like a 1-D ``@``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _frames(jac, sgn):
+    """Induced metric, future unit normal and lapse of Jacobians (..., 4, 4).
+
+    Returns (g4, normal, lapse, flat, tipped).  The covariant normal
+    n_mu = eps_{mu nu rho si} z1^nu z2^rho z3^si comes from the cofactors of
+    the tangents; ``flat`` marks dependent tangents and ``tipped`` a normal
+    that is not timelike, and normal and lapse are NaN at either.  Products
+    are stacked ``@`` in the one-point shapes, so every point sees the BLAS
+    calls it would see alone.
+    """
+    eta = metric(sgn)
+    g4 = np.swapaxes(jac, -1, -2) @ eta @ jac
+    g4 = 0.5 * (g4 + np.swapaxes(g4, -1, -2))
+
+    tangents = jac[..., 1:]
+    n_cov = np.linalg.det(tangents[..., _MINORS, :]) * _MINOR_SIGNS
+    scale = np.prod(np.linalg.norm(tangents, axis=-2), axis=-1)
+    flat = np.sqrt(_dot(n_cov, n_cov)) <= 1e-12 * np.maximum(scale, 1e-300)
+    n_up = sgn * (eta @ n_cov[..., None])[..., 0]  # raise the index; eta^-1 = eta
+    q = n_up[..., 0] ** 2 - _dot(n_up[..., 1:], n_up[..., 1:])
+    tipped = ~flat & (q <= 0.0)
+    bad = flat | tipped
+    ell = n_up / np.sqrt(np.where(bad, 1.0, q))[..., None]
+    ell = np.where(ell[..., :1] < 0.0, -ell, ell)
+    ell[bad] = np.nan
+    lapse = sgn * _dot((jac[..., None, :, 0] @ eta)[..., 0, :], ell)
+    return g4, ell, lapse, flat, tipped
+
+
+def _refuse_degenerate(emb, tau, sigma, flat, tipped):
+    if flat:
+        raise DegenerateSurfaceError(f"{emb.name}: tangent vectors at tau={tau}, sigma={sigma} "
+                                     "are numerically linearly dependent")
+    if tipped:
+        raise DegenerateSurfaceError(f"{emb.name}: surface normal at tau={tau}, sigma={sigma} "
+                                     "is not timelike; the 3-surface is not spacelike there")
 
 
 def induced_geometry(emb, tau, sigma, sgn=1):
@@ -182,42 +225,10 @@ def induced_geometry(emb, tau, sigma, sgn=1):
     span a spacelike 3-plane (vanishing or non-timelike normal).
     """
     sigma = np.asarray(sigma, dtype=float)
-    jac = emb.jacobian(tau, sigma)
-    return _geometry(emb, tau, sigma, jac, _induced_metric(jac, sgn), sgn)
-
-
-def _induced_metric(jac, sgn):
-    """Symmetrized induced 4-metric g_AB = J^T eta J."""
-    g4 = jac.T @ metric(sgn) @ jac
-    return 0.5 * (g4 + g4.T)
-
-
-def _geometry(emb, tau, sigma, jac, g4, sgn):
-    """The GeometryAtPoint of Jacobian ``jac`` and its induced metric ``g4``."""
-    eta = metric(sgn)
+    g4, ell, lapse, flat, tipped = _frames(emb.jacobian(tau, sigma), sgn)
+    _refuse_degenerate(emb, tau, sigma, flat, tipped)
     g3 = -sgn * g4[1:, 1:]
-
-    n_cov = _covariant_normal(jac)
-    scale = float(np.prod(np.linalg.norm(jac[:, 1:], axis=0)))
-    if np.linalg.norm(n_cov) <= 1e-12 * max(scale, 1e-300):
-        raise DegenerateSurfaceError(
-            f"{emb.name}: tangent vectors at tau={tau}, sigma={sigma} are "
-            "numerically linearly dependent"
-        )
-    n_up = sgn * (eta @ n_cov)          # raise the index; eta^-1 = eta for |sgn|=1
-    q = n_up[0] ** 2 - n_up[1:] @ n_up[1:]
-    if q <= 0.0:
-        raise DegenerateSurfaceError(
-            f"{emb.name}: surface normal at tau={tau}, sigma={sigma} is not "
-            "timelike; the 3-surface is not spacelike there"
-        )
-    ell = n_up / np.sqrt(q)
-    if ell[0] < 0.0:
-        ell = -ell
-
-    lapse = float(sgn * (jac[:, 0] @ eta @ ell))
     shift_cov = -sgn * g4[0, 1:]
-    shift_con = np.linalg.solve(g3, shift_cov)
     return GeometryAtPoint(
         tau=float(tau),
         sigma=sigma.copy(),
@@ -225,9 +236,9 @@ def _geometry(emb, tau, sigma, jac, g4, sgn):
         g4=g4,
         g3=g3,
         normal=ell,
-        lapse=lapse,
+        lapse=float(lapse),
         shift_cov=shift_cov,
-        shift_con=shift_con,
+        shift_con=np.linalg.solve(g3, shift_cov),
     )
 
 
@@ -240,38 +251,41 @@ def extrinsic_curvature(emb, tau, sigma, sgn=1, fd_step=None):
 
     with the shift covariant derivatives taken with respect to g3.  The
     spatial and tau derivatives of g3 and N_r are central finite differences
-    of the induced geometry.  Raises AdmissibilityError when the lapse is not
-    positive at the evaluation point.
+    of the induced geometry, evaluated at the nine stencil points in one
+    batched call.  Raises AdmissibilityError when the lapse is not positive
+    at the evaluation point.
     """
     sigma = np.asarray(sigma, dtype=float)
-    center = induced_geometry(emb, tau, sigma, sgn)
-    if not center.lapse > 0.0:
-        raise AdmissibilityError(
-            f"{emb.name}: lapse {center.lapse:.3e} at tau={tau}, sigma={sigma} "
-            "is not positive; extrinsic curvature undefined"
-        )
     if fd_step is None:
         fd_step = emb.fd_step
     h = fd_step * max(1.0, abs(tau), float(np.max(np.abs(sigma))))
+    # stencil rows: the center, then +h and -h along sigma^1, sigma^2, sigma^3, tau
+    steps = h * np.vstack((np.zeros(4), np.kron(np.eye(4)[[1, 2, 3, 0]], [[1.0], [-1.0]])))
+    pts = np.concatenate(([tau], sigma)) + steps
+    taus, sigmas = pts[:, 0], pts[:, 1:]
+    g4, _, lapse, flat, tipped = _frames(emb.jacobian(taus, sigmas), sgn)
+    _refuse_degenerate(emb, tau, sigma, flat[0], tipped[0])
+    if not lapse[0] > 0.0:
+        raise AdmissibilityError(
+            f"{emb.name}: lapse {lapse[0]:.3e} at tau={tau}, sigma={sigma} "
+            "is not positive; extrinsic curvature undefined"
+        )
+    for k in range(1, 9):
+        _refuse_degenerate(emb, taus[k], sigmas[k], flat[k], tipped[k])
 
-    dg3 = np.empty((3, 3, 3))   # dg3[t] = d g3 / d sigma^t
-    dshift = np.empty((3, 3))   # dshift[s, r] = d N_r / d sigma^s
-    for t in range(3):
-        gp = induced_geometry(emb, tau, _shift(sigma, t, h), sgn)
-        gm = induced_geometry(emb, tau, _shift(sigma, t, -h), sgn)
-        dg3[t] = (gp.g3 - gm.g3) / (2.0 * h)
-        dshift[t] = (gp.shift_cov - gm.shift_cov) / (2.0 * h)
-    gp = induced_geometry(emb, tau + h, sigma, sgn)
-    gm = induced_geometry(emb, tau - h, sigma, sgn)
-    dtau_g3 = (gp.g3 - gm.g3) / (2.0 * h)
+    g3 = -sgn * g4[:, 1:, 1:]
+    shift_cov = -sgn * g4[:, 0, 1:]
+    dg3 = (g3[1:7:2] - g3[2:7:2]) / (2.0 * h)              # dg3[t] = d g3 / d sigma^t
+    dshift = (shift_cov[1:7:2] - shift_cov[2:7:2]) / (2.0 * h)  # dshift[s, r] = d N_r / d sigma^s
+    dtau_g3 = (g3[7] - g3[8]) / (2.0 * h)
 
     # Christoffel symbols of g3, first kind:
     # gamma_{t,rs} = (d_r g3_ts + d_s g3_tr - d_t g3_rs) / 2
     gamma1 = 0.5 * (dg3.transpose(1, 0, 2) + dg3.transpose(1, 2, 0) - dg3)
     # N_{r|s} = d_s N_r - gamma^t_{rs} N_t = d_s N_r - g3^{tu} gamma1[u,r,s] N_t
-    nt = np.linalg.inv(center.g3) @ center.shift_cov          # N^u
+    nt = np.linalg.inv(g3[0]) @ shift_cov[0]          # N^u
     cov = dshift.T - np.tensordot(nt, gamma1, axes=1)
-    return (cov + cov.T - dtau_g3) / (2.0 * center.lapse)
+    return (cov + cov.T - dtau_g3) / (2.0 * lapse[0])
 
 
 @dataclass
@@ -421,50 +435,47 @@ class AdmissibilityReport:
 def check_admissibility(emb, grid, sgn=1, asym_tol=1e-3):
     """Sweep a grid and test the three admissibility conditions.
 
-    Evaluation failures at a node (degenerate tangents and the like) are
-    recorded as violations of the condition being evaluated rather than
-    raised, so one bad node cannot mask others.  Condition 3 compares unit
-    normals on the outermost sigma shell, across all tau samples, against
-    their common mean direction with tolerance ``asym_tol`` per component.
+    Nodes are visited in ``itertools.product(taus, axis, axis, axis)`` order,
+    in fixed-size blocks that each make one batched Jacobian call.  At each
+    node a condition-2 violation is listed before a condition-1 one.  Nodes
+    whose tangents are degenerate or span a non-spacelike 3-plane count as
+    condition-1 violations with a NaN witness rather than raising, so one bad
+    node cannot mask others.  Condition 3 compares unit normals on the
+    outermost sigma shell, across all tau samples, against their common mean
+    direction with tolerance ``asym_tol`` per component.
     """
-    taus = grid.tau_values()
-    axis = grid.sigma_axis()
-    violations = []
-    shell_normals = []
-    ok = [True, True, True]
-    n_nodes = 0
-    ext = grid.sigma_extent
+    taus, axis = grid.tau_values(), grid.sigma_axis()
+    dims = (taus.size,) + 3 * (axis.size,)
+    n_nodes = int(np.prod(dims))
+    violations, shell_normals, ok = [], [], [True, True, True]
 
-    for tau, s1, s2, s3 in itertools.product(taus, axis, axis, axis):
-        sigma = np.array([s1, s2, s3])
-        n_nodes += 1
-        on_shell = np.max(np.abs(sigma)) >= ext * (1.0 - 1e-12)
-        jac = emb.jacobian(tau, sigma)
-        g4 = _induced_metric(jac, sgn)
+    for start in range(0, n_nodes, _BLOCK):
+        t, i, j, k = np.unravel_index(np.arange(start, min(start + _BLOCK, n_nodes)), dims)
+        tau = taus[t]
+        sigma = np.stack((axis[i], axis[j], axis[k]), axis=-1)
+        g4, ell, lapse, flat, tipped = _frames(emb.jacobian(tau, sigma), sgn)
 
-        # condition 2: spacelike surfaces
-        gtt = sgn * g4[0, 0]
-        eigs = np.linalg.eigvalsh(-sgn * g4[1:, 1:])
-        if not (gtt > 0.0 and eigs[0] > 0.0):
-            ok[1] = False
-            violations.append(Violation(2, float(tau), sigma, float(min(gtt, eigs[0]))))
+        # condition 2: spacelike surfaces; witness min(g_tautau, smallest eigenvalue)
+        gtt = sgn * g4[:, 0, 0]
+        eig0 = np.linalg.eigvalsh(-sgn * g4[:, 1:, 1:])[:, 0]
+        bad2 = ~((gtt > 0.0) & (eig0 > 0.0))
+        witness2 = np.where(eig0 < gtt, eig0, gtt)
+        # condition 1: positive lapse (NaN where the normal is undefined)
+        bad1 = ~(lapse > 0.0)
+        ok[0] &= not bad1.any()
+        ok[1] &= not bad2.any()
+        for n in np.flatnonzero(bad2 | bad1):
+            if bad2[n]:
+                violations.append(Violation(2, float(tau[n]), sigma[n].copy(), float(witness2[n])))
+            if bad1[n]:
+                violations.append(Violation(1, float(tau[n]), sigma[n].copy(), float(lapse[n])))
 
-        # condition 1: positive lapse (needs the normal)
-        try:
-            geo = _geometry(emb, tau, sigma, jac, g4, sgn)
-        except DegenerateSurfaceError:
-            ok[0] = False
-            violations.append(Violation(1, float(tau), sigma, float("nan")))
-            continue
-        if not geo.lapse > 0.0:
-            ok[0] = False
-            violations.append(Violation(1, float(tau), sigma, geo.lapse))
-        if on_shell:
-            shell_normals.append(geo.normal)
+        on_shell = np.max(np.abs(sigma), axis=-1) >= grid.sigma_extent * (1.0 - 1e-12)
+        shell_normals.append(ell[on_shell & ~(flat | tipped)])
 
     asym = None
-    if shell_normals:
-        normals = np.array(shell_normals)
+    normals = np.concatenate(shell_normals)
+    if normals.size:
         mean = normals.mean(axis=0)
         q = mean[0] ** 2 - mean[1:] @ mean[1:]
         if q <= 0.0:
@@ -473,36 +484,23 @@ def check_admissibility(emb, grid, sgn=1, asym_tol=1e-3):
         else:
             asym = mean / np.sqrt(q)
             dev = np.max(np.abs(normals - asym), axis=1)
-            bad = dev > asym_tol
-            if np.any(bad):
+            if np.any(dev > asym_tol):
                 ok[2] = False
-                worst = int(np.argmax(dev))
-                violations.append(
-                    Violation(3, float("nan"), np.full(3, np.nan), float(dev[worst]))
-                )
+                violations.append(Violation(3, float("nan"), np.full(3, np.nan), float(dev.max())))
     else:
         ok[2] = False
 
-    return AdmissibilityReport(
-        passed=all(ok),
-        conditions_passed=tuple(ok),
-        violations=violations,
-        n_nodes=n_nodes,
-        asymptotic_normal=asym,
-        grid=grid,
-    )
+    return AdmissibilityReport(passed=all(ok), conditions_passed=tuple(ok), violations=violations,
+                               n_nodes=n_nodes, asymptotic_normal=asym, grid=grid)
 
 
 def identity_embedding():
     """The inertial foliation z = (tau, sigma)."""
 
     def z(tau, sigma):
-        return np.concatenate(([tau], sigma))
+        return np.concatenate((np.asarray(tau)[..., None], sigma), axis=-1)
 
-    def jac(tau, sigma):
-        return np.eye(4)
-
-    return Embedding(z, jacobian=jac, name="identity")
+    return Embedding(z, jacobian=lambda tau, sigma: np.eye(4), name="identity")
 
 
 def tilted_embedding(v):
@@ -524,12 +522,10 @@ def tilted_embedding(v):
     lam = boost_from_h(gam * vel)
 
     def z(tau, sigma):
-        return lam @ np.concatenate(([tau], sigma))
+        x = np.concatenate((np.asarray(tau)[..., None], sigma), axis=-1)
+        return (lam @ x[..., None])[..., 0]
 
-    def jac(tau, sigma):
-        return lam.copy()
-
-    return Embedding(z, jacobian=jac, name="tilted")
+    return Embedding(z, jacobian=lambda tau, sigma: lam.copy(), name="tilted")
 
 
 _JZ = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -567,31 +563,33 @@ def make_rotating_embedding(kind, omega, r0=None, c=1.0):
             return 1.0
         return 1.0 / (1.0 + rho2 / r0**2)
 
-    def z(tau, sigma):
-        rho2 = sigma[0] ** 2 + sigma[1] ** 2
-        phase = k * tau * profile(rho2)
-        cp, sp = np.cos(phase), np.sin(phase)
-        rot = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
-        return np.concatenate(([tau], rot @ sigma))
-
-    def jac(tau, sigma):
-        rho2 = sigma[0] ** 2 + sigma[1] ** 2
-        f = profile(rho2)
+    def rotation(tau, sigma):
+        """(F, R(phase)) at each point, R the rotation about the z axis."""
+        f = profile(sigma[..., 0] ** 2 + sigma[..., 1] ** 2)
         phase = k * tau * f
         cp, sp = np.cos(phase), np.sin(phase)
-        rot = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
-        rs = rot @ sigma
-        jrs = _JZ @ rs                      # d(rot sigma)/d phase
-        out = np.zeros((4, 4))
-        out[0, 0] = 1.0
-        out[1:, 0] = k * f * jrs
-        # d phase / d sigma^r: zero for rigid; radial falloff for differential
-        if kind == "rigid":
-            dphase = np.zeros(3)
-        else:
-            df = -2.0 / r0**2 * f * f       # dF/d(rho^2) * 2 ... folded below
-            dphase = k * tau * df * np.array([sigma[0], sigma[1], 0.0])
-        out[1:, 1:] = rot + np.outer(jrs, dphase)
+        rot = np.zeros(sigma.shape[:-1] + (3, 3))
+        rot[..., 0, 0] = rot[..., 1, 1] = cp
+        rot[..., 0, 1], rot[..., 1, 0] = -sp, sp
+        rot[..., 2, 2] = 1.0
+        return f, rot
+
+    def z(tau, sigma):
+        rs = (rotation(tau, sigma)[1] @ sigma[..., None])[..., 0]
+        return np.concatenate((np.asarray(tau)[..., None], rs), axis=-1)
+
+    def jac(tau, sigma):
+        f, rot = rotation(tau, sigma)
+        jrs = (_JZ @ (rot @ sigma[..., None]))[..., 0]   # d(rot sigma)/d phase
+        out = np.zeros(sigma.shape[:-1] + (4, 4))
+        out[..., 0, 0] = 1.0
+        out[..., 1:, 0] = np.asarray(k * f)[..., None] * jrs
+        out[..., 1:, 1:] = rot
+        if kind == "differential":
+            # d phase / d sigma^r = k tau F'(rho^2) 2 sigma^r, F' = -F^2 / r0^2
+            df = -2.0 / r0**2 * f * f
+            dphase = (k * tau * df)[..., None] * sigma * np.array([1.0, 1.0, 0.0])
+            out[..., 1:, 1:] += jrs[..., :, None] * dphase[..., None, :]
         return out
 
     label = f"{kind}-rotation(omega={omega}" + (f", r0={r0})" if kind == "differential" else ")")

@@ -88,18 +88,23 @@ def to_rest_frame(sys, sgn=1):
 
     Boosts every particle with the standard boost of -h (3-vectors land in
     the Wigner 3-space, so no extra rotation is applied), re-synchronizes the
-    boosted events at rest time zero along straight lines, and translates the
-    origin so the energy-weighted moment vanishes.  For free systems the
-    straight-line step is exact and the rest-frame conditions hold to
-    rounding; for interacting snapshots in motion the drift ignores forces,
-    so the conditions are enforced by an exact constraint projection whose
-    size is recorded in ``projection_residual``.
+    boosted events along straight lines at the rest time tau of the
+    Newton-Wigner center's event at lab time x0, and translates the origin so
+    the energy-weighted moment vanishes.  A snapshot at rest is not moved
+    (tau = x0).  For free systems the straight-line step is exact and the
+    rest-frame conditions hold to rounding; for interacting snapshots in
+    motion the drift ignores forces, so the conditions are enforced by an
+    exact constraint projection whose size is recorded in
+    ``projection_residual``.
     """
     g = collective.poincare_generators(sys, sgn)
     mc, h, s_bar = collective.invariant_mass_spin(g)
-    _, z, _ = collective.newton_wigner_and_jacobi(g)
+    x_nw, z, _ = collective.newton_wigner_and_jacobi(g)
 
-    x_rest, kappas = collective.map_and_resync(sys, boost_from_h(-h), np.zeros(4), 0.0)
+    to_rest = boost_from_h(-h)
+    center = np.concatenate(([sys.x0], x_nw + sys.x0 * g.P[1:] / g.P[0]))
+    tau = float(to_rest[0] @ center)
+    x_rest, kappas = collective.map_and_resync(sys, to_rest, np.zeros(4), tau)
     kap_residual = float(np.linalg.norm(kappas.sum(axis=0)))
     kappas -= kappas.sum(axis=0) / sys.n
 
@@ -119,7 +124,7 @@ def to_rest_frame(sys, sgn=1):
         h=h,
         z=z,
         S_bar=s_bar,
-        tau=0.0,
+        tau=tau,
         c=sys.c,
         sgn=sgn,
         projection_residual=(kap_residual, float(np.linalg.norm(shift))),
@@ -445,7 +450,7 @@ def wigner_hyperplane_embedding(z, h, mc, s_bar, sgn=1):
     boost = boost_from_h(np.asarray(h, dtype=float))
 
     def zfun(tau, sigma):
-        return fp(tau) + boost[:, 1:] @ sigma
+        return fp(tau) + (boost[:, 1:] @ sigma[..., None])[..., 0]
 
     return Embedding(zfun, jacobian=lambda tau, sigma: boost.copy(),
                      name="wigner-hyperplane")

@@ -6,9 +6,13 @@ algebra, or closed forms.  Keeping them in one place makes it easy to see
 that no oracle shares code with what it checks.
 """
 
+import itertools
+
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.optimize import brentq
+
+from instantform.foliation import AdmissibilityReport, Violation
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -58,6 +62,93 @@ def stencil_extrinsic_curvature(emb, tau, sigma, step=1e-4):
                       ) / (4 * step**2)
             k[r, s] = k[s, r] = -(normal @ ETA @ dd)
     return k
+
+
+def _cofactor_normal(jac):
+    """n_mu = eps_{mu nu rho si} z1^nu z2^rho z3^si, one 3x3 minor at a time."""
+    m = jac[:, 1:]
+    rows = (((1, 2, 3), 1.0), ((0, 2, 3), -1.0), ((0, 1, 3), 1.0), ((0, 1, 2), -1.0))
+    return np.array([sign * np.linalg.det(m[list(idx), :]) for idx, sign in rows])
+
+
+def _pointwise_normal_and_lapse(jac, sgn):
+    """(future unit normal, lapse) at one node, or None where the tangents are
+    numerically dependent or span a 3-plane that is not spacelike."""
+    eta = sgn * ETA
+    n_cov = _cofactor_normal(jac)
+    scale = float(np.prod(np.linalg.norm(jac[:, 1:], axis=0)))
+    if np.linalg.norm(n_cov) <= 1e-12 * max(scale, 1e-300):
+        return None
+    n_up = sgn * (eta @ n_cov)
+    q = n_up[0] ** 2 - n_up[1:] @ n_up[1:]
+    if q <= 0.0:
+        return None
+    ell = n_up / np.sqrt(q)
+    if ell[0] < 0.0:
+        ell = -ell
+    return ell, float(sgn * (jac[:, 0] @ eta @ ell))
+
+
+def pointwise_admissibility(emb, grid, sgn=1, asym_tol=1e-3):
+    """The admissibility sweep one grid node at a time.
+
+    Visits the nodes in ``itertools.product`` order, evaluates the Jacobian
+    of each node on its own and applies the three conditions with 2-D linear
+    algebra: condition 2 (g_tautau and the smallest 3-metric eigenvalue)
+    before condition 1 (lapse; NaN witness where the normal is degenerate or
+    not timelike), then condition 3 on the outermost sigma shell.  Returns
+    the library's report type so the two can be compared field by field.
+    """
+    eta = sgn * ETA
+    taus = grid.tau_values()
+    axis = grid.sigma_axis()
+    violations = []
+    shell_normals = []
+    ok = [True, True, True]
+    n_nodes = 0
+    for tau, s1, s2, s3 in itertools.product(taus, axis, axis, axis):
+        sigma = np.array([s1, s2, s3])
+        n_nodes += 1
+        jac = emb.jacobian(tau, sigma)
+        g4 = jac.T @ eta @ jac
+        g4 = 0.5 * (g4 + g4.T)
+        gtt = sgn * g4[0, 0]
+        eigs = np.linalg.eigvalsh(-sgn * g4[1:, 1:])
+        if not (gtt > 0.0 and eigs[0] > 0.0):
+            ok[1] = False
+            violations.append(Violation(2, float(tau), sigma, float(min(gtt, eigs[0]))))
+        frame = _pointwise_normal_and_lapse(jac, sgn)
+        if frame is None:
+            ok[0] = False
+            violations.append(Violation(1, float(tau), sigma, float("nan")))
+            continue
+        ell, lapse = frame
+        if not lapse > 0.0:
+            ok[0] = False
+            violations.append(Violation(1, float(tau), sigma, lapse))
+        if np.max(np.abs(sigma)) >= grid.sigma_extent * (1.0 - 1e-12):
+            shell_normals.append(ell)
+
+    asym = None
+    if shell_normals:
+        normals = np.array(shell_normals)
+        mean = normals.mean(axis=0)
+        q = mean[0] ** 2 - mean[1:] @ mean[1:]
+        if q <= 0.0:
+            ok[2] = False
+            violations.append(Violation(3, float(taus[0]), np.full(3, np.nan), q))
+        else:
+            asym = mean / np.sqrt(q)
+            dev = np.max(np.abs(normals - asym), axis=1)
+            if np.any(dev > asym_tol):
+                ok[2] = False
+                violations.append(Violation(3, float("nan"), np.full(3, np.nan),
+                                            float(np.max(dev))))
+    else:
+        ok[2] = False
+    return AdmissibilityReport(passed=all(ok), conditions_passed=tuple(ok),
+                               violations=violations, n_nodes=n_nodes,
+                               asymptotic_normal=asym, grid=grid)
 
 
 def inertial_sync_closed_form(origin, h, event):

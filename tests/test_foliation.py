@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from instantform import foliation
 from instantform.foliation import (
     Embedding,
     GridSpec,
@@ -14,7 +19,7 @@ from instantform.foliation import (
     rotation_from_euler_zyz,
     tilted_embedding,
 )
-from oracles import ETA, stencil_extrinsic_curvature
+from oracles import ETA, pointwise_admissibility, stencil_extrinsic_curvature
 
 
 def all_families():
@@ -83,6 +88,22 @@ def test_fd_jacobian_agrees_with_analytic():
         induced_geometry(emb, tau, sigma).g4,
         atol=1e-7,
     )
+
+
+def test_embedding_batches_match_points():
+    """A batch of points gives exactly the stacked one-point results."""
+    rng = np.random.default_rng(43)
+    tau = rng.uniform(-1.5, 1.5, size=(2, 3))
+    sigma = rng.uniform(-1.8, 1.8, size=(2, 3, 3))
+    differential = make_rotating_embedding("differential", omega=0.9, r0=0.8)
+    for emb in all_families() + [Embedding(lambda t, s: differential(t, s))]:
+        z, jac = emb(tau, sigma), emb.jacobian(tau, sigma)
+        assert z.shape == (2, 3, 4) and jac.shape == (2, 3, 4, 4)
+        for idx in np.ndindex(tau.shape):
+            np.testing.assert_array_equal(z[idx], emb(tau[idx], sigma[idx]))
+            np.testing.assert_array_equal(jac[idx], emb.jacobian(tau[idx], sigma[idx]))
+    with pytest.raises(ValueError):
+        identity_embedding()(tau, sigma[0])
 
 
 def test_rigid_rotation_node_classification_is_exact():
@@ -220,3 +241,122 @@ def test_tilted_embedding_rejects_superluminal():
         tilted_embedding(1.0)
     with pytest.raises(ValueError):
         tilted_embedding(np.array([0.8, 0.7, 0.0]))
+
+
+# ------------------------------------------- batched sweep vs pointwise oracle
+
+def folded_embedding(a, b):
+    """z = (b tau + a s1^2 / 2, s1, s2, max(s3, 0)^2), a user embedding.
+
+    Its dz/dsigma^3 vanishes for s3 <= 0 (degenerate tangents), its
+    dz/dsigma^1 turns timelike where |a s1| > 1 (normal not timelike), and
+    b <= 0 makes the lapse non-positive.  The Jacobian broadcasts over
+    leading axes, as every Embedding callable must.
+    """
+
+    def z(tau, sigma):
+        s1, s2, s3 = np.moveaxis(sigma, -1, 0)
+        return np.stack([b * tau + 0.5 * a * s1 * s1, s1, s2,
+                         np.maximum(s3, 0.0) ** 2], axis=-1)
+
+    def jac(tau, sigma):
+        s1, s3 = sigma[..., 0], sigma[..., 2]
+        out = np.zeros(np.shape(s1) + (4, 4))
+        out[..., 0, 0] = b
+        out[..., 0, 1] = a * s1
+        out[..., 1, 1] = 1.0
+        out[..., 2, 2] = 1.0
+        out[..., 3, 3] = 2.0 * np.maximum(s3, 0.0)
+        return out
+
+    return Embedding(z, jacobian=jac, name="folded")
+
+
+@hst.composite
+def embeddings(draw):
+    kind = draw(hst.sampled_from(["rigid", "differential", "tilted", "fd", "folded"]))
+    unit = hst.floats(-1.0, 1.0)
+    if kind == "tilted":
+        v = np.array([draw(unit) for _ in range(3)])
+        return tilted_embedding(0.95 * v / max(1.0, float(np.linalg.norm(v))))
+    if kind == "folded":
+        return folded_embedding(draw(hst.floats(0.0, 2.0)), draw(hst.floats(-1.5, 1.5)))
+    if kind == "rigid" or (kind == "fd" and draw(hst.booleans())):
+        emb = make_rotating_embedding("rigid", omega=draw(hst.floats(0.1, 1.2)))
+    else:
+        emb = make_rotating_embedding("differential", omega=draw(hst.floats(0.2, 3.0)),
+                                      r0=draw(hst.floats(0.3, 2.0)))
+    return Embedding(lambda t, s: emb(t, s)) if kind == "fd" else emb
+
+
+@hst.composite
+def grids(draw):
+    tau_min = draw(hst.floats(-1.5, 1.0))
+    return GridSpec(tau_min, tau_min + draw(hst.floats(0.0, 1.5)), draw(hst.integers(1, 3)),
+                    draw(hst.floats(0.5, 3.0)), draw(hst.integers(2, 5)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_same_report(got, want):
+    assert got.passed == want.passed
+    assert got.conditions_passed == want.conditions_passed
+    assert got.n_nodes == want.n_nodes
+    assert len(got.violations) == len(want.violations)
+    for g, w in zip(got.violations, want.violations):
+        assert g.condition == w.condition
+        assert _bits(g.tau) == _bits(w.tau)
+        assert _bits(g.sigma) == _bits(w.sigma)
+        np.testing.assert_allclose(g.witness, w.witness, rtol=0, atol=1e-12)
+    if want.asymptotic_normal is None:
+        assert got.asymptotic_normal is None
+    else:
+        np.testing.assert_allclose(got.asymptotic_normal, want.asymptotic_normal,
+                                   rtol=0, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(embeddings(), grids(), hst.sampled_from([1, -1]))
+def test_check_admissibility_matches_pointwise_oracle(emb, grid, sgn):
+    """The batched sweep reports what the node-by-node oracle reports."""
+    assert_same_report(check_admissibility(emb, grid, sgn=sgn),
+                       pointwise_admissibility(emb, grid, sgn=sgn))
+
+
+def test_blocks_keep_node_order(monkeypatch):
+    """Violations and shell normals carry over block boundaries in node order."""
+    monkeypatch.setattr(foliation, "_BLOCK", 7)
+    grid = GridSpec(-1.0, 1.0, 3, 2.0, 5)
+    for emb in (make_rotating_embedding("rigid", omega=0.8), folded_embedding(1.5, -0.5)):
+        for sgn in (1, -1):
+            assert_same_report(check_admissibility(emb, grid, sgn=sgn),
+                               pointwise_admissibility(emb, grid, sgn=sgn))
+
+
+def test_degenerate_nodes_are_lapse_violations_with_nan_witness():
+    emb = folded_embedding(0.0, 1.0)           # degenerate wherever s3 <= 0
+    grid = GridSpec(0.0, 0.0, 1, 1.0, 3)
+    rep = check_admissibility(emb, grid)
+    nan_nodes = [tuple(v.sigma) for v in rep.violations
+                 if v.condition == 1 and np.isnan(v.witness)]
+    assert len(nan_nodes) == 18 and all(s[2] <= 0.0 for s in nan_nodes)
+    # the nine s3 = 1 nodes are on the shell and leave a well-defined normal
+    assert rep.conditions_passed == (False, False, True)
+    np.testing.assert_array_equal(rep.asymptotic_normal, [1.0, 0.0, 0.0, 0.0])
+
+
+def test_large_grid_memory_stays_bounded():
+    """A 47^3-node sweep runs in fixed-size blocks, not all nodes at once."""
+    emb = make_rotating_embedding("differential", omega=1.2, r0=0.8)
+    grid = GridSpec(0.5, 0.5, 1, 3.0, 47)
+    tracemalloc.start()
+    try:
+        rep = check_admissibility(emb, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_nodes == 47**3
+    assert rep.conditions_passed[:2] == (True, True)
+    assert peak < 32 * 2**20

@@ -79,9 +79,9 @@ _SITES = 3.0 * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=floa
 
 @hst.composite
 def snapshots(draw):
-    """Snapshots of 2-4 particles under each potential: free ones at any lab
-    time, at rest or moving; interacting ones at rest at lab time 0, where
-    to_rest_frame has no straight-line drift to make."""
+    """Snapshots of 2-4 particles under each potential at any lab time: free
+    ones at rest or moving; interacting ones at rest, where to_rest_frame has
+    no straight-line drift to make."""
     n = draw(hst.integers(2, 4))
     potential = draw(hst.sampled_from(POTENTIALS))
     free = potential == "none"
@@ -95,7 +95,7 @@ def snapshots(draw):
         momenta=momenta,
         charges=draw(arrays(float, n, elements=hst.sampled_from([-0.5, 0.0, 0.5]))),
         potential=potential,
-        x0=draw(hst.floats(-1.0, 1.0)) if free else 0.0,
+        x0=draw(hst.floats(-1.0, 1.0)),
     )
 
 
@@ -108,6 +108,22 @@ def test_rest_frame_conditions_property(sys):
     np.testing.assert_allclose(ig.P_int, 0.0, atol=1e-12 * st.Mc)
     np.testing.assert_allclose(ig.K_int, 0.0, atol=1e-12 * scale)
     assert ig.E_int == pytest.approx(st.Mc, rel=1e-12)
+
+
+def test_interacting_at_rest_off_lab_time_zero():
+    """A Coulomb pair at rest and lab time 1 keeps its separation: no drift."""
+    sys = ParticleSystem(
+        masses=np.array([1.0, 1.0]),
+        positions=np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]),
+        momenta=np.array([[0.25, 0.0, 0.0], [-0.25, 0.0, 0.0]]),
+        charges=np.array([-0.5, -0.5]),
+        potential="coulomb",
+        x0=1.0,
+    )
+    st = to_rest_frame(sys)
+    assert internal_generators(st).E_int == pytest.approx(st.Mc, rel=1e-12)
+    np.testing.assert_allclose(st.etas[0] - st.etas[1], [-3.0, 0.0, 0.0], rtol=0, atol=1e-15)
+    assert st.tau == 1.0
 
 
 def test_interacting_boosted_records_projection():
@@ -132,9 +148,11 @@ def test_interacting_boosted_records_projection():
     kappa_resid = st.projection_residual[0]
     assert 1e-16 < kappa_resid < 0.05 * st.Mc
 
-    # internal coordinates agree with the directly-at-rest ones
+    # internal coordinates agree with the directly-at-rest ones at the same
+    # rest time (the base snapshot is at rest, so its rest time is lab time)
     rel_b = relative_state(st)
-    rel_r = relative_state(to_rest_frame(base))
+    base_then = _reattach(poincare_transform_free(_strip_potential(base), new_time=st.tau), base)
+    rel_r = relative_state(to_rest_frame(base_then))
     np.testing.assert_allclose(rel_b.rho, rel_r.rho, atol=2e-2)
     np.testing.assert_allclose(rel_b.pi, rel_r.pi, atol=2e-2)
 
