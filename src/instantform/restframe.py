@@ -152,7 +152,7 @@ def internal_generators(st):
 
 @dataclass
 class RelativeState:
-    """Two-body relative coordinates on the Wigner 3-space."""
+    """Two-body relative coordinates on the Wigner 3-space at rest time tau."""
 
     m1: float
     m2: float
@@ -160,6 +160,7 @@ class RelativeState:
     pi: np.ndarray
     charge_product: float = 0.0
     c: float = 1.0
+    tau: float = 0.0
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
@@ -183,6 +184,7 @@ def relative_state(st):
         pi=0.5 * (st.kappas[0] - st.kappas[1]),
         charge_product=float(st.charges[0] * st.charges[1]),
         c=st.c,
+        tau=st.tau,
     )
 
 
@@ -217,7 +219,7 @@ def rest_frame_from_relative(rel, potential, z=None, h=None, sgn=1, charges=None
         h=np.asarray(h, dtype=float),
         z=np.asarray(z, dtype=float),
         S_bar=np.cross(rel.rho, rel.pi),
-        tau=0.0,
+        tau=rel.tau,
         c=rel.c,
         sgn=sgn,
     )
@@ -281,6 +283,8 @@ def evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
            collision_fraction=1e-3):
     """Integrate the relative motion under the invariant-mass Hamiltonian.
 
+    The samples sit at rest times rel.tau + k * dtau, k = 0..n_steps.
+
     A fixed-step second-order symmetric (generalized leapfrog) scheme:
     momentum-independent potentials use the explicit kick-drift-kick form;
     the Darwin term makes dH/drho depend on pi and dH/dpi on rho, so those
@@ -305,7 +309,7 @@ def evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
     pi = np.array(rel.pi, dtype=float)
     r_floor = collision_fraction * np.linalg.norm(rho)
 
-    taus = dtau * np.arange(n_steps + 1)
+    taus = rel.tau + dtau * np.arange(n_steps + 1)
     rhos = np.empty((n_steps + 1, 3))
     pis = np.empty((n_steps + 1, 3))
     hs = np.empty(n_steps + 1)

@@ -331,7 +331,8 @@ def test_criterion_08_reconstruction_round_trip():
     _, h2, _ = invariant_mass_spin(g2)
     z2 = newton_wigner_and_jacobi(g2)[1]
     rot = wigner_rotation(g.P, lam)
-    traj2 = evolve(RelativeState(rel.m1, rel.m2, rot @ rel.rho, rot @ rel.pi),
+    traj2 = evolve(RelativeState(rel.m1, rel.m2, rot @ rel.rho, rot @ rel.pi,
+                                 tau=rel.tau),
                    "none", 0.05, 100)
     rec2 = reconstruct_worldlines(traj2, z2, h2)
     worst_cov = max(

@@ -317,6 +317,28 @@ def test_reconstruction_free_case():
         assert np.max(np.abs(d - d[0])) < 1e-10
 
 
+def test_reconstruction_stays_on_lab_worldlines():
+    """A free moving snapshot off lab time 0 is rebuilt on its own lab lines.
+
+    to_rest_frame leaves the state at a rest time tau != 0; evolve and
+    reconstruct_worldlines must carry that time, or every event slides along
+    the center line by tau.
+    """
+    rng = np.random.default_rng(35)
+    sys = random_free_system(rng)
+    sys.x0 = 1.0
+    st = to_rest_frame(sys)
+    assert np.linalg.norm(st.h) > 0.1
+    traj = evolve(relative_state(st), "none", 0.05, 40)
+    rec = reconstruct_worldlines(traj, st.z, st.h)
+    assert rec.tau[0] == st.tau
+    vel = sys.momenta / sys.energies()[:, None]
+    for i in range(2):
+        ev = rec.events[i]
+        on_line = sys.positions[i] + (ev[:, :1] - sys.x0) * vel[i]
+        np.testing.assert_allclose(ev[:, 1:], on_line, rtol=0, atol=1e-10)
+
+
 def test_reconstruction_radar_round_trip():
     """Radar coordinates on the hyperplane chart recover (tau, eta_i)."""
     rng = np.random.default_rng(31)
@@ -364,7 +386,8 @@ def test_reconstruction_boost_covariance():
 
     z2 = newton_wigner_and_jacobi(g2)[1]
     rot = wigner_rotation(g.P, lam)
-    traj2 = evolve(RelativeState(rel.m1, rel.m2, rot @ rel.rho, rot @ rel.pi),
+    traj2 = evolve(RelativeState(rel.m1, rel.m2, rot @ rel.rho, rot @ rel.pi,
+                                 tau=rel.tau),
                    "none", 0.05, 100)
     rec2 = reconstruct_worldlines(traj2, z2, h2)
     for i in range(2):
