@@ -23,8 +23,8 @@ rest-frame instant-form dynamics for isolated relativistic particle systems:
     invariant-mass Hamiltonian, and reconstruction of lab world-lines.
 ``relquant``
     Quantization of the two-body relative motion: spinless-Salpeter plus
-    Coulomb mass operator on a grid and its spectrum by a matrix-free
-    preconditioned eigensolver, with a 3-d Cartesian cross-check.
+    Coulomb mass operator on a radial grid and its spectrum by a
+    matrix-free preconditioned eigensolver.
 ``cli``
     A small batch front end over the above with deterministic artifacts.
 

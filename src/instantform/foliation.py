@@ -439,10 +439,12 @@ def check_admissibility(emb, grid, sgn=1, asym_tol=1e-3):
     in fixed-size blocks that each make one batched Jacobian call.  At each
     node a condition-2 violation is listed before a condition-1 one.  Nodes
     whose tangents are degenerate or span a non-spacelike 3-plane count as
-    condition-1 violations with a NaN witness rather than raising, so one bad
-    node cannot mask others.  Condition 3 compares unit normals on the
-    outermost sigma shell, across all tau samples, against their common mean
-    direction with tolerance ``asym_tol`` per component.
+    condition-1 violations with a NaN witness rather than raising, and nodes
+    with a non-finite Jacobian violate conditions 2 and 1 with NaN witnesses
+    and add no shell normal, so one bad node cannot mask others.  Condition 3
+    compares unit normals on the outermost sigma shell, across all tau
+    samples, against their common mean direction with tolerance ``asym_tol``
+    per component.
     """
     taus, axis = grid.tau_values(), grid.sigma_axis()
     dims = (taus.size,) + 3 * (axis.size,)
@@ -455,11 +457,18 @@ def check_admissibility(emb, grid, sgn=1, asym_tol=1e-3):
         sigma = np.stack((axis[i], axis[j], axis[k]), axis=-1)
         g4, ell, lapse, flat, tipped = _frames(emb.jacobian(tau, sigma), sgn)
 
-        # condition 2: spacelike surfaces; witness min(g_tautau, smallest eigenvalue)
+        # condition 2: spacelike surfaces; witness min(g_tautau, smallest eigenvalue),
+        # NaN at non-finite nodes (eigvalsh cannot take them)
         gtt = sgn * g4[:, 0, 0]
-        eig0 = np.linalg.eigvalsh(-sgn * g4[:, 1:, 1:])[:, 0]
+        g3 = -sgn * g4[:, 1:, 1:]
+        finite = np.isfinite(g4).all(axis=(-2, -1))
+        if finite.all():
+            eig0 = np.linalg.eigvalsh(g3)[:, 0]
+        else:
+            eig0 = np.full(finite.shape, np.nan)
+            eig0[finite] = np.linalg.eigvalsh(g3[finite])[:, 0]
         bad2 = ~((gtt > 0.0) & (eig0 > 0.0))
-        witness2 = np.where(eig0 < gtt, eig0, gtt)
+        witness2 = np.where(finite, np.where(eig0 < gtt, eig0, gtt), np.nan)
         # condition 1: positive lapse (NaN where the normal is undefined)
         bad1 = ~(lapse > 0.0)
         ok[0] &= not bad1.any()
@@ -471,7 +480,7 @@ def check_admissibility(emb, grid, sgn=1, asym_tol=1e-3):
                 violations.append(Violation(1, float(tau[n]), sigma[n].copy(), float(lapse[n])))
 
         on_shell = np.max(np.abs(sigma), axis=-1) >= grid.sigma_extent * (1.0 - 1e-12)
-        shell_normals.append(ell[on_shell & ~(flat | tipped)])
+        shell_normals.append(ell[on_shell & finite & ~(flat | tipped)])
 
     asym = None
     normals = np.concatenate(shell_normals)

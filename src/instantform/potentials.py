@@ -13,7 +13,8 @@ which in the two-body rest frame (p1 = -p2 = pi) becomes
 
 All potentials return energies; callers divide by c where momentum units are
 required.  Separations at or below ``COINCIDENCE_TOL`` times the natural
-scale raise SingularPotentialError.
+scale raise SingularPotentialError.  The energies take stacks of vectors,
+shape (..., 3), and return one value per vector.
 """
 
 import numpy as np
@@ -33,10 +34,13 @@ POTENTIALS = ("none", "coulomb", "coulomb+darwin")
 COINCIDENCE_TOL = 1e-300
 
 
+# Stacked dots use np.vecdot, which rounds each row as the one-vector
+# ``a @ b`` does, so a stack gives each vector's own answer bit for bit.
 def _sep(r_vec, context):
-    r = float(np.linalg.norm(r_vec))
-    if r <= COINCIDENCE_TOL:
-        raise SingularPotentialError(f"{context}: particles coincide (|r| = {r})")
+    r = np.sqrt(np.vecdot(r_vec, r_vec))
+    if np.count_nonzero(r <= COINCIDENCE_TOL):
+        r_min = float(np.min(r))
+        raise SingularPotentialError(f"{context}: particles coincide (|r| = {r_min})")
     return r
 
 
@@ -50,13 +54,11 @@ def darwin_energy(q1q2, m1, m2, c, r_vec, p1, p2):
     """Momentum-dependent correction for a particle pair, lab-frame momenta."""
     r_vec = np.asarray(r_vec, dtype=float)
     r = _sep(r_vec, "darwin")
-    rhat = r_vec / r
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
+    rhat = r_vec / r[..., None]
     return (
         q1q2
         / (8.0 * np.pi * m1 * m2 * c**2 * r)
-        * (p1 @ p2 + (p1 @ rhat) * (p2 @ rhat))
+        * (np.vecdot(p1, p2) + np.vecdot(p1, rhat) * np.vecdot(p2, rhat))
     )
 
 

@@ -11,19 +11,17 @@ reported with the rest energy (m1 + m2) c^2 subtracted, which makes them
 directly comparable with the nonrelativistic Balmer values
 -mu c^2 alpha^2 / (2 n^2).
 
-Two discretizations are provided.  The radial one expands the reduced wave
-function u(r) = r R(r) on a uniform grid with u(0) = u(L) = 0; the sine
-transform (DST-I) diagonalizes any function of k^2 on that grid, so the
-square roots above are exact in the basis rather than Taylor-expanded.  The
-Cartesian one builds the same operator on a 3-d FFT grid; it is coarser but
-makes no radial-reduction assumptions, so it serves as a cross-check.
+The radial discretization expands the reduced wave function u(r) = r R(r)
+on a uniform grid with u(0) = u(L) = 0; the sine transform (DST-I)
+diagonalizes any function of k^2 on that grid, so the square roots above
+are exact in the basis rather than Taylor-expanded.
 
-Neither solver forms a matrix.  The kinetic term is diagonal in momentum
-and the potential in position, so H applied to a block of vectors costs two
-transforms (two DST-Is on the radial grid, an FFT pair on the cube), and
-the lowest levels come from LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517
-(2001)) preconditioned in momentum space by 1/(T(k) + shift), the choice of
-plane-wave codes (Teter, Payne & Allan, PRB 40, 12255 (1989)).
+The solver forms no matrix.  The kinetic term is diagonal in momentum and
+the potential in position, so H applied to a block of vectors costs two
+DST-Is, and the lowest levels come from LOBPCG (Knyazev, SIAM J. Sci.
+Comput. 23, 517 (2001)) preconditioned in momentum space by
+1/(T(k) + shift), the choice of plane-wave codes (Teter, Payne & Allan,
+PRB 40, 12255 (1989)).
 ``build_radial_hamiltonian`` still assembles the dense radial matrix, as a
 view of the same operator for checks.
 
@@ -34,7 +32,7 @@ eps defaulting to a quarter grid spacing.
 import warnings
 
 import numpy as np
-from scipy.fft import dst, irfftn, rfftn
+from scipy.fft import dst
 from scipy.sparse.linalg import lobpcg
 
 from .errors import NonConvergenceError
@@ -45,13 +43,12 @@ __all__ = [
     "radial_grid",
     "build_radial_hamiltonian",
     "radial_levels",
-    "cartesian_ground_state",
 ]
 
 KINETIC_KINDS = ("salpeter", "nonrelativistic")
 
 # radial_levels: residual tolerance as a fraction of the energy scale
-# (see _energy_scale); both solvers: LOBPCG iterations of one attempt
+# (see _energy_scale); LOBPCG iterations of one attempt
 _RADIAL_TOL = 1e-8
 _MAXITER = 200
 # LOBPCG calls before a residual check that keeps failing is final
@@ -239,63 +236,4 @@ def radial_levels(n_points, length, m1, m2, alpha, c=1.0, kinetic="salpeter",
     )
     if return_states:
         return vals, _sine(coef), r
-    return vals
-
-
-def cartesian_ground_state(n_points, length, m1, m2, alpha, c=1.0,
-                           kinetic="salpeter", softening=None, n_levels=1,
-                           maxiter=None, tol=1e-8):
-    """Low eigenvalues of the same operator on a 3-d periodic FFT grid.
-
-    The kinetic term is diagonal in k after an FFT, the potential diagonal
-    in position, so one product costs an FFT pair.  Uses the LOBPCG solve
-    of ``radial_levels`` with the preconditioner 1/(T(|k|) + shift) on the
-    FFT grid; every level's residual must fall below ``tol`` times the
-    energy scale E of ``radial_levels`` within ``maxiter`` iterations
-    (default 200) of one of a few restarts, else NonConvergenceError.  The
-    start block is a seeded perturbation of exp(-r/(0.1 length)), which
-    breaks the cube's symmetries.  The box is a cube of side ``length``
-    centered on the charge, momenta are the periodic FFT frequencies, and
-    ``softening`` defaults to the grid spacing (a cube this coarse needs
-    more smoothing than the radial grid).
-    """
-    if n_points < 8:
-        raise ValueError("n_points must be >= 8")
-    dx = length / n_points
-    if softening is None:
-        softening = dx
-    axis = (np.arange(n_points) - n_points // 2) * dx
-    x, y, z = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
-    r2 = x**2 + y**2 + z**2
-    v = -alpha * c / np.sqrt(r2 + softening**2)
-
-    kax = 2.0 * np.pi * np.fft.fftfreq(n_points, d=dx)
-    half = 2.0 * np.pi * np.fft.rfftfreq(n_points, d=dx)  # rfftn's last axis
-    kx, ky, kz = np.meshgrid(kax, kax, half, indexing="ij", sparse=True)
-    tk = kinetic_dispersion(np.sqrt(kx**2 + ky**2 + kz**2), m1, m2, c, kinetic)
-    scale = _energy_scale(m1 * m2 / (m1 + m2), c, alpha, v)
-    t_min = kinetic_dispersion(kax[1], m1, m2, c, kinetic)
-    inverse = 1.0 / (tk + scale / (2.0 * n_levels**2) + t_min)
-
-    shape = (n_points,) * 3
-    size = n_points**3
-
-    def in_k(diag, grids):
-        return irfftn(diag * rfftn(grids, axes=(1, 2, 3)), s=shape, axes=(1, 2, 3))
-
-    # a block of columns as a stack of grids and back
-    def apply_h(u):
-        grids = u.T.reshape((-1,) + shape)
-        return (in_k(tk, grids) + v * grids).reshape(-1, size).T
-
-    def apply_m(u):
-        return in_k(inverse, u.T.reshape((-1,) + shape)).reshape(-1, size).T
-
-    envelope = np.exp(-np.sqrt(r2) / (0.1 * length)).reshape(size, 1)
-    vals, _ = _lowest_eigenpairs(
-        apply_h, apply_m, _start_block(np.repeat(envelope, n_levels, axis=1)),
-        tol * (scale + t_min),
-        _MAXITER if maxiter is None else maxiter,
-        f"the {n_points}^3 grid",
-    )
     return vals

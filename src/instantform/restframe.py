@@ -20,6 +20,7 @@ Internally c = 1 style units: tau is a length (c times rest time), momenta
 are in momentum units, and the Hamiltonian is Mc (an energy divided by c).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,15 +226,18 @@ def rest_frame_from_relative(rel, potential, z=None, h=None, sgn=1, charges=None
     )
 
 
+# Stacked (..., 3) dots use np.vecdot: it rounds each row exactly as the
+# one-vector ``a @ b`` does, which einsum and sum(a * b) do not.
 def _energies(rel, pi):
-    """Kinetic energies (E1, E2) of the pair at relative momentum pi."""
-    return (np.sqrt((rel.m1 * rel.c) ** 2 + pi @ pi),
-            np.sqrt((rel.m2 * rel.c) ** 2 + pi @ pi))
+    """Kinetic energies (E1, E2) of the pair at relative momenta pi (..., 3)."""
+    p2 = np.vecdot(pi, pi)
+    return np.sqrt((rel.m1 * rel.c) ** 2 + p2), np.sqrt((rel.m2 * rel.c) ** 2 + p2)
 
 
 def _mass_and_weights(rel, potential, rho, pi):
-    """(Mc, w1, w2) at (rho, pi): Mc = E1 + E2 + V/c, and the energy weights
-    w1 = (E2 + V/2c)/Mc, w2 = (E1 + V/2c)/Mc of eta_1 = w1 rho, eta_2 = -w2 rho."""
+    """(Mc, w1, w2) at (rho, pi), both (..., 3): Mc = E1 + E2 + V/c, and the
+    energy weights w1 = (E2 + V/2c)/Mc, w2 = (E1 + V/2c)/Mc of eta_1 = w1 rho,
+    eta_2 = -w2 rho."""
     e1, e2 = _energies(rel, pi)
     v = relative_potential_energy(
         potential, rel.charge_product, rel.m1, rel.m2, rel.c, rho, pi
@@ -286,10 +290,15 @@ def evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
     The samples sit at rest times rel.tau + k * dtau, k = 0..n_steps.
 
     A fixed-step second-order symmetric (generalized leapfrog) scheme:
-    momentum-independent potentials use the explicit kick-drift-kick form;
-    the Darwin term makes dH/drho depend on pi and dH/dpi on rho, so those
-    substeps turn implicit and are solved by fixed-point iteration to
-    ``fp_tol`` (NonConvergenceError after ``fp_max_iter`` sweeps).
+    momentum-independent potentials use the explicit kick-drift-kick form,
+    first same as last: dH/drho does not depend on pi there, so the
+    gradient of each closing half kick opens the next step, one potential
+    gradient per step.  The Darwin term makes dH/drho depend on pi and
+    dH/dpi on rho, so those substeps turn implicit and are solved by
+    fixed-point iteration to ``fp_tol`` (NonConvergenceError after
+    ``fp_max_iter`` sweeps).  The loop stores rho and pi only; Mc and the
+    angular momentum rho x pi are evaluated over the whole trajectory once
+    it is done.
 
     Raises CollisionError, carrying the last good sample, when a step passes
     within ``collision_fraction`` times the initial separation of rho = 0
@@ -308,18 +317,14 @@ def evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
     rho = np.array(rel.rho, dtype=float)
     pi = np.array(rel.pi, dtype=float)
     r_floor = collision_fraction * np.linalg.norm(rho)
+    # Mc at the start: a coincident pair fails on V before any step is taken
+    _mass_and_weights(rel, potential, rho, pi)
 
     taus = rel.tau + dtau * np.arange(n_steps + 1)
     rhos = np.empty((n_steps + 1, 3))
     pis = np.empty((n_steps + 1, 3))
-    hs = np.empty(n_steps + 1)
-    ls = np.empty((n_steps + 1, 3))
-
-    def record(k, rho, pi):
-        rhos[k] = rho
-        pis[k] = pi
-        hs[k] = _mass_and_weights(rel, potential, rho, pi)[0]
-        ls[k] = np.cross(rho, pi)
+    rhos[0] = rho
+    pis[0] = pi
 
     def fixed_point(update, x, what, k):
         """Iterate x <- update(x) until an update moves x by at most fp_tol."""
@@ -336,20 +341,18 @@ def evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
     def check_separation(k, rho_old, rho):
         # closest approach of the swept segment to the origin
         d = rho - rho_old
-        dd = d @ d
-        t = 0.0 if dd == 0.0 else float(np.clip(-(rho_old @ d) / dd, 0.0, 1.0))
+        dd = d.dot(d)
+        t = 0.0 if dd == 0.0 else min(max(-rho_old.dot(d) / dd, 0.0), 1.0)
         closest = rho_old + t * d
-        if np.linalg.norm(closest) <= r_floor:
+        if math.sqrt(closest.dot(closest)) <= r_floor:
             raise CollisionError(
                 f"separation fell below {r_floor:.3e} during step {k}",
                 last_state=(float(taus[k - 1]), rhos[k - 1].copy(), pis[k - 1].copy()),
             )
 
-    record(0, rho, pi)
     max_sweeps = 0
-    for k in range(1, n_steps + 1):
-        rho_old = rho
-        if implicit:
+    if implicit:
+        for k in range(1, n_steps + 1):
             # half kick, implicit in the updated momentum
             pi_h, sweeps = fixed_point(
                 lambda p: pi - 0.5 * dtau * _gradients(rel, potential, rho, p)[0],
@@ -363,17 +366,29 @@ def evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
                 rho + dtau * g_pi_old, "position", k,
             )
             max_sweeps = max(max_sweeps, sweeps)
-            rho = rho_new
-        else:
-            pi_h = pi - 0.5 * dtau * _gradients(rel, potential, rho, pi)[0]
-            rho = rho + dtau * _gradients(rel, potential, rho, pi_h)[1]
-        pi = pi_h - 0.5 * dtau * _gradients(rel, potential, rho, pi_h)[0]
-        check_separation(k, rho_old, rho)
-        record(k, rho, pi)
+            pi = pi_h - 0.5 * dtau * _gradients(rel, potential, rho_new, pi_h)[0]
+            check_separation(k, rho, rho_new)
+            rho = rhos[k] = rho_new
+            pis[k] = pi
+    else:
+        q, m1, m2, c = rel.charge_product, rel.m1, rel.m2, rel.c
+        g_rho, g_pi = relative_potential_gradients(potential, q, m1, m2, c, rho, pi)
+        # g_pi is zero here; adding it keeps the signed zeros of dH/dpi
+        g_rho, g_pi = g_rho / c, g_pi / c
+        for k in range(1, n_steps + 1):
+            pi_h = pi - 0.5 * dtau * g_rho
+            e1, e2 = _energies(rel, pi_h)
+            rho_new = rho + dtau * (pi_h * (1.0 / e1 + 1.0 / e2) + g_pi)
+            g_rho = relative_potential_gradients(potential, q, m1, m2, c, rho_new, pi_h)[0] / c
+            pi = pi_h - 0.5 * dtau * g_rho
+            check_separation(k, rho, rho_new)
+            rho = rhos[k] = rho_new
+            pis[k] = pi
 
     scheme = "generalized-leapfrog(implicit)" if implicit else "leapfrog"
     traj = Trajectory(
-        tau=taus, rho=rhos, pi=pis, H=hs, L=ls,
+        tau=taus, rho=rhos, pi=pis,
+        H=_mass_and_weights(rel, potential, rhos, pis)[0], L=np.cross(rhos, pis),
         m1=rel.m1, m2=rel.m2, charge_product=rel.charge_product,
         potential=potential, c=rel.c, dtau=float(dtau), scheme=scheme,
         meta={"fp_tol": fp_tol, "max_fixed_point_sweeps": max_sweeps},
@@ -417,16 +432,16 @@ def reconstruct_worldlines(traj, z, h, sgn=1):
     boost = boost_from_h(h)
     tetrad = boost[:, 1:]
 
-    n = traj.tau.shape[0]
     fp_events = fp(traj.tau)
-    events = np.empty((2, n, 4))
     rel = RelativeState(traj.m1, traj.m2, traj.rho[0], traj.pi[0],
                         traj.charge_product, traj.c)
-    for k in range(n):
-        rho = traj.rho[k]
-        _, w1, w2 = _mass_and_weights(rel, traj.potential, rho, traj.pi[k])
-        events[0, k] = fp_events[k] + tetrad @ (w1 * rho)
-        events[1, k] = fp_events[k] + tetrad @ (-w2 * rho)
+    _, w1, w2 = _mass_and_weights(rel, traj.potential, traj.rho, traj.pi)
+    # stacked matrix-vector products round as ``tetrad @ v`` does for one
+    # sample; ``X @ tetrad.T`` does not
+    events = np.array([
+        fp_events + (tetrad @ (w[:, None] * traj.rho)[..., None])[..., 0]
+        for w in (w1, -w2)
+    ])
 
     deltas = np.diff(events, axis=1)
     timelike = deltas[..., 0] ** 2 - np.sum(deltas[..., 1:] ** 2, axis=-1) >= -1e-12

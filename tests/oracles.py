@@ -9,10 +9,29 @@ that no oracle shares code with what it checks.
 import itertools
 
 import numpy as np
+from scipy.fft import irfftn, rfftn
 from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.optimize import brentq
 
+from instantform import collective
+from instantform.errors import CollisionError, NonConvergenceError
 from instantform.foliation import AdmissibilityReport, Violation
+from instantform.minkowski import boost_from_h
+from instantform.potentials import POTENTIALS
+from instantform.relquant import (
+    _MAXITER,
+    _energy_scale,
+    _lowest_eigenpairs,
+    _start_block,
+    kinetic_dispersion,
+)
+from instantform.restframe import (
+    ReconstructedWorldlines,
+    RelativeState,
+    Trajectory,
+    _gradients,
+    _mass_and_weights,
+)
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -253,3 +272,216 @@ def dense_radial_levels(n_points, length, m1, m2, alpha, c=1.0,
     h[np.diag_indices_from(h)] += v
     vals, vecs = eigh(0.5 * (h + h.T), subset_by_index=(0, n_levels - 1))
     return (vals, vecs) if return_states else vals
+
+
+def cartesian_ground_state(n_points, length, m1, m2, alpha, c=1.0,
+                           kinetic="salpeter", softening=None, n_levels=1,
+                           maxiter=None, tol=1e-8):
+    """Low eigenvalues of the same operator on a 3-d periodic FFT grid.
+
+    The kinetic term is diagonal in k after an FFT, the potential diagonal
+    in position, so one product costs an FFT pair.  Uses the LOBPCG solve
+    of ``radial_levels`` with the preconditioner 1/(T(|k|) + shift) on the
+    FFT grid; every level's residual must fall below ``tol`` times the
+    energy scale E of ``radial_levels`` within ``maxiter`` iterations
+    (default 200) of one of a few restarts, else NonConvergenceError.  The
+    start block is a seeded perturbation of exp(-r/(0.1 length)), which
+    breaks the cube's symmetries.  The box is a cube of side ``length``
+    centered on the charge, momenta are the periodic FFT frequencies, and
+    ``softening`` defaults to the grid spacing (a cube this coarse needs
+    more smoothing than the radial grid).
+    """
+    if n_points < 8:
+        raise ValueError("n_points must be >= 8")
+    dx = length / n_points
+    if softening is None:
+        softening = dx
+    axis = (np.arange(n_points) - n_points // 2) * dx
+    x, y, z = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
+    r2 = x**2 + y**2 + z**2
+    v = -alpha * c / np.sqrt(r2 + softening**2)
+
+    kax = 2.0 * np.pi * np.fft.fftfreq(n_points, d=dx)
+    half = 2.0 * np.pi * np.fft.rfftfreq(n_points, d=dx)  # rfftn's last axis
+    kx, ky, kz = np.meshgrid(kax, kax, half, indexing="ij", sparse=True)
+    tk = kinetic_dispersion(np.sqrt(kx**2 + ky**2 + kz**2), m1, m2, c, kinetic)
+    scale = _energy_scale(m1 * m2 / (m1 + m2), c, alpha, v)
+    t_min = kinetic_dispersion(kax[1], m1, m2, c, kinetic)
+    inverse = 1.0 / (tk + scale / (2.0 * n_levels**2) + t_min)
+
+    shape = (n_points,) * 3
+    size = n_points**3
+
+    def in_k(diag, grids):
+        return irfftn(diag * rfftn(grids, axes=(1, 2, 3)), s=shape, axes=(1, 2, 3))
+
+    # a block of columns as a stack of grids and back
+    def apply_h(u):
+        grids = u.T.reshape((-1,) + shape)
+        return (in_k(tk, grids) + v * grids).reshape(-1, size).T
+
+    def apply_m(u):
+        return in_k(inverse, u.T.reshape((-1,) + shape)).reshape(-1, size).T
+
+    envelope = np.exp(-np.sqrt(r2) / (0.1 * length)).reshape(size, 1)
+    vals, _ = _lowest_eigenpairs(
+        apply_h, apply_m, _start_block(np.repeat(envelope, n_levels, axis=1)),
+        tol * (scale + t_min),
+        _MAXITER if maxiter is None else maxiter,
+        f"the {n_points}^3 grid",
+    )
+    return vals
+
+
+def stepwise_evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
+                   collision_fraction=1e-3):
+    """The rest-frame leapfrog one step and one sample at a time.
+
+    Every step evaluates the full gradient pair three times and records Mc
+    and L sample by sample with per-vector products, where the library
+    reuses one gradient per step and evaluates Mc and L over the whole
+    trajectory afterwards.  Same arithmetic per step, so the two must agree
+    bit for bit, errors included.
+
+    The samples sit at rest times rel.tau + k * dtau, k = 0..n_steps.
+
+    A fixed-step second-order symmetric (generalized leapfrog) scheme:
+    momentum-independent potentials use the explicit kick-drift-kick form;
+    the Darwin term makes dH/drho depend on pi and dH/dpi on rho, so those
+    substeps turn implicit and are solved by fixed-point iteration to
+    ``fp_tol`` (NonConvergenceError after ``fp_max_iter`` sweeps).
+
+    Raises CollisionError, carrying the last good sample, when a step passes
+    within ``collision_fraction`` times the initial separation of rho = 0
+    (checked against the whole straight segment swept during the step, so a
+    plunge cannot tunnel through the singularity between samples).
+    """
+    if potential not in POTENTIALS:
+        raise ValueError(f"potential must be one of {POTENTIALS}")
+    if not dtau > 0:
+        raise ValueError("dtau must be positive")
+    n_steps = int(n_steps)
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+
+    implicit = potential == "coulomb+darwin"
+    rho = np.array(rel.rho, dtype=float)
+    pi = np.array(rel.pi, dtype=float)
+    r_floor = collision_fraction * np.linalg.norm(rho)
+
+    taus = rel.tau + dtau * np.arange(n_steps + 1)
+    rhos = np.empty((n_steps + 1, 3))
+    pis = np.empty((n_steps + 1, 3))
+    hs = np.empty(n_steps + 1)
+    ls = np.empty((n_steps + 1, 3))
+
+    def record(k, rho, pi):
+        rhos[k] = rho
+        pis[k] = pi
+        hs[k] = _mass_and_weights(rel, potential, rho, pi)[0]
+        ls[k] = np.cross(rho, pi)
+
+    def fixed_point(update, x, what, k):
+        """Iterate x <- update(x) until an update moves x by at most fp_tol."""
+        for sweep in range(fp_max_iter):
+            x_new = update(x)
+            delta = np.max(np.abs(x_new - x))
+            x = x_new
+            if delta <= fp_tol * max(1.0, np.max(np.abs(x))):
+                return x, sweep + 1
+        raise NonConvergenceError(
+            f"implicit {what} substep stalled at step {k} (last update {delta:.3e})"
+        )
+
+    def check_separation(k, rho_old, rho):
+        # closest approach of the swept segment to the origin
+        d = rho - rho_old
+        dd = d @ d
+        t = 0.0 if dd == 0.0 else float(np.clip(-(rho_old @ d) / dd, 0.0, 1.0))
+        closest = rho_old + t * d
+        if np.linalg.norm(closest) <= r_floor:
+            raise CollisionError(
+                f"separation fell below {r_floor:.3e} during step {k}",
+                last_state=(float(taus[k - 1]), rhos[k - 1].copy(), pis[k - 1].copy()),
+            )
+
+    record(0, rho, pi)
+    max_sweeps = 0
+    for k in range(1, n_steps + 1):
+        rho_old = rho
+        if implicit:
+            # half kick, implicit in the updated momentum
+            pi_h, sweeps = fixed_point(
+                lambda p: pi - 0.5 * dtau * _gradients(rel, potential, rho, p)[0],
+                pi, "momentum", k,
+            )
+            max_sweeps = max(max_sweeps, sweeps)
+            # symmetric drift, implicit in the updated position
+            _, g_pi_old = _gradients(rel, potential, rho, pi_h)
+            rho_new, sweeps = fixed_point(
+                lambda r: rho + 0.5 * dtau * (g_pi_old + _gradients(rel, potential, r, pi_h)[1]),
+                rho + dtau * g_pi_old, "position", k,
+            )
+            max_sweeps = max(max_sweeps, sweeps)
+            rho = rho_new
+        else:
+            pi_h = pi - 0.5 * dtau * _gradients(rel, potential, rho, pi)[0]
+            rho = rho + dtau * _gradients(rel, potential, rho, pi_h)[1]
+        pi = pi_h - 0.5 * dtau * _gradients(rel, potential, rho, pi_h)[0]
+        check_separation(k, rho_old, rho)
+        record(k, rho, pi)
+
+    scheme = "generalized-leapfrog(implicit)" if implicit else "leapfrog"
+    traj = Trajectory(
+        tau=taus, rho=rhos, pi=pis, H=hs, L=ls,
+        m1=rel.m1, m2=rel.m2, charge_product=rel.charge_product,
+        potential=potential, c=rel.c, dtau=float(dtau), scheme=scheme,
+        meta={"fp_tol": fp_tol, "max_fixed_point_sweeps": max_sweeps},
+    )
+    return traj
+
+
+def samplewise_reconstruct_worldlines(traj, z, h, sgn=1):
+    """Lab world-lines one sample at a time.
+
+    One weight evaluation and two tetrad products per sample, where the
+    library evaluates the weights and products over all samples at once.
+
+    x_i(tau) = X_FP(tau) + eps_r(h) eta_i^r(tau): the covariant center
+    world-line is rebuilt from the frozen Jacobi data (z, h) with Mc and
+    S_bar taken from the trajectory's initial sample, and the internal
+    positions are inserted along the boost tetrad.  Each segment of each
+    world-line is checked to be causal (non-spacelike); flags are reported
+    per segment in ``timelike``.
+    """
+    z = np.asarray(z, dtype=float)
+    h = np.asarray(h, dtype=float)
+    mc = float(traj.H[0])
+    s_bar = np.cross(traj.rho[0], traj.pi[0])
+    g = collective.external_generators(z, h, mc, s_bar, sgn=sgn, c=traj.c)
+    fp = collective.fokker_pryce_worldline(g)
+    boost = boost_from_h(h)
+    tetrad = boost[:, 1:]
+
+    n = traj.tau.shape[0]
+    fp_events = fp(traj.tau)
+    events = np.empty((2, n, 4))
+    rel = RelativeState(traj.m1, traj.m2, traj.rho[0], traj.pi[0],
+                        traj.charge_product, traj.c)
+    for k in range(n):
+        rho = traj.rho[k]
+        _, w1, w2 = _mass_and_weights(rel, traj.potential, rho, traj.pi[k])
+        events[0, k] = fp_events[k] + tetrad @ (w1 * rho)
+        events[1, k] = fp_events[k] + tetrad @ (-w2 * rho)
+
+    deltas = np.diff(events, axis=1)
+    timelike = deltas[..., 0] ** 2 - np.sum(deltas[..., 1:] ** 2, axis=-1) >= -1e-12
+    return ReconstructedWorldlines(
+        tau=traj.tau.copy(),
+        events=events,
+        fp_events=fp_events,
+        tetrad=tetrad,
+        h=h,
+        Mc=mc,
+        timelike=timelike,
+    )

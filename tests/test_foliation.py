@@ -347,6 +347,27 @@ def test_degenerate_nodes_are_lapse_violations_with_nan_witness():
     np.testing.assert_array_equal(rep.asymptotic_normal, [1.0, 0.0, 0.0, 0.0])
 
 
+def test_non_finite_nodes_are_violations_with_nan_witnesses():
+    """A Jacobian that is NaN at some nodes flags those nodes under
+    conditions 2 and 1 with NaN witnesses; the finite nodes are judged as
+    usual and still give the asymptotic normal."""
+
+    def jac(tau, sigma):
+        out = np.broadcast_to(np.eye(4), np.shape(tau) + (4, 4)).copy()
+        out[sigma[..., 0] > 0.5] = np.nan
+        return out
+
+    emb = Embedding(lambda tau, sigma: np.zeros(np.shape(tau) + (4,)), jacobian=jac,
+                    name="nan-beyond-s1")
+    rep = check_admissibility(emb, GridSpec(0.0, 0.0, 1, 1.0, 3))
+    flagged = {c: [tuple(v.sigma) for v in rep.violations if v.condition == c] for c in (1, 2)}
+    assert flagged[1] == flagged[2] and len(flagged[1]) == 9
+    assert all(s[0] > 0.5 for s in flagged[1])
+    assert all(np.isnan(v.witness) for v in rep.violations)
+    assert rep.conditions_passed == (False, False, True)
+    np.testing.assert_array_equal(rep.asymptotic_normal, [1.0, 0.0, 0.0, 0.0])
+
+
 def test_large_grid_memory_stays_bounded():
     """A 47^3-node sweep runs in fixed-size blocks, not all nodes at once."""
     emb = make_rotating_embedding("differential", omega=1.2, r0=0.8)

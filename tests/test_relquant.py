@@ -4,12 +4,11 @@ import pytest
 from instantform.errors import NonConvergenceError
 from instantform.relquant import (
     build_radial_hamiltonian,
-    cartesian_ground_state,
     kinetic_dispersion,
     radial_grid,
     radial_levels,
 )
-from oracles import dense_radial_levels, nonrel_fd_levels
+from oracles import cartesian_ground_state, dense_radial_levels, nonrel_fd_levels
 
 # weak-coupling hydrogen-like setup shared by several tests
 M1 = M2 = 1.0

@@ -11,7 +11,7 @@ from instantform.collective import (
     poincare_generators,
     poincare_transform_free,
 )
-from instantform.errors import CollisionError
+from instantform.errors import CollisionError, NonConvergenceError, SingularPotentialError
 from instantform.minkowski import boost_from_h, wigner_rotation
 from instantform.potentials import POTENTIALS
 from instantform.radar import radar_coordinates
@@ -27,7 +27,12 @@ from instantform.restframe import (
     wigner_hyperplane_embedding,
 )
 from helpers import random_coulomb_pair, random_free_system
-from oracles import circular_orbit_momentum, newtonian_relative_orbit
+from oracles import (
+    circular_orbit_momentum,
+    newtonian_relative_orbit,
+    samplewise_reconstruct_worldlines,
+    stepwise_evolve,
+)
 
 
 # ---------------------------------------------------------------- rest frame
@@ -407,3 +412,79 @@ def test_fp_events_lie_on_center_line():
 
     fp = fokker_pryce_worldline(g)
     np.testing.assert_allclose(rec.fp_events, fp(traj.tau), atol=1e-10)
+
+
+# ---------------------------------------------------- bitwise against oracles
+
+def _bits(*arrays):
+    return [(np.shape(a), np.asarray(a).tobytes()) for a in arrays]
+
+
+def _evolve_or_error(fn, rel, potential, dtau, n_steps, **kw):
+    try:
+        return fn(rel, potential, dtau, n_steps, **kw), None
+    except (CollisionError, NonConvergenceError, SingularPotentialError) as exc:
+        return None, exc
+
+
+@pytest.mark.parametrize("potential", POTENTIALS)
+def test_evolve_and_reconstruct_match_stepwise_oracle_bitwise(potential):
+    """Trajectories, Mc, L, meta, collisions and reconstructed events equal
+    the one-step-at-a-time oracle bit for bit (signed zeros included), over
+    seeded random pairs at c != 1 and rest times tau != 0."""
+    rng = np.random.default_rng(["coulomb", "coulomb+darwin", "none"].index(potential))
+    collisions = finished = 0
+    for case in range(24):
+        plunge = case % 4 == 0  # nearly radial, attractive: most of these collide
+        rho = rng.normal(size=3)
+        pi = rng.normal(size=3) * (1e-3 if plunge else 0.4)
+        rel = RelativeState(
+            m1=float(rng.uniform(0.5, 2.0)), m2=float(rng.uniform(0.5, 2.0)),
+            rho=rho, pi=pi,
+            charge_product=float(-rng.uniform(2.0, 6.0) if plunge else rng.uniform(-3.0, 1.0)),
+            c=float(rng.choice([1.0, 2.5, 7.0])), tau=float(rng.uniform(-3.0, 3.0)),
+        )
+        dtau = float(rng.uniform(0.01, 0.08)) * (rel.c if plunge else 1.0)
+        kw = {"collision_fraction": 0.05} if plunge else {}
+        got, err = _evolve_or_error(evolve, rel, potential, dtau, 150, **kw)
+        want, want_err = _evolve_or_error(stepwise_evolve, rel, potential, dtau, 150, **kw)
+        if want_err is not None:
+            assert type(err) is type(want_err) and str(err) == str(want_err)
+            if isinstance(want_err, CollisionError):
+                collisions += 1
+                assert _bits(*err.last_state) == _bits(*want_err.last_state)
+            continue
+        assert err is None
+        finished += 1
+        assert _bits(got.tau, got.rho, got.pi, got.H, got.L) == _bits(
+            want.tau, want.rho, want.pi, want.H, want.L)
+        assert (got.meta, got.scheme) == (want.meta, want.scheme)
+
+        z, h = rng.normal(size=3), rng.normal(size=3)
+        sgn = int(rng.choice([1, -1]))
+        rec = reconstruct_worldlines(got, z, h, sgn=sgn)
+        ref = samplewise_reconstruct_worldlines(want, z, h, sgn=sgn)
+        assert _bits(rec.tau, rec.events, rec.fp_events, rec.tetrad, rec.h, rec.timelike) == \
+            _bits(ref.tau, ref.events, ref.fp_events, ref.tetrad, ref.h, ref.timelike)
+        assert rec.Mc == ref.Mc
+    assert finished >= 12
+    if potential != "none":
+        assert collisions >= 2
+
+
+@pytest.mark.parametrize("potential", ["coulomb", "coulomb+darwin"])
+def test_evolve_errors_match_stepwise_oracle(potential):
+    """A coincident start raises SingularPotentialError and a stalled
+    implicit substep NonConvergenceError, with the oracle's messages."""
+    start = RelativeState(m1=1.0, m2=1.5, rho=np.zeros(3), pi=np.array([0.0, 0.3, 0.0]),
+                          charge_product=-2.0, c=3.0, tau=0.5)
+    for fn in (evolve, stepwise_evolve):
+        with pytest.raises(SingularPotentialError, match="coincide"):
+            fn(start, potential, 0.01, 10)
+    if potential == "coulomb+darwin":
+        rel = RelativeState(m1=1.0, m2=1.5, rho=np.array([0.3, 0.0, 0.0]),
+                            pi=np.array([0.0, 2.0, 0.0]), charge_product=-40.0, c=1.0)
+        _, err = _evolve_or_error(evolve, rel, potential, 0.05, 50, fp_max_iter=2)
+        _, want = _evolve_or_error(stepwise_evolve, rel, potential, 0.05, 50, fp_max_iter=2)
+        assert isinstance(want, NonConvergenceError)
+        assert type(err) is type(want) and str(err) == str(want)
