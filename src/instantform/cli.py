@@ -445,20 +445,21 @@ def _run_radar(cfg, rng):
 
 def _run_centers(cfg, rng):
     g = collective.poincare_generators(_build_system(cfg), sgn=cfg["sgn"])
-    triple = collective._center_triple(g)
+    mc, h, s_bar = collective.invariant_mass_spin(g)
+    x_nw, z, _ = collective.newton_wigner_and_jacobi(g)
     rows = [
         ("center_of_energy", *collective.center_of_energy(g)),
-        ("fokker_pryce_tau0", *triple.fp_line(0.0)[1:]),
-        ("newton_wigner", *triple.x_NW0),
+        ("fokker_pryce_tau0", *collective.fokker_pryce_worldline(g)(0.0)[1:]),
+        ("newton_wigner", *x_nw),
     ]
     return {
         "centers.csv": (("center", "x", "y", "z"), rows),
         "invariants.json": {
-            "Mc": float(triple.Mc),
-            "h": triple.h,
-            "S_bar": triple.S_bar,
-            "tube_radius": triple.tube_radius,
-            "jacobi_z": triple.Mc * triple.x_NW0,
+            "Mc": float(mc),
+            "h": h,
+            "S_bar": s_bar,
+            "tube_radius": collective.tube_radius(g),
+            "jacobi_z": z,
         },
     }
 

@@ -2,8 +2,8 @@
 
 A snapshot lists particle positions at one common lab time together with
 their momenta.  From it we build the ten Poincare generators, then the
-frame-invariant content (invariant mass Mc, velocity parameter h = P/Mc,
-rest spin S_bar) and the three inequivalent relativistic collective centers:
+frame-invariant content (Mc and h = P/Mc from P, rest spin S_bar from J in
+the rest frame) and the three inequivalent relativistic collective centers:
 
 * the center of energy (Moller): the energy-weighted average position.  It is
   NOT the spatial part of any four-vector; different frames disagree about
@@ -26,11 +26,12 @@ many boosted frames and mapping the results back.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NonTimelikeError, SingularPotentialError
-from .minkowski import boost_from_h, levi_civita4, metric
+from .minkowski import boost_from_h
 from .potentials import POTENTIALS, pair_energies
 
 __all__ = [
@@ -50,7 +51,10 @@ __all__ = [
     "moller_tube_sample",
 ]
 
-_EPS4 = levi_civita4()
+
+def _kinetic_energies(masses, momenta, c):
+    """sqrt(m_i^2 c^2 + p_i^2) in momentum units, for momenta of shape (n, 3)."""
+    return np.sqrt((masses * c) ** 2 + np.sum(momenta**2, axis=1))
 
 
 @dataclass
@@ -107,9 +111,7 @@ class ParticleSystem:
 
     def energies(self):
         """Kinetic particle energies in momentum units, sqrt(m^2 c^2 + p^2)."""
-        return np.sqrt(
-            (self.masses * self.c) ** 2 + np.sum(self.momenta**2, axis=1)
-        )
+        return _kinetic_energies(self.masses, self.momenta, self.c)
 
     def pair_potential_energies(self):
         """List of (i, j, V_ij) with V_ij an energy; empty for potential none."""
@@ -117,13 +119,14 @@ class ParticleSystem:
                              self.positions, self.momenta)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoincareGenerators:
     """Ten conserved generators of a snapshot: P^mu and antisymmetric J^{mu nu}.
 
     J[k, 0] holds J^{k0} = sum_i x_i^k E_i/c + potential moments - x0 P^k,
     which is time-independent along the motion, so the center of energy at
-    any lab time y0 is (J^{k0} + y0 P^k) / P^0.
+    any lab time y0 is (J^{k0} + y0 P^k) / P^0.  P and J must not be
+    modified in place: the invariants are computed once and cached.
     """
 
     P: np.ndarray
@@ -131,6 +134,28 @@ class PoincareGenerators:
     evaluation_time: float
     sgn: int
     c: float = 1.0
+
+    @cached_property
+    def _rest(self):
+        """(Mc, h, S_bar, boost to rest, rest center) from one rest-frame
+        transform j = L(-h) J L(-h)^T: S_bar = (j23, j31, j12) is its rotation
+        part and the static covariant center j^{k0}/Mc its boost part.  The
+        arrays are read-only; a NonTimelikeError is not cached."""
+        p4 = self.P
+        m2 = p4[0] ** 2 - p4[1:] @ p4[1:]
+        if m2 <= 0.0 or p4[0] <= 0.0:
+            raise NonTimelikeError(
+                f"total momentum {p4} is not future timelike; invariant mass undefined"
+            )
+        mc = float(np.sqrt(m2))
+        h = p4[1:] / mc
+        to_rest = boost_from_h(-h)
+        j = to_rest @ self.J @ to_rest.T
+        s_bar = np.array([j[2, 3], j[3, 1], j[1, 2]])
+        x_rest = j[1:, 0] / mc
+        for a in (h, s_bar, to_rest, x_rest):
+            a.flags.writeable = False
+        return mc, h, s_bar, to_rest, x_rest
 
 
 def energy_and_moment(energies, positions, pairs, c):
@@ -165,24 +190,11 @@ def poincare_generators(sys, sgn=1):
 def invariant_mass_spin(g):
     """(Mc, h, S_bar) of a set of generators.
 
-    Mc = sqrt(sgn P.P) in momentum units, h = P/(Mc), and S_bar the rest-frame
-    spin obtained from the Pauli-Lubanski vector W^mu = eps^{mu nu rho si}/2
-    J_{nu rho} P_si, boosted to the rest frame and divided by Mc.  Raises
+    Mc = sqrt(P.P) in momentum units, h = P/(Mc), and S_bar the rotation
+    part of J in the rest frame, as read-only cached arrays.  Raises
     NonTimelikeError for non-timelike or past-pointing total momentum.
     """
-    p4 = g.P
-    m2 = p4[0] ** 2 - p4[1:] @ p4[1:]
-    if m2 <= 0.0 or p4[0] <= 0.0:
-        raise NonTimelikeError(
-            f"total momentum {p4} is not future timelike; invariant mass undefined"
-        )
-    mc = float(np.sqrt(m2))
-    h = p4[1:] / mc
-    w_down = 0.5 * np.einsum("mnrs,nr,s->m", _EPS4, g.J, p4)
-    w_up = metric(g.sgn) @ w_down
-    w_rest = boost_from_h(-h) @ w_up
-    s_bar = g.sgn * w_rest[1:] / mc
-    return mc, h, s_bar
+    return g._rest[:3]
 
 
 def center_of_energy(g, time=None):
@@ -192,13 +204,6 @@ def center_of_energy(g, time=None):
     return (g.J[1:, 0] + time * g.P[1:]) / g.P[0]
 
 
-def _rest_center(g, mc, h):
-    """(boost to the rest frame, static rest-frame center J_rest^{k0}/Mc)."""
-    to_rest = boost_from_h(-h)
-    j_rest = to_rest @ g.J @ to_rest.T
-    return to_rest, j_rest[1:, 0] / mc
-
-
 def fokker_pryce_worldline(g):
     """Covariant center of inertia as a map tau -> event (tau = rest time c t).
 
@@ -206,12 +211,7 @@ def fokker_pryce_worldline(g):
     three centers coincide at the static point J_rest^{k0}/Mc, and boosting
     that world-line back with the standard boost of h.
     """
-    mc, h, _ = invariant_mass_spin(g)
-    return _fokker_pryce_line(g, mc, h)
-
-
-def _fokker_pryce_line(g, mc, h):
-    _, x_rest = _rest_center(g, mc, h)
+    mc, h, _, _, x_rest = g._rest
     back = boost_from_h(h)
 
     def line(tau):
@@ -237,21 +237,13 @@ def newton_wigner_and_jacobi(g):
     are z = Mc * x_NW(0) and h = P/Mc.
     """
     mc, h, s_bar = invariant_mass_spin(g)
-    x_nw = _newton_wigner(g, mc, s_bar)
+    x_nw = (g.J[1:, 0] + np.cross(s_bar, g.P[1:]) / (mc + g.P[0])) / g.P[0]
     return x_nw, mc * x_nw, h
-
-
-def _newton_wigner(g, mc, s_bar):
-    return (g.J[1:, 0] + np.cross(s_bar, g.P[1:]) / (mc + g.P[0])) / g.P[0]
 
 
 def tube_radius(g):
     """Energy radius |S_bar| / Mc of the center-of-energy world-tube."""
     mc, _, s_bar = invariant_mass_spin(g)
-    return _tube_radius(mc, s_bar)
-
-
-def _tube_radius(mc, s_bar):
     return float(np.linalg.norm(s_bar) / mc)
 
 
@@ -269,20 +261,16 @@ class CenterTriple:
 
 
 def center_triple(sys, sgn=1):
-    return _center_triple(poincare_generators(sys, sgn))
-
-
-def _center_triple(g):
-    """CenterTriple of a set of generators, from one invariant_mass_spin."""
+    g = poincare_generators(sys, sgn)
     mc, h, s_bar = invariant_mass_spin(g)
     return CenterTriple(
         Mc=mc,
         h=h,
         S_bar=s_bar,
         X_E0=center_of_energy(g, 0.0),
-        x_NW0=_newton_wigner(g, mc, s_bar),
-        fp_line=_fokker_pryce_line(g, mc, h),
-        tube_radius=_tube_radius(mc, s_bar),
+        x_NW0=newton_wigner_and_jacobi(g)[0],
+        fp_line=fokker_pryce_worldline(g),
+        tube_radius=tube_radius(g),
     )
 
 
@@ -297,10 +285,7 @@ def external_generators(z, h, mc, s_bar, sgn=1, c=1.0):
     s_bar = np.asarray(s_bar, dtype=float)
     if not mc > 0:
         raise NonTimelikeError("Mc must be positive")
-    gamma = np.sqrt(1.0 + h @ h)
-    p4 = np.empty(4)
-    p4[0] = mc * gamma
-    p4[1:] = mc * h
+    p4 = mc * np.concatenate(([np.sqrt(1.0 + h @ h)], h))
     x_nw = z / mc
     jk0 = p4[0] * x_nw - np.cross(s_bar, p4[1:]) / (mc + p4[0])
     jvec = np.cross(x_nw, p4[1:]) + s_bar      # total angular momentum
@@ -388,8 +373,7 @@ def moller_tube_sample(sys, n_frames, rapidity_max, seed=0, sgn=1):
     if rapidity_max < 0:
         raise ValueError("rapidity_max must be >= 0")
     g = poincare_generators(sys, sgn)
-    mc, h, s_bar = invariant_mass_spin(g)
-    to_rest, x_rest = _rest_center(g, mc, h)
+    to_rest, x_rest = g._rest[3:]
 
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n_frames, 3))
@@ -401,18 +385,13 @@ def moller_tube_sample(sys, n_frames, rapidity_max, seed=0, sgn=1):
     for k in range(n_frames):
         hf = np.sinh(xis[k]) * dirs[k]
         lam = boost_from_h(hf)
-        p_f = lam @ g.P
-        j_f = lam @ g.J @ lam.T
-        xe_f = j_f[1:, 0] / p_f[0]               # center of energy at frame time 0
-        y_f = np.concatenate(([0.0], xe_f))
-        y_lab = boost_from_h(-hf) @ y_f
-        events_lab[k] = y_lab
-        y_rest = to_rest @ y_lab
-        distances[k] = np.linalg.norm(y_rest[1:] - x_rest)
+        xe_f = (lam @ g.J @ lam.T)[1:, 0] / (lam @ g.P)[0]   # center of energy, frame time 0
+        events_lab[k] = boost_from_h(-hf) @ np.concatenate(([0.0], xe_f))
+        distances[k] = np.linalg.norm((to_rest @ events_lab[k])[1:] - x_rest)
     return TubeSample(
         distances=distances,
         rapidities=xis,
         directions=dirs,
-        bound=_tube_radius(mc, s_bar),
+        bound=tube_radius(g),
         events_lab=events_lab,
     )

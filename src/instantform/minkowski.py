@@ -31,7 +31,6 @@ __all__ = [
     "rotation_to_lorentz",
     "is_lorentz",
     "wigner_rotation",
-    "levi_civita4",
 ]
 
 _SIGNS = (1, -1)
@@ -125,29 +124,3 @@ def wigner_rotation(p, lam):
     w = np.linalg.solve(bp2, lam @ bp)
     return w[1:, 1:].copy()
 
-
-def levi_civita4():
-    """Totally antisymmetric 4-index symbol with eps[0,1,2,3] = +1."""
-    eps = np.zeros((4, 4, 4, 4))
-    for perm, sign in _PERMUTATIONS4:
-        eps[perm] = sign
-    return eps
-
-
-def _perms4():
-    from itertools import permutations
-
-    out = []
-    for perm in permutations(range(4)):
-        # parity by counting inversions
-        inv = sum(
-            1
-            for i in range(4)
-            for j in range(i + 1, 4)
-            if perm[i] > perm[j]
-        )
-        out.append((perm, -1.0 if inv % 2 else 1.0))
-    return tuple(out)
-
-
-_PERMUTATIONS4 = _perms4()

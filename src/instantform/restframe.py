@@ -81,7 +81,7 @@ class RestFrameState:
         return self.masses.shape[0]
 
     def internal_energies(self):
-        return np.sqrt((self.masses * self.c) ** 2 + np.sum(self.kappas**2, axis=1))
+        return collective._kinetic_energies(self.masses, self.kappas, self.c)
 
 
 def to_rest_frame(sys, sgn=1):
@@ -109,7 +109,7 @@ def to_rest_frame(sys, sgn=1):
     kap_residual = float(np.linalg.norm(kappas.sum(axis=0)))
     kappas -= kappas.sum(axis=0) / sys.n
 
-    energies = np.sqrt((sys.masses * sys.c) ** 2 + np.sum(kappas**2, axis=1))
+    energies = collective._kinetic_energies(sys.masses, kappas, sys.c)
     pairs = pair_energies(sys.potential, sys.masses, sys.charges, sys.c, x_rest, kappas)
     e_int, moment = collective.energy_and_moment(energies, x_rest, pairs, sys.c)
     shift = moment / e_int
@@ -227,7 +227,9 @@ def rest_frame_from_relative(rel, potential, z=None, h=None, sgn=1, charges=None
 
 
 # Stacked (..., 3) dots use np.vecdot: it rounds each row exactly as the
-# one-vector ``a @ b`` does, which einsum and sum(a * b) do not.
+# one-vector ``a @ b`` does, which einsum and sum(a * b) do not.  Hence no
+# collective._kinetic_energies here: its np.sum(p**2) differs in about a fifth
+# of rows, and evolve's energy drift is pinned bit for bit.
 def _energies(rel, pi):
     """Kinetic energies (E1, E2) of the pair at relative momenta pi (..., 3)."""
     p2 = np.vecdot(pi, pi)

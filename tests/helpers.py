@@ -1,6 +1,8 @@
 """Shared factories and finite-difference machinery for the tests."""
 
 import numpy as np
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from instantform.collective import (
     ParticleSystem,
@@ -8,6 +10,10 @@ from instantform.collective import (
     newton_wigner_and_jacobi,
     poincare_generators,
 )
+from instantform.potentials import POTENTIALS
+
+# lattice sites keep every pair at least 3 - sqrt(3) apart after jitter
+_SITES = 3.0 * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
 
 
 def random_free_system(rng, n=2, mass_scale=1.0, momentum_scale=0.6,
@@ -47,6 +53,29 @@ def random_coulomb_pair(rng, charge_product=-1.0, potential="coulomb", c=1.0):
         potential=potential,
         x0=sys.x0,
         c=c,
+    )
+
+
+@hst.composite
+def snapshots(draw, potentials=POTENTIALS, interacting_at_rest=True):
+    """Snapshots of 2-4 particles under each of ``potentials`` at any lab
+    time: free ones at rest or moving; interacting ones at rest (where
+    to_rest_frame has no straight-line drift to make) unless
+    ``interacting_at_rest`` is False."""
+    n = draw(hst.integers(2, 4))
+    potential = draw(hst.sampled_from(potentials))
+    free = potential == "none"
+    unit = hst.floats(-0.5, 0.5)
+    momenta = draw(arrays(float, (n, 3), elements=unit))
+    if (not free and interacting_at_rest) or draw(hst.booleans()):
+        momenta -= momenta.mean(axis=0)
+    return ParticleSystem(
+        masses=draw(arrays(float, n, elements=hst.floats(1.0, 2.0))),
+        positions=_SITES[:n] + draw(arrays(float, (n, 3), elements=unit)),
+        momenta=momenta,
+        charges=draw(arrays(float, n, elements=hst.sampled_from([-0.5, 0.0, 0.5]))),
+        potential=potential,
+        x0=draw(hst.floats(-1.0, 1.0)),
     )
 
 

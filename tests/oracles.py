@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 from instantform import collective
 from instantform.errors import CollisionError, NonConvergenceError
 from instantform.foliation import AdmissibilityReport, Violation
-from instantform.minkowski import boost_from_h
+from instantform.minkowski import boost_from_h, metric
 from instantform.potentials import POTENTIALS
 from instantform.relquant import (
     _MAXITER,
@@ -227,6 +227,32 @@ def newtonian_relative_orbit(m1, m2, q1q2, rho0, p0, dt, n_steps):
 def orthogonal_boost_wigner_tangent(xi1, xi2):
     """tan of the Wigner angle for two orthogonal boosts of given rapidities."""
     return np.sinh(xi1) * np.sinh(xi2) / (np.cosh(xi1) + np.cosh(xi2))
+
+
+def levi_civita4():
+    """Totally antisymmetric 4-index symbol with eps[0,1,2,3] = +1."""
+    eps = np.zeros((4, 4, 4, 4))
+    for perm in itertools.permutations(range(4)):
+        # parity by counting inversions
+        inv = sum(1 for i in range(4) for j in range(i + 1, 4) if perm[i] > perm[j])
+        eps[perm] = -1.0 if inv % 2 else 1.0
+    return eps
+
+
+def pauli_lubanski_spin(g):
+    """Rest spin from the Pauli-Lubanski vector.
+
+    W^mu = eps^{mu nu rho si}/2 J_{nu rho} P_si, boosted to the rest frame
+    and divided by Mc.  The library instead reads S_bar off the rotation part
+    of J transformed to the rest frame.
+    """
+    p4 = g.P
+    mc = float(np.sqrt(p4[0] ** 2 - p4[1:] @ p4[1:]))
+    h = p4[1:] / mc
+    w_down = 0.5 * np.einsum("mnrs,nr,s->m", levi_civita4(), g.J, p4)
+    w_up = metric(g.sgn) @ w_down
+    w_rest = boost_from_h(-h) @ w_up
+    return g.sgn * w_rest[1:] / mc
 
 
 def nonrel_fd_levels(n_points, length, mu, alpha, c=1.0, n_levels=6):

@@ -1,8 +1,14 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from instantform.collective import (
     ParticleSystem,
+    PoincareGenerators,
     center_of_energy,
     center_triple,
     external_generators,
@@ -14,7 +20,9 @@ from instantform.collective import (
     poincare_transform_free,
     tube_radius,
 )
-from instantform.minkowski import boost_from_h, minkowski_dot
+from instantform.errors import NonTimelikeError
+from instantform.foliation import rotation_from_euler_zyz
+from instantform.minkowski import boost_from_h, minkowski_dot, rotation_to_lorentz
 from helpers import (
     momentum_component,
     nw_component,
@@ -22,7 +30,9 @@ from helpers import (
     random_coulomb_pair,
     random_free_system,
     random_spinning_pair,
+    snapshots,
 )
+from oracles import pauli_lubanski_spin
 
 
 def test_generators_shapes_and_antisymmetry():
@@ -78,6 +88,60 @@ def test_spin_dual_routes_agree():
         np.testing.assert_allclose(s_bar, direct, atol=1e-10)
         np.testing.assert_allclose(g_rest.P[1:], 0.0, atol=1e-12)
         assert g_rest.P[0] == pytest.approx(mc, abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(snapshots(interacting_at_rest=False), hst.sampled_from([1, -1]))
+def test_spin_matches_pauli_lubanski_property(sys, sgn):
+    """S_bar read off the rest-frame J equals the boosted Pauli-Lubanski vector."""
+    g = poincare_generators(sys, sgn)
+    np.testing.assert_allclose(invariant_mass_spin(g)[2], pauli_lubanski_spin(g),
+                               rtol=1e-13, atol=1e-13 * np.max(np.abs(g.J)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(snapshots(potentials=("none",)),
+       arrays(float, 3, elements=hst.floats(-2.0, 2.0)),
+       arrays(float, 3, elements=hst.floats(-np.pi, np.pi)),
+       arrays(float, 4, elements=hst.floats(-3.0, 3.0)), hst.floats(-3.0, 3.0))
+def test_mass_and_spin_poincare_invariant_property(sys, h, euler, translation, new_time):
+    """(Mc, |S_bar|) survive any boost, rotation and translation of a free snapshot."""
+    lam = boost_from_h(h) @ rotation_to_lorentz(rotation_from_euler_zyz(euler))
+    moved = poincare_transform_free(sys, lam, translation, new_time)
+    mc, _, s_bar = invariant_mass_spin(poincare_generators(sys))
+    mc2, _, s_bar2 = invariant_mass_spin(poincare_generators(moved))
+    assert mc2 == pytest.approx(mc, rel=1e-12)
+    scale = mc * (1.0 + np.max(np.abs(sys.positions)))
+    assert np.linalg.norm(s_bar2) == pytest.approx(np.linalg.norm(s_bar), abs=1e-12 * scale)
+
+
+def test_invariants_are_cached_soundly():
+    """Repeated calls on one set of generators, in any order, give bit for
+    bit what each call gives on fresh generators; the generators are frozen,
+    the cached arrays read-only, and a NonTimelikeError raised every time."""
+    calls = [
+        lambda g: [np.asarray(v).tobytes() for v in invariant_mass_spin(g)],
+        lambda g: [v.tobytes() for v in newton_wigner_and_jacobi(g)],
+        lambda g: fokker_pryce_worldline(g)(np.array([-1.5, 0.0, 2.0])).tobytes(),
+        lambda g: np.asarray(tube_radius(g)).tobytes(),
+    ]
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        sys = random_spinning_pair(rng)
+        fresh = [call(poincare_generators(sys)) for call in calls]
+        g = poincare_generators(sys)
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0], [0, 1, 2, 3]):
+            for i in order:
+                assert calls[i](g) == fresh[i]
+    with pytest.raises(FrozenInstanceError):
+        g.P = np.zeros(4)
+    with pytest.raises(ValueError):
+        invariant_mass_spin(g)[1][0] = 0.0
+    spacelike = PoincareGenerators(P=np.array([1.0, 2.0, 0.0, 0.0]), J=np.zeros((4, 4)),
+                                   evaluation_time=0.0, sgn=1)
+    for _ in range(2):                              # the error is not cached
+        with pytest.raises(NonTimelikeError):
+            invariant_mass_spin(spacelike)
 
 
 def test_invariants_independent_of_sgn():

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from instantform import foliation
 from instantform.foliation import (
+    GAMMA_DEFAULT,
     Embedding,
     GridSpec,
     check_admissibility,
@@ -16,6 +18,7 @@ from instantform.foliation import (
     induced_geometry,
     make_rotating_embedding,
     metric_eigendecomposition,
+    metric_from_eigendata,
     rotation_from_euler_zyz,
     tilted_embedding,
 )
@@ -208,6 +211,30 @@ def test_eigendecomposition_round_trip():
         assert np.prod(lam / data.phi_tilde ** (1.0 / 3.0)) == pytest.approx(
             1.0, rel=1e-9
         )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(arrays(float, (3, 3), elements=hst.floats(-2.0, 2.0)), hst.floats(0.2, 3.0),
+       arrays(float, 2, elements=hst.floats(-1.0, 1.0)),
+       arrays(float, 3, elements=hst.floats(-np.pi, np.pi)), hst.floats(-np.pi, np.pi))
+def test_metric_eigendata_round_trip_property(a, phi_tilde, r_shape, theta, alpha):
+    """metric -> eigendata -> metric and eigendata -> metric -> eigendata,
+    for any rotated gamma basis."""
+    gamma = GAMMA_DEFAULT @ np.array([[np.cos(alpha), -np.sin(alpha)],
+                                      [np.sin(alpha), np.cos(alpha)]])
+    g3 = a @ a.T + 0.1 * np.eye(3)
+    data = metric_eigendecomposition(g3, gamma)
+    np.testing.assert_allclose(
+        metric_from_eigendata(data.phi_tilde, data.R, data.theta, gamma), g3,
+        rtol=0, atol=1e-12 * np.max(np.abs(g3)))
+
+    g3 = metric_from_eigendata(phi_tilde, r_shape, theta, gamma)
+    data = metric_eigendecomposition(g3, gamma)
+    assert data.phi_tilde == pytest.approx(phi_tilde, rel=1e-12)
+    # eigendecomposition sorts lam descending, so R comes back permuted
+    np.testing.assert_allclose(np.sort(gamma @ data.R), np.sort(gamma @ r_shape),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(data.reconstruct(), g3, rtol=0, atol=1e-12 * np.max(np.abs(g3)))
 
 
 def test_gamma_basis_columns():

@@ -1,20 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
+from instantform.foliation import rotation_from_euler_zyz
 from instantform.minkowski import (
     boost_from_h,
     interval,
     is_lorentz,
     is_timelike_future,
-    levi_civita4,
     metric,
     minkowski_dot,
     rotation_to_lorentz,
     standard_boost,
     wigner_rotation,
 )
+from oracles import levi_civita4
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+
+vec3 = arrays(float, 3, elements=hst.floats(-2.0, 2.0))
+angles = arrays(float, 3, elements=hst.floats(-np.pi, np.pi))
 
 
 def test_metric_signatures():
@@ -120,6 +127,39 @@ def test_wigner_angle_orthogonal_boosts():
         angle = np.arctan2(rw[0, 1], rw[0, 0])
         expected = np.arctan(orthogonal_boost_wigner_tangent(xi1, xi2))
         assert abs(abs(angle) - abs(expected)) < 1e-12
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(vec3, vec3, hst.floats(0.0, np.pi), hst.floats(-np.pi, np.pi),
+       hst.floats(-2.0, 2.0), hst.floats(-2.0, 2.0))
+def test_boost_composition_and_inverse_property(h1, h2, polar, azimuth, xi1, xi2):
+    """B(h) B(-h) = 1; B(h1) B(h2) = B(h12) (1 + R) with R a proper rotation;
+    collinear rapidities add."""
+    b1, b2 = boost_from_h(h1), boost_from_h(h2)
+    np.testing.assert_allclose(b1 @ boost_from_h(-h1), np.eye(4), rtol=0, atol=1e-12)
+    both = b1 @ b2
+    assert is_lorentz(both, tol=1e-12 * np.max(np.abs(both)) ** 2)
+    rot = boost_from_h(-both[1:, 0]) @ both
+    np.testing.assert_allclose(rot[0], [1.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rot[1:, 0], 0.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rot[1:, 1:] @ rot[1:, 1:].T, np.eye(3), rtol=0, atol=1e-12)
+    assert np.linalg.det(rot[1:, 1:]) == pytest.approx(1.0, abs=1e-12)
+
+    n = np.array([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+                  np.cos(polar)])
+    np.testing.assert_allclose(
+        boost_from_h(np.sinh(xi1) * n) @ boost_from_h(np.sinh(xi2) * n),
+        boost_from_h(np.sinh(xi1 + xi2) * n), rtol=1e-12, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(vec3, hst.floats(0.5, 2.0), vec3, angles)
+def test_wigner_rotation_is_proper_rotation_property(hp, mc, hl, euler):
+    p = mc * np.concatenate(([np.sqrt(1.0 + hp @ hp)], hp))
+    lam = boost_from_h(hl) @ rotation_to_lorentz(rotation_from_euler_zyz(euler))
+    rw = wigner_rotation(p, lam)
+    np.testing.assert_allclose(rw @ rw.T, np.eye(3), rtol=0, atol=1e-12)
+    assert np.linalg.det(rw) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_levi_civita_contraction():

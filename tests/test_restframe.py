@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as hst
-from hypothesis.extra.numpy import arrays
 
 from instantform.collective import (
     ParticleSystem,
@@ -26,7 +24,7 @@ from instantform.restframe import (
     to_rest_frame,
     wigner_hyperplane_embedding,
 )
-from helpers import random_coulomb_pair, random_free_system
+from helpers import random_coulomb_pair, random_free_system, snapshots
 from oracles import (
     circular_orbit_momentum,
     newtonian_relative_orbit,
@@ -76,32 +74,6 @@ def test_darwin_three_body_at_rest_energy_is_mass():
     )
     st = to_rest_frame(sys)
     assert internal_generators(st).E_int == pytest.approx(st.Mc, rel=1e-12)
-
-
-# lattice sites keep every pair at least 3 - sqrt(3) apart after jitter
-_SITES = 3.0 * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-
-
-@hst.composite
-def snapshots(draw):
-    """Snapshots of 2-4 particles under each potential at any lab time: free
-    ones at rest or moving; interacting ones at rest, where to_rest_frame has
-    no straight-line drift to make."""
-    n = draw(hst.integers(2, 4))
-    potential = draw(hst.sampled_from(POTENTIALS))
-    free = potential == "none"
-    unit = hst.floats(-0.5, 0.5)
-    momenta = draw(arrays(float, (n, 3), elements=unit))
-    if not free or draw(hst.booleans()):
-        momenta -= momenta.mean(axis=0)
-    return ParticleSystem(
-        masses=draw(arrays(float, n, elements=hst.floats(1.0, 2.0))),
-        positions=_SITES[:n] + draw(arrays(float, (n, 3), elements=unit)),
-        momenta=momenta,
-        charges=draw(arrays(float, n, elements=hst.sampled_from([-0.5, 0.0, 0.5]))),
-        potential=potential,
-        x0=draw(hst.floats(-1.0, 1.0)),
-    )
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
