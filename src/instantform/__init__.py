@@ -29,9 +29,10 @@ rest-frame instant-form dynamics for isolated relativistic particle systems:
     A small batch front end over the above with deterministic artifacts.
 
 Internally c = 1 (the time axis carries lengths); public entry points that
-need it take an explicit ``c`` and convert at the boundary.  The metric sign
-convention enters through the ``sgn`` argument (+1 for mostly-minus, the
-default, or -1 for mostly-plus).
+need it take an explicit ``c`` and convert at the boundary.  Only results
+that depend on the metric sign convention take an ``sgn`` argument (+1 for
+mostly-minus, the default, or -1 for mostly-plus): ``minkowski.metric``,
+``minkowski_dot``, ``is_lorentz`` and ``foliation.induced_geometry``.
 """
 
 __version__ = "0.1.0"

@@ -389,8 +389,7 @@ def _make_embedding(block, c):
 def _run_validate_foliation(cfg, rng):
     emb = _make_embedding(cfg["embedding"], cfg["c"])
     report = foliation.check_admissibility(
-        emb, foliation.GridSpec(**cfg["grid"]), sgn=cfg["sgn"],
-        asym_tol=cfg["asymptotic_tol"],
+        emb, foliation.GridSpec(**cfg["grid"]), asym_tol=cfg["asymptotic_tol"],
     )
     return {
         "violations.csv": (
@@ -444,7 +443,7 @@ def _run_radar(cfg, rng):
 
 
 def _run_centers(cfg, rng):
-    g = collective.poincare_generators(_build_system(cfg), sgn=cfg["sgn"])
+    g = collective.poincare_generators(_build_system(cfg))
     mc, h, s_bar = collective.invariant_mass_spin(g)
     x_nw, z, _ = collective.newton_wigner_and_jacobi(g)
     rows = [
@@ -470,7 +469,6 @@ def _run_tube(cfg, rng):
         n_frames=cfg["n_frames"],
         rapidity_max=cfg["rapidity_max"],
         seed=cfg["seed"],
-        sgn=cfg["sgn"],
     )
     rows = [(xi, *n, d) for xi, n, d in
             zip(sample.rapidities, sample.directions, sample.distances)]
@@ -519,9 +517,7 @@ def _evolve(cfg):
 
 def _run_reconstruct(cfg, rng):
     artifacts, traj = _evolve(cfg)
-    rec = restframe.reconstruct_worldlines(
-        traj, z=np.asarray(cfg["z"]), h=np.asarray(cfg["h"]), sgn=cfg["sgn"]
-    )
+    rec = restframe.reconstruct_worldlines(traj, np.asarray(cfg["z"]), np.asarray(cfg["h"]))
     idx = _sampled_rows(rec.tau.shape[0], cfg["sample_every"])
     rows = [(i + 1, rec.tau[k], *rec.events[i, k]) for i in range(2) for k in idx]
     return {

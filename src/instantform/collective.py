@@ -132,7 +132,6 @@ class PoincareGenerators:
     P: np.ndarray
     J: np.ndarray
     evaluation_time: float
-    sgn: int
     c: float = 1.0
 
     @cached_property
@@ -168,10 +167,8 @@ def energy_and_moment(energies, positions, pairs, c):
     return total, moment
 
 
-def poincare_generators(sys, sgn=1):
+def poincare_generators(sys):
     """Build the ten Poincare generators from a snapshot."""
-    if sgn not in (1, -1):
-        raise ValueError("sgn must be +1 or -1")
     p4 = np.empty(4)
     p4[0], boost_moment = energy_and_moment(
         sys.energies(), sys.positions, sys.pair_potential_energies(), sys.c
@@ -184,7 +181,7 @@ def poincare_generators(sys, sgn=1):
     jk0 = boost_moment - sys.x0 * p4[1:]
     jmat[1:, 0] = jk0
     jmat[0, 1:] = -jk0
-    return PoincareGenerators(P=p4, J=jmat, evaluation_time=sys.x0, sgn=sgn, c=sys.c)
+    return PoincareGenerators(P=p4, J=jmat, evaluation_time=sys.x0, c=sys.c)
 
 
 def invariant_mass_spin(g):
@@ -260,8 +257,8 @@ class CenterTriple:
     tube_radius: float
 
 
-def center_triple(sys, sgn=1):
-    g = poincare_generators(sys, sgn)
+def center_triple(sys):
+    g = poincare_generators(sys)
     mc, h, s_bar = invariant_mass_spin(g)
     return CenterTriple(
         Mc=mc,
@@ -274,7 +271,7 @@ def center_triple(sys, sgn=1):
     )
 
 
-def external_generators(z, h, mc, s_bar, sgn=1, c=1.0):
+def external_generators(z, h, mc, s_bar, c=1.0):
     """Generators of a collective pseudo-particle from frozen Jacobi data.
 
     Inverts newton_wigner_and_jacobi: given (z, h) plus the invariants
@@ -296,7 +293,7 @@ def external_generators(z, h, mc, s_bar, sgn=1, c=1.0):
     jmat[1, 2], jmat[2, 1] = jvec[2], -jvec[2]
     jmat[2, 3], jmat[3, 2] = jvec[0], -jvec[0]
     jmat[3, 1], jmat[1, 3] = jvec[1], -jvec[1]
-    return PoincareGenerators(P=p4, J=jmat, evaluation_time=0.0, sgn=sgn, c=c)
+    return PoincareGenerators(P=p4, J=jmat, evaluation_time=0.0, c=c)
 
 
 def map_and_resync(sys, lam, a, new_time):
@@ -357,7 +354,7 @@ class TubeSample:
         return float(np.max(self.distances))
 
 
-def moller_tube_sample(sys, n_frames, rapidity_max, seed=0, sgn=1):
+def moller_tube_sample(sys, n_frames, rapidity_max, seed=0):
     """Sample the Moller world-tube of a snapshot.
 
     For each of ``n_frames`` random frames (isotropic boost direction,
@@ -372,7 +369,7 @@ def moller_tube_sample(sys, n_frames, rapidity_max, seed=0, sgn=1):
         raise ValueError("n_frames must be >= 1")
     if rapidity_max < 0:
         raise ValueError("rapidity_max must be >= 0")
-    g = poincare_generators(sys, sgn)
+    g = poincare_generators(sys)
     to_rest, x_rest = g._rest[3:]
 
     rng = np.random.default_rng(seed)

@@ -23,12 +23,12 @@ phi_tilde = sqrt(det g3) the volume density, R the two shape coordinates
 the exponent), and the eigenvector frame encoded as Z-Y-Z Euler angles.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateSurfaceError
-from .minkowski import boost_from_h, metric
+from .minkowski import _check_sgn, boost_from_h, metric
 
 __all__ = [
     "Embedding",
@@ -180,17 +180,17 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _frames(jac, sgn):
+def _frames(jac):
     """Induced metric, future unit normal and lapse of Jacobians (..., 4, 4).
 
-    Returns (g4, normal, lapse, flat, tipped).  The covariant normal
-    n_mu = eps_{mu nu rho si} z1^nu z2^rho z3^si comes from the cofactors of
-    the tangents; ``flat`` marks dependent tangents and ``tipped`` a normal
+    Returns (g4, normal, lapse, flat, tipped), g4 mostly-minus.  The
+    covariant normal n_mu = eps_{mu nu rho si} z1^nu z2^rho z3^si comes from
+    the cofactors of the tangents; ``flat`` marks dependent tangents and ``tipped`` a normal
     that is not timelike, and normal and lapse are NaN at either.  Products
     are stacked ``@`` in the one-point shapes, so every point sees the BLAS
     calls it would see alone.
     """
-    eta = metric(sgn)
+    eta = metric()
     g4 = np.swapaxes(jac, -1, -2) @ eta @ jac
     g4 = 0.5 * (g4 + np.swapaxes(g4, -1, -2))
 
@@ -198,14 +198,14 @@ def _frames(jac, sgn):
     n_cov = np.linalg.det(tangents[..., _MINORS, :]) * _MINOR_SIGNS
     scale = np.prod(np.linalg.norm(tangents, axis=-2), axis=-1)
     flat = np.sqrt(_dot(n_cov, n_cov)) <= 1e-12 * np.maximum(scale, 1e-300)
-    n_up = sgn * (eta @ n_cov[..., None])[..., 0]  # raise the index; eta^-1 = eta
+    n_up = (eta @ n_cov[..., None])[..., 0]  # raise the index; eta^-1 = eta
     q = n_up[..., 0] ** 2 - _dot(n_up[..., 1:], n_up[..., 1:])
     tipped = ~flat & (q <= 0.0)
     bad = flat | tipped
     ell = n_up / np.sqrt(np.where(bad, 1.0, q))[..., None]
     ell = np.where(ell[..., :1] < 0.0, -ell, ell)
     ell[bad] = np.nan
-    lapse = sgn * _dot((jac[..., None, :, 0] @ eta)[..., 0, :], ell)
+    lapse = _dot((jac[..., None, :, 0] @ eta)[..., 0, :], ell)
     return g4, ell, lapse, flat, tipped
 
 
@@ -221,19 +221,21 @@ def _refuse_degenerate(emb, tau, sigma, flat, tipped):
 def induced_geometry(emb, tau, sigma, sgn=1):
     """Evaluate metric, normal, lapse and shift of ``emb`` at (tau, sigma).
 
-    Raises DegenerateSurfaceError when the three surface tangents fail to
-    span a spacelike 3-plane (vanishing or non-timelike normal).
+    Only g4 depends on the sign convention ``sgn``.  Raises
+    DegenerateSurfaceError when the three surface tangents fail to span a
+    spacelike 3-plane (vanishing or non-timelike normal).
     """
+    _check_sgn(sgn)
     sigma = np.asarray(sigma, dtype=float)
-    g4, ell, lapse, flat, tipped = _frames(emb.jacobian(tau, sigma), sgn)
+    g4, ell, lapse, flat, tipped = _frames(emb.jacobian(tau, sigma))
     _refuse_degenerate(emb, tau, sigma, flat, tipped)
-    g3 = -sgn * g4[1:, 1:]
-    shift_cov = -sgn * g4[0, 1:]
+    g3 = -g4[1:, 1:]
+    shift_cov = -g4[0, 1:]
     return GeometryAtPoint(
         tau=float(tau),
         sigma=sigma.copy(),
         sgn=sgn,
-        g4=g4,
+        g4=sgn * g4,
         g3=g3,
         normal=ell,
         lapse=float(lapse),
@@ -242,7 +244,7 @@ def induced_geometry(emb, tau, sigma, sgn=1):
     )
 
 
-def extrinsic_curvature(emb, tau, sigma, sgn=1, fd_step=None):
+def extrinsic_curvature(emb, tau, sigma):
     """Extrinsic curvature K_rs of the tau = const surface through the point.
 
     Uses the lapse/shift form
@@ -251,19 +253,17 @@ def extrinsic_curvature(emb, tau, sigma, sgn=1, fd_step=None):
 
     with the shift covariant derivatives taken with respect to g3.  The
     spatial and tau derivatives of g3 and N_r are central finite differences
-    of the induced geometry, evaluated at the nine stencil points in one
-    batched call.  Raises AdmissibilityError when the lapse is not positive
-    at the evaluation point.
+    of the induced geometry (step ``emb.fd_step`` times the coordinate scale)
+    at the nine stencil points, in one batched call.  Raises
+    AdmissibilityError when the lapse is not positive at the evaluation point.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if fd_step is None:
-        fd_step = emb.fd_step
-    h = fd_step * max(1.0, abs(tau), float(np.max(np.abs(sigma))))
+    h = emb.fd_step * max(1.0, abs(tau), float(np.max(np.abs(sigma))))
     # stencil rows: the center, then +h and -h along sigma^1, sigma^2, sigma^3, tau
     steps = h * np.vstack((np.zeros(4), np.kron(np.eye(4)[[1, 2, 3, 0]], [[1.0], [-1.0]])))
     pts = np.concatenate(([tau], sigma)) + steps
     taus, sigmas = pts[:, 0], pts[:, 1:]
-    g4, _, lapse, flat, tipped = _frames(emb.jacobian(taus, sigmas), sgn)
+    g4, _, lapse, flat, tipped = _frames(emb.jacobian(taus, sigmas))
     _refuse_degenerate(emb, tau, sigma, flat[0], tipped[0])
     if not lapse[0] > 0.0:
         raise AdmissibilityError(
@@ -273,8 +273,8 @@ def extrinsic_curvature(emb, tau, sigma, sgn=1, fd_step=None):
     for k in range(1, 9):
         _refuse_degenerate(emb, taus[k], sigmas[k], flat[k], tipped[k])
 
-    g3 = -sgn * g4[:, 1:, 1:]
-    shift_cov = -sgn * g4[:, 0, 1:]
+    g3 = -g4[:, 1:, 1:]
+    shift_cov = -g4[:, 0, 1:]
     dg3 = (g3[1:7:2] - g3[2:7:2]) / (2.0 * h)              # dg3[t] = d g3 / d sigma^t
     dshift = (shift_cov[1:7:2] - shift_cov[2:7:2]) / (2.0 * h)  # dshift[s, r] = d N_r / d sigma^s
     dtau_g3 = (g3[7] - g3[8]) / (2.0 * h)
@@ -294,7 +294,7 @@ class MetricEigenData:
 
     Satisfies g3 = V diag(lam^2) V^T with lam sorted descending, V a proper
     rotation, phi_tilde = prod(lam) = sqrt(det g3), and
-    lam_a = phi_tilde^(1/3) exp(sum_b gamma[a,b] R[b]).
+    lam_a = phi_tilde^(1/3) exp(sum_b gamma[a,b] R[b]), gamma = GAMMA_DEFAULT.
     """
 
     phi_tilde: float
@@ -302,34 +302,19 @@ class MetricEigenData:
     theta: np.ndarray
     lam: np.ndarray
     V: np.ndarray
-    gamma: np.ndarray = field(default_factory=lambda: GAMMA_DEFAULT.copy())
 
     def reconstruct(self):
-        return metric_from_eigendata(self.phi_tilde, self.R, self.theta, self.gamma)
+        return metric_from_eigendata(self.phi_tilde, self.R, self.theta)
 
 
-def _check_gamma(gamma):
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (3, 2):
-        raise ValueError(f"gamma must be 3x2, got {gamma.shape}")
-    if np.max(np.abs(gamma.sum(axis=0))) > 1e-12:
-        raise ValueError("gamma columns must sum to zero")
-    if np.max(np.abs(gamma.T @ gamma - np.eye(2))) > 1e-12:
-        raise ValueError("gamma columns must be orthonormal")
-    return gamma
-
-
-def metric_eigendecomposition(g3, gamma=None):
+def metric_eigendecomposition(g3):
     """Split a symmetric positive-definite 3-metric into (phi_tilde, R, theta).
 
-    Eigenvalues of g3 are lam_a^2 (lam_a > 0, sorted descending); the
-    eigenvector frame is returned both as a proper rotation V and as its
-    Z-Y-Z Euler angles theta.  Raises AdmissibilityError if g3 is not
-    positive definite.
+    Eigenvalues of g3 are lam_a^2 (lam_a > 0, sorted descending), R is in
+    the fixed shape basis gamma = GAMMA_DEFAULT, and the eigenvector frame
+    is returned both as a proper rotation V and as its Z-Y-Z Euler angles
+    theta.  Raises AdmissibilityError if g3 is not positive definite.
     """
-    if gamma is None:
-        gamma = GAMMA_DEFAULT
-    gamma = _check_gamma(gamma)
     g3 = np.asarray(g3, dtype=float)
     if g3.shape != (3, 3) or np.max(np.abs(g3 - g3.T)) > 1e-10 * max(1.0, np.max(np.abs(g3))):
         raise ValueError("g3 must be a symmetric 3x3 matrix")
@@ -353,7 +338,7 @@ def metric_eigendecomposition(g3, gamma=None):
     lam = np.sqrt(w)
     phi_tilde = float(np.prod(lam))
     u = np.log(lam) - np.log(phi_tilde) / 3.0
-    r_shape = gamma.T @ u
+    r_shape = GAMMA_DEFAULT.T @ u
     theta = euler_zyz_from_rotation(v)
     return MetricEigenData(
         phi_tilde=phi_tilde,
@@ -361,19 +346,15 @@ def metric_eigendecomposition(g3, gamma=None):
         theta=theta,
         lam=lam,
         V=v,
-        gamma=np.array(gamma),
     )
 
 
-def metric_from_eigendata(phi_tilde, r_shape, theta, gamma=None):
+def metric_from_eigendata(phi_tilde, r_shape, theta):
     """Inverse of metric_eigendecomposition."""
-    if gamma is None:
-        gamma = GAMMA_DEFAULT
-    gamma = _check_gamma(gamma)
     if not phi_tilde > 0:
         raise ValueError("phi_tilde must be positive")
     r_shape = np.asarray(r_shape, dtype=float)
-    lam = phi_tilde ** (1.0 / 3.0) * np.exp(gamma @ r_shape)
+    lam = phi_tilde ** (1.0 / 3.0) * np.exp(GAMMA_DEFAULT @ r_shape)
     v = rotation_from_euler_zyz(theta)
     return (v * lam**2) @ v.T
 
@@ -432,7 +413,7 @@ class AdmissibilityReport:
     grid: GridSpec
 
 
-def check_admissibility(emb, grid, sgn=1, asym_tol=1e-3):
+def check_admissibility(emb, grid, asym_tol=1e-3):
     """Sweep a grid and test the three admissibility conditions.
 
     Nodes are visited in ``itertools.product(taus, axis, axis, axis)`` order,
@@ -455,18 +436,15 @@ def check_admissibility(emb, grid, sgn=1, asym_tol=1e-3):
         t, i, j, k = np.unravel_index(np.arange(start, min(start + _BLOCK, n_nodes)), dims)
         tau = taus[t]
         sigma = np.stack((axis[i], axis[j], axis[k]), axis=-1)
-        g4, ell, lapse, flat, tipped = _frames(emb.jacobian(tau, sigma), sgn)
+        g4, ell, lapse, flat, tipped = _frames(emb.jacobian(tau, sigma))
 
         # condition 2: spacelike surfaces; witness min(g_tautau, smallest eigenvalue),
         # NaN at non-finite nodes (eigvalsh cannot take them)
-        gtt = sgn * g4[:, 0, 0]
-        g3 = -sgn * g4[:, 1:, 1:]
+        gtt = g4[:, 0, 0]
+        g3 = -g4[:, 1:, 1:]
         finite = np.isfinite(g4).all(axis=(-2, -1))
-        if finite.all():
-            eig0 = np.linalg.eigvalsh(g3)[:, 0]
-        else:
-            eig0 = np.full(finite.shape, np.nan)
-            eig0[finite] = np.linalg.eigvalsh(g3[finite])[:, 0]
+        eig0 = np.full(finite.shape, np.nan)
+        eig0[finite] = np.linalg.eigvalsh(g3[finite])[:, 0]
         bad2 = ~((gtt > 0.0) & (eig0 > 0.0))
         witness2 = np.where(finite, np.where(eig0 < gtt, eig0, gtt), np.nan)
         # condition 1: positive lapse (NaN where the normal is undefined)

@@ -42,7 +42,7 @@ class Worldline:
     ``position`` and ``velocity`` accept a float or an array of parameter
     values s and return arrays of shape (..., 4).  The parameter is proper
     length, so the four-velocity must satisfy u0^2 - |u|^2 = 1 with u0 > 0;
-    ``validate`` spot-checks that on a sample of the domain.
+    ``validate`` spot-checks that on 64 points of the domain.
     """
 
     position: callable
@@ -50,8 +50,8 @@ class Worldline:
     domain: tuple
     name: str = "worldline"
 
-    def validate(self, n=64):
-        s = np.linspace(self.domain[0], self.domain[1], n)
+    def validate(self):
+        s = np.linspace(self.domain[0], self.domain[1], 64)
         u = np.asarray(self.velocity(s), dtype=float)
         norms = interval(u)
         if not np.all(u[..., 0] > 0.0):
@@ -61,9 +61,9 @@ class Worldline:
         # u0^2 - |u|^2 cancels catastrophically for fast observers, so the
         # norm check has to be read relative to the magnitudes cancelled
         errs = np.abs(norms - 1.0) / np.maximum(1.0, u[..., 0] ** 2)
-        if np.max(errs) > 1e-6:
+        if not np.all(errs <= 1e-6):   # NaN, where u or u.u overflows, fails too
             raise NonTimelikeError(
-                f"{self.name}: four-velocity is not unit normalized "
+                f"{self.name}: four-velocity is not finite and unit normalized "
                 f"(max relative |u.u - 1| = {np.max(errs):.2e}); "
                 "parameterize by proper length"
             )
@@ -118,17 +118,17 @@ def rindler_worldline(accel, domain=(-10.0, 10.0)):
     return Worldline(position, velocity, tuple(domain), name=f"rindler(a={a})").validate()
 
 
-def worldline_from_callable(position, domain, velocity=None, fd_step=1e-6, name="custom"):
-    """Wrap a position callable; the velocity defaults to central differences."""
+def worldline_from_callable(position, domain, velocity=None):
+    """Wrap a position callable; the velocity defaults to central differences
+    with step 1e-6 * max(1, |s|)."""
 
     def fd_velocity(s):
         s = np.asarray(s, dtype=float)
-        h = fd_step * np.maximum(1.0, np.abs(s))
+        h = 1e-6 * np.maximum(1.0, np.abs(s))
         return (np.asarray(position(s + h), dtype=float)
                 - np.asarray(position(s - h), dtype=float)) / (2.0 * h)[..., None]
 
-    w = Worldline(position, velocity or fd_velocity, tuple(domain), name=name)
-    return w.validate()
+    return Worldline(position, velocity or fd_velocity, tuple(domain), name="custom").validate()
 
 
 @dataclass
@@ -208,21 +208,19 @@ def einstein_sync(w, event, scan_points=512):
     )
 
 
-def radar_coordinates(emb, event, guess=None, tol=1e-9, max_iter=100):
+def radar_coordinates(emb, event):
     """Invert an embedding: solve z(tau, sigma) = event for (tau, sigma).
 
-    Damped Newton iteration with the embedding Jacobian; steps are halved
-    (up to 30 times) until the residual decreases.  Convergence is declared
-    when |z - event| <= tol * scale with scale = max(1, |event|).  Raises
+    Damped Newton iteration with the embedding Jacobian, started at
+    (tau, sigma) = event; steps are halved (up to 30 times) until the
+    residual decreases.  Convergence is declared when |z - event| <= 1e-9 *
+    scale with scale = max(1, |event|), within 100 Newton steps.  Raises
     InversionError on failure and InversionError with a singular-chart
     message when the Jacobian degenerates, which signals an admissibility
     boundary of the chart.
     """
     event = np.asarray(event, dtype=float)
-    if guess is None:
-        coords = np.concatenate(([event[0]], event[1:]))
-    else:
-        coords = np.asarray(guess, dtype=float).copy()
+    coords = event.copy()
     scale = max(1.0, float(np.max(np.abs(event))))
 
     def residual(c):
@@ -230,9 +228,15 @@ def radar_coordinates(emb, event, guess=None, tol=1e-9, max_iter=100):
 
     r = residual(coords)
     rnorm = np.linalg.norm(r)
-    for _ in range(int(max_iter)):
-        if rnorm <= tol * scale:
-            return float(coords[0]), coords[1:].copy()
+    n_steps = 0
+    while not rnorm <= 1e-9 * scale:   # a NaN residual is not converged
+        if n_steps == 100:
+            raise InversionError(
+                f"{emb.name}: no convergence after 100 iterations "
+                f"(residual {rnorm:.3e})",
+                residual=float(rnorm),
+            )
+        n_steps += 1
         jac = emb.jacobian(coords[0], coords[1:])
         try:
             step = np.linalg.solve(jac, r)
@@ -260,10 +264,4 @@ def radar_coordinates(emb, event, guess=None, tol=1e-9, max_iter=100):
                 f"{emb.name}: damped Newton stalled at residual {rnorm:.3e}",
                 residual=float(rnorm),
             )
-    if rnorm <= tol * scale:
-        return float(coords[0]), coords[1:].copy()
-    raise InversionError(
-        f"{emb.name}: no convergence after {max_iter} iterations "
-        f"(residual {rnorm:.3e})",
-        residual=float(rnorm),
-    )
+    return float(coords[0]), coords[1:].copy()

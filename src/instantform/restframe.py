@@ -73,7 +73,6 @@ class RestFrameState:
     S_bar: np.ndarray
     tau: float = 0.0
     c: float = 1.0
-    sgn: int = 1
     projection_residual: tuple = (0.0, 0.0)
 
     @property
@@ -84,7 +83,7 @@ class RestFrameState:
         return collective._kinetic_energies(self.masses, self.kappas, self.c)
 
 
-def to_rest_frame(sys, sgn=1):
+def to_rest_frame(sys):
     """Map a lab snapshot to its rest-frame instant-form representation.
 
     Boosts every particle with the standard boost of -h (3-vectors land in
@@ -98,7 +97,7 @@ def to_rest_frame(sys, sgn=1):
     exact constraint projection whose size is recorded in
     ``projection_residual``.
     """
-    g = collective.poincare_generators(sys, sgn)
+    g = collective.poincare_generators(sys)
     mc, h, s_bar = collective.invariant_mass_spin(g)
     x_nw, z, _ = collective.newton_wigner_and_jacobi(g)
 
@@ -127,7 +126,6 @@ def to_rest_frame(sys, sgn=1):
         S_bar=s_bar,
         tau=tau,
         c=sys.c,
-        sgn=sgn,
         projection_residual=(kap_residual, float(np.linalg.norm(shift))),
     )
 
@@ -189,7 +187,7 @@ def relative_state(st):
     )
 
 
-def rest_frame_from_relative(rel, potential, z=None, h=None, sgn=1, charges=None):
+def rest_frame_from_relative(rel, potential, z=None, h=None, charges=None):
     """Embed relative coordinates back into a full rest-frame state.
 
     The individual positions follow from the conditions kappa_1 = -kappa_2 =
@@ -222,7 +220,6 @@ def rest_frame_from_relative(rel, potential, z=None, h=None, sgn=1, charges=None
         S_bar=np.cross(rel.rho, rel.pi),
         tau=rel.tau,
         c=rel.c,
-        sgn=sgn,
     )
 
 
@@ -262,6 +259,9 @@ def _gradients(rel, potential, rho, pi):
     return g_rho / rel.c, pi * (1.0 / e1 + 1.0 / e2) + g_pi / rel.c
 
 
+_FP_TOL = 1e-12  # relative update at which evolve's implicit substeps stop
+
+
 @dataclass
 class Trajectory:
     """Sampled relative trajectory with conserved quantities along the way."""
@@ -285,8 +285,7 @@ class Trajectory:
         return float(np.max(np.abs(self.H - self.H[0])) / abs(self.H[0]))
 
 
-def evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
-           collision_fraction=1e-3):
+def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-3):
     """Integrate the relative motion under the invariant-mass Hamiltonian.
 
     The samples sit at rest times rel.tau + k * dtau, k = 0..n_steps.
@@ -297,10 +296,10 @@ def evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
     gradient of each closing half kick opens the next step, one potential
     gradient per step.  The Darwin term makes dH/drho depend on pi and
     dH/dpi on rho, so those substeps turn implicit and are solved by
-    fixed-point iteration to ``fp_tol`` (NonConvergenceError after
-    ``fp_max_iter`` sweeps).  The loop stores rho and pi only; Mc and the
-    angular momentum rho x pi are evaluated over the whole trajectory once
-    it is done.
+    fixed-point iteration to a relative update of ``meta["fp_tol"]`` = 1e-12
+    (NonConvergenceError after ``fp_max_iter`` sweeps).  The loop stores rho
+    and pi only; Mc and the angular momentum rho x pi are evaluated over the
+    whole trajectory once it is done.
 
     Raises CollisionError, carrying the last good sample, when a step passes
     within ``collision_fraction`` times the initial separation of rho = 0
@@ -329,12 +328,12 @@ def evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
     pis[0] = pi
 
     def fixed_point(update, x, what, k):
-        """Iterate x <- update(x) until an update moves x by at most fp_tol."""
+        """Iterate x <- update(x) until an update moves x by at most _FP_TOL."""
         for sweep in range(fp_max_iter):
             x_new = update(x)
             delta = np.max(np.abs(x_new - x))
             x = x_new
-            if delta <= fp_tol * max(1.0, np.max(np.abs(x))):
+            if delta <= _FP_TOL * max(1.0, np.max(np.abs(x))):
                 return x, sweep + 1
         raise NonConvergenceError(
             f"implicit {what} substep stalled at step {k} (last update {delta:.3e})"
@@ -393,7 +392,7 @@ def evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
         H=_mass_and_weights(rel, potential, rhos, pis)[0], L=np.cross(rhos, pis),
         m1=rel.m1, m2=rel.m2, charge_product=rel.charge_product,
         potential=potential, c=rel.c, dtau=float(dtau), scheme=scheme,
-        meta={"fp_tol": fp_tol, "max_fixed_point_sweeps": max_sweeps},
+        meta={"fp_tol": _FP_TOL, "max_fixed_point_sweeps": max_sweeps},
     )
     return traj
 
@@ -415,7 +414,7 @@ class ReconstructedWorldlines:
         return bool(np.all(self.timelike))
 
 
-def reconstruct_worldlines(traj, z, h, sgn=1):
+def reconstruct_worldlines(traj, z, h):
     """Map an internal trajectory to lab world-lines.
 
     x_i(tau) = X_FP(tau) + eps_r(h) eta_i^r(tau): the covariant center
@@ -429,7 +428,7 @@ def reconstruct_worldlines(traj, z, h, sgn=1):
     h = np.asarray(h, dtype=float)
     mc = float(traj.H[0])
     s_bar = np.cross(traj.rho[0], traj.pi[0])
-    g = collective.external_generators(z, h, mc, s_bar, sgn=sgn, c=traj.c)
+    g = collective.external_generators(z, h, mc, s_bar, c=traj.c)
     fp = collective.fokker_pryce_worldline(g)
     boost = boost_from_h(h)
     tetrad = boost[:, 1:]
@@ -458,7 +457,7 @@ def reconstruct_worldlines(traj, z, h, sgn=1):
     )
 
 
-def wigner_hyperplane_embedding(z, h, mc, s_bar, sgn=1):
+def wigner_hyperplane_embedding(z, h, mc, s_bar):
     """The foliation whose 3-spaces are the Wigner hyperplanes of (z, h).
 
     z_W(tau, sigma) = X_FP(tau) + eps_r(h) sigma^r.  The chart is inertial
@@ -466,7 +465,7 @@ def wigner_hyperplane_embedding(z, h, mc, s_bar, sgn=1):
     it in one Newton step; useful for round-trip tests against reconstructed
     world-lines.
     """
-    g = collective.external_generators(z, h, mc, s_bar, sgn=sgn)
+    g = collective.external_generators(z, h, mc, s_bar)
     fp = collective.fokker_pryce_worldline(g)
     boost = boost_from_h(np.asarray(h, dtype=float))
 

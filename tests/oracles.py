@@ -239,20 +239,21 @@ def levi_civita4():
     return eps
 
 
-def pauli_lubanski_spin(g):
+def pauli_lubanski_spin(g, sgn=1):
     """Rest spin from the Pauli-Lubanski vector.
 
     W^mu = eps^{mu nu rho si}/2 J_{nu rho} P_si, boosted to the rest frame
-    and divided by Mc.  The library instead reads S_bar off the rotation part
-    of J transformed to the rest frame.
+    and divided by Mc, with the index raised in the sign convention ``sgn``.
+    The library instead reads S_bar off the rotation part of J transformed
+    to the rest frame.
     """
     p4 = g.P
     mc = float(np.sqrt(p4[0] ** 2 - p4[1:] @ p4[1:]))
     h = p4[1:] / mc
     w_down = 0.5 * np.einsum("mnrs,nr,s->m", levi_civita4(), g.J, p4)
-    w_up = metric(g.sgn) @ w_down
+    w_up = metric(sgn) @ w_down
     w_rest = boost_from_h(-h) @ w_up
-    return g.sgn * w_rest[1:] / mc
+    return sgn * w_rest[1:] / mc
 
 
 def nonrel_fd_levels(n_points, length, mu, alpha, c=1.0, n_levels=6):
@@ -359,8 +360,7 @@ def cartesian_ground_state(n_points, length, m1, m2, alpha, c=1.0,
     return vals
 
 
-def stepwise_evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
-                   collision_fraction=1e-3):
+def stepwise_evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-3):
     """The rest-frame leapfrog one step and one sample at a time.
 
     Every step evaluates the full gradient pair three times and records Mc
@@ -374,8 +374,9 @@ def stepwise_evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
     A fixed-step second-order symmetric (generalized leapfrog) scheme:
     momentum-independent potentials use the explicit kick-drift-kick form;
     the Darwin term makes dH/drho depend on pi and dH/dpi on rho, so those
-    substeps turn implicit and are solved by fixed-point iteration to
-    ``fp_tol`` (NonConvergenceError after ``fp_max_iter`` sweeps).
+    substeps turn implicit and are solved by fixed-point iteration to a
+    relative update of 1e-12 (NonConvergenceError after ``fp_max_iter``
+    sweeps).
 
     Raises CollisionError, carrying the last good sample, when a step passes
     within ``collision_fraction`` times the initial separation of rho = 0
@@ -391,6 +392,7 @@ def stepwise_evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
         raise ValueError("n_steps must be >= 1")
 
     implicit = potential == "coulomb+darwin"
+    fp_tol = 1e-12
     rho = np.array(rel.rho, dtype=float)
     pi = np.array(rel.pi, dtype=float)
     r_floor = collision_fraction * np.linalg.norm(rho)
@@ -467,7 +469,7 @@ def stepwise_evolve(rel, potential, dtau, n_steps, fp_tol=1e-12, fp_max_iter=50,
     return traj
 
 
-def samplewise_reconstruct_worldlines(traj, z, h, sgn=1):
+def samplewise_reconstruct_worldlines(traj, z, h):
     """Lab world-lines one sample at a time.
 
     One weight evaluation and two tetrad products per sample, where the
@@ -484,7 +486,7 @@ def samplewise_reconstruct_worldlines(traj, z, h, sgn=1):
     h = np.asarray(h, dtype=float)
     mc = float(traj.H[0])
     s_bar = np.cross(traj.rho[0], traj.pi[0])
-    g = collective.external_generators(z, h, mc, s_bar, sgn=sgn, c=traj.c)
+    g = collective.external_generators(z, h, mc, s_bar, c=traj.c)
     fp = collective.fokker_pryce_worldline(g)
     boost = boost_from_h(h)
     tetrad = boost[:, 1:]

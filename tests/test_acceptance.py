@@ -201,7 +201,7 @@ def test_criterion_05_collective_variables():
         for k in range(0, 100, 10):  # invariance spot-checked on every 10th
             lam = boost_from_h(np.sinh(sample.rapidities[k]) * sample.directions[k])
             g_f = PoincareGenerators(P=lam @ g.P, J=lam @ g.J @ lam.T,
-                                     evaluation_time=0.0, sgn=1, c=1.0)
+                                     evaluation_time=0.0, c=1.0)
             mc_f, _, s_f = invariant_mass_spin(g_f)
             worst_inv = max(worst_inv, abs(mc_f - mc) / mc,
                             abs(np.linalg.norm(s_f) - s_norm) / max(s_norm, 1e-12))
@@ -327,7 +327,7 @@ def test_criterion_08_reconstruction_round_trip():
 
     lam = boost_from_h(np.array([0.3, 0.5, -0.2]))
     g2 = PoincareGenerators(P=lam @ g.P, J=lam @ g.J @ lam.T,
-                            evaluation_time=0.0, sgn=1, c=1.0)
+                            evaluation_time=0.0, c=1.0)
     _, h2, _ = invariant_mass_spin(g2)
     z2 = newton_wigner_and_jacobi(g2)[1]
     rot = wigner_rotation(g.P, lam)

@@ -328,6 +328,21 @@ def test_nonfinite_result_exits_3_with_strict_json(tmp_path):
     assert "invariants.json" in failure["message"]
 
 
+@pytest.mark.parametrize("worldline", [
+    pytest.param({"kind": "rindler", "accel": 200}, id="rindler-cosh-overflow"),
+    pytest.param({"kind": "inertial", "h": [1e200, 0, 0]}, id="inertial-huge-h"),
+])
+def test_nonfinite_worldline_velocity_exits_3_with_strict_json(tmp_path, worldline):
+    cfg = {"worldline": worldline, "events": [[0.0, 1.0, 0.0, 0.0]]}
+    code, out = run_cli(tmp_path, "radar", cfg)
+    assert code == 3
+    rd = only_run_dir(out)
+    assert os.listdir(rd) == ["failure.json"]
+    failure = strict_json(os.path.join(rd, "failure.json"))
+    assert failure["error"] == "NonTimelikeError"
+    assert "not finite" in failure["message"]
+
+
 def test_superluminal_tilted_velocity_exits_2(tmp_path, capsys):
     cfg = {"embedding": {"kind": "tilted", "velocity": [0.1, 0.0, -1.0]}}
     code, out = run_cli(tmp_path, "validate-foliation", cfg)

@@ -170,7 +170,7 @@ def test_extrinsic_curvature_identity_family_is_zero():
 
 
 def test_extrinsic_curvature_against_stencil_oracle():
-    """Lapse-shift route vs. Gram-Schmidt projection route, both signatures."""
+    """Lapse-shift route vs. Gram-Schmidt projection route."""
     rng = np.random.default_rng(13)
     embs = [
         make_rotating_embedding("rigid", omega=0.3),
@@ -181,20 +181,9 @@ def test_extrinsic_curvature_against_stencil_oracle():
             tau = float(rng.uniform(-1, 1))
             sigma = rng.uniform(-1.5, 1.5, size=3)
             want = stencil_extrinsic_curvature(emb, tau, sigma)
-            for sgn in (1, -1):
-                got = extrinsic_curvature(emb, tau, sigma, sgn=sgn)
-                np.testing.assert_allclose(got, got.T, atol=1e-12)
-                np.testing.assert_allclose(got, want, atol=1e-5)
-
-
-def test_extrinsic_curvature_sgn_independent():
-    emb = make_rotating_embedding("rigid", omega=0.4)
-    tau, sigma = -0.6, np.array([0.9, 0.2, -1.1])
-    np.testing.assert_allclose(
-        extrinsic_curvature(emb, tau, sigma, sgn=1),
-        extrinsic_curvature(emb, tau, sigma, sgn=-1),
-        atol=1e-12,
-    )
+            got = extrinsic_curvature(emb, tau, sigma)
+            np.testing.assert_allclose(got, got.T, atol=1e-12)
+            np.testing.assert_allclose(got, want, atol=1e-5)
 
 
 def test_eigendecomposition_round_trip():
@@ -216,20 +205,18 @@ def test_eigendecomposition_round_trip():
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(arrays(float, (3, 3), elements=hst.floats(-2.0, 2.0)), hst.floats(0.2, 3.0),
        arrays(float, 2, elements=hst.floats(-1.0, 1.0)),
-       arrays(float, 3, elements=hst.floats(-np.pi, np.pi)), hst.floats(-np.pi, np.pi))
-def test_metric_eigendata_round_trip_property(a, phi_tilde, r_shape, theta, alpha):
-    """metric -> eigendata -> metric and eigendata -> metric -> eigendata,
-    for any rotated gamma basis."""
-    gamma = GAMMA_DEFAULT @ np.array([[np.cos(alpha), -np.sin(alpha)],
-                                      [np.sin(alpha), np.cos(alpha)]])
+       arrays(float, 3, elements=hst.floats(-np.pi, np.pi)))
+def test_metric_eigendata_round_trip_property(a, phi_tilde, r_shape, theta):
+    """metric -> eigendata -> metric and eigendata -> metric -> eigendata."""
+    gamma = GAMMA_DEFAULT
     g3 = a @ a.T + 0.1 * np.eye(3)
-    data = metric_eigendecomposition(g3, gamma)
+    data = metric_eigendecomposition(g3)
     np.testing.assert_allclose(
-        metric_from_eigendata(data.phi_tilde, data.R, data.theta, gamma), g3,
+        metric_from_eigendata(data.phi_tilde, data.R, data.theta), g3,
         rtol=0, atol=1e-12 * np.max(np.abs(g3)))
 
-    g3 = metric_from_eigendata(phi_tilde, r_shape, theta, gamma)
-    data = metric_eigendecomposition(g3, gamma)
+    g3 = metric_from_eigendata(phi_tilde, r_shape, theta)
+    data = metric_eigendecomposition(g3)
     assert data.phi_tilde == pytest.approx(phi_tilde, rel=1e-12)
     # eigendecomposition sorts lam descending, so R comes back permuted
     np.testing.assert_allclose(np.sort(gamma @ data.R), np.sort(gamma @ r_shape),
@@ -238,8 +225,7 @@ def test_metric_eigendata_round_trip_property(a, phi_tilde, r_shape, theta, alph
 
 
 def test_gamma_basis_columns():
-    data = metric_eigendecomposition(np.diag([1.0, 2.0, 3.0]))
-    gamma = data.gamma
+    gamma = GAMMA_DEFAULT
     np.testing.assert_allclose(gamma.T @ gamma, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(gamma.sum(axis=0), [0.0, 0.0], atol=1e-14)
 
@@ -347,8 +333,9 @@ def assert_same_report(got, want):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(embeddings(), grids(), hst.sampled_from([1, -1]))
 def test_check_admissibility_matches_pointwise_oracle(emb, grid, sgn):
-    """The batched sweep reports what the node-by-node oracle reports."""
-    assert_same_report(check_admissibility(emb, grid, sgn=sgn),
+    """The batched sweep reports what the node-by-node oracle reports in
+    either sign convention."""
+    assert_same_report(check_admissibility(emb, grid),
                        pointwise_admissibility(emb, grid, sgn=sgn))
 
 
@@ -358,7 +345,7 @@ def test_blocks_keep_node_order(monkeypatch):
     grid = GridSpec(-1.0, 1.0, 3, 2.0, 5)
     for emb in (make_rotating_embedding("rigid", omega=0.8), folded_embedding(1.5, -0.5)):
         for sgn in (1, -1):
-            assert_same_report(check_admissibility(emb, grid, sgn=sgn),
+            assert_same_report(check_admissibility(emb, grid),
                                pointwise_admissibility(emb, grid, sgn=sgn))
 
 

@@ -105,6 +105,18 @@ def test_spacelike_curve_rejected():
         worldline_from_callable(pos, (-1.0, 1.0))
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: rindler_worldline(200.0), id="rindler-cosh-overflow"),
+    pytest.param(lambda: inertial_worldline(np.zeros(4), np.array([1e200, 0.0, 0.0])),
+                 id="inertial-huge-h"),
+])
+def test_nonfinite_four_velocity_rejected(make):
+    """An overflowing four-velocity fails validation instead of reaching brentq."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonTimelikeError, match="not finite"):
+            make()
+
+
 def test_event_outside_scan_domain():
     w = inertial_worldline(np.zeros(4), np.zeros(3), domain=(-1.0, 1.0))
     with pytest.raises(NoSolutionError):

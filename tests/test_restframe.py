@@ -163,6 +163,20 @@ def test_relative_state_round_trip():
     assert back.charge_product == pytest.approx(rel.charge_product)
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(snapshots().filter(lambda sys: sys.n == 2))
+def test_rest_frame_relative_round_trip_property(sys):
+    """to_rest_frame -> relative_state -> rest_frame_from_relative gives the
+    rest-frame state back: the relative variables lose nothing of a pair."""
+    st = to_rest_frame(sys)
+    back = rest_frame_from_relative(relative_state(st), st.potential, z=st.z, h=st.h,
+                                    charges=st.charges)
+    for got, want in ((back.etas, st.etas), (back.kappas, st.kappas), (back.Mc, st.Mc),
+                      (back.S_bar, st.S_bar), (back.tau, st.tau)):
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+
 def test_relative_state_requires_two_particles():
     rng = np.random.default_rng(23)
     st = to_rest_frame(random_free_system(rng, n=3))
@@ -357,7 +371,7 @@ def test_reconstruction_boost_covariance():
 
     lam = boost_from_h(np.array([0.3, 0.5, -0.2]))
     g2 = PoincareGenerators(P=lam @ g.P, J=lam @ g.J @ lam.T,
-                            evaluation_time=0.0, sgn=1, c=1.0)
+                            evaluation_time=0.0, c=1.0)
     mc2, h2, _ = invariant_mass_spin(g2)
     from instantform.collective import newton_wigner_and_jacobi
 
@@ -433,9 +447,9 @@ def test_evolve_and_reconstruct_match_stepwise_oracle_bitwise(potential):
         assert (got.meta, got.scheme) == (want.meta, want.scheme)
 
         z, h = rng.normal(size=3), rng.normal(size=3)
-        sgn = int(rng.choice([1, -1]))
-        rec = reconstruct_worldlines(got, z, h, sgn=sgn)
-        ref = samplewise_reconstruct_worldlines(want, z, h, sgn=sgn)
+        rng.choice([1, -1])  # unused; drawn so the seeded cases that follow stay put
+        rec = reconstruct_worldlines(got, z, h)
+        ref = samplewise_reconstruct_worldlines(want, z, h)
         assert _bits(rec.tau, rec.events, rec.fp_events, rec.tetrad, rec.h, rec.timelike) == \
             _bits(ref.tau, ref.events, ref.fp_events, ref.tetrad, ref.h, ref.timelike)
         assert rec.Mc == ref.Mc
