@@ -16,14 +16,13 @@ on a uniform grid with u(0) = u(L) = 0; the sine transform (DST-I)
 diagonalizes any function of k^2 on that grid, so the square roots above
 are exact in the basis rather than Taylor-expanded.
 
-The solver forms no matrix.  The kinetic term is diagonal in momentum and
-the potential in position, so H applied to a block of vectors costs two
-DST-Is, and the lowest levels come from LOBPCG (Knyazev, SIAM J. Sci.
-Comput. 23, 517 (2001)) preconditioned in momentum space by
-1/(T(k) + shift), the choice of plane-wave codes (Teter, Payne & Allan,
-PRB 40, 12255 (1989)).
-``build_radial_hamiltonian`` still assembles the dense radial matrix, as a
-view of the same operator for checks.
+The solver forms no matrix.  On sine coefficients H applied to a block of
+vectors is diagonal T plus one FFT pair for V, since multiplying by V is a
+symmetric convolution there (Martucci, IEEE Trans. Signal Process. 42,
+1038 (1994)) that zero-pads to a fast length.  The lowest levels come from
+LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) preconditioned in
+momentum space by 1/(T(k) + shift), the choice of plane-wave codes (Teter,
+Payne & Allan, PRB 40, 12255 (1989)).
 
 The Coulomb singularity is softened, V = -alpha*c/sqrt(r^2 + eps^2), with
 eps defaulting to a quarter grid spacing.
@@ -32,7 +31,7 @@ eps defaulting to a quarter grid spacing.
 import warnings
 
 import numpy as np
-from scipy.fft import dst
+from scipy.fft import dst, irfft, next_fast_len, rfft
 from scipy.sparse.linalg import lobpcg
 
 from .errors import NonConvergenceError
@@ -41,7 +40,6 @@ __all__ = [
     "KINETIC_KINDS",
     "kinetic_dispersion",
     "radial_grid",
-    "build_radial_hamiltonian",
     "radial_levels",
 ]
 
@@ -116,31 +114,32 @@ def _radial_terms(n_points, length, m1, m2, alpha, c, kinetic, ell, softening):
     return r, tk, v
 
 
-def build_radial_hamiltonian(n_points, length, m1, m2, alpha, c=1.0,
-                             kinetic="salpeter", ell=0, softening=None):
-    """Dense matrix of the radial operator on the interior grid, for checks.
-
-    Returns (H, r).  ``radial_levels`` never forms this matrix; it applies
-    the same operator through sine transforms.  The kinetic part is
-    T = (2/(n+1)) S diag(T(k_m)) S with S_mj = sin(m j pi/(n+1)), the exact
-    representation of T(k^2) under Dirichlet walls at 0 and L.
-    softening defaults to length/(4*n_points); for ell > 0 the centrifugal
-    barrier ell(ell+1)/(2 mu (r^2 + eps^2)) joins the potential, softened
-    the same way.  Raises FloatingPointError when the kinetic or potential
-    term is not finite on the grid, as for a vanishingly small ``length``.
-    """
-    r, tk, v = _radial_terms(n_points, length, m1, m2, alpha, c, kinetic,
-                             ell, softening)
-    idx = np.arange(1, n_points + 1)
-    s = np.sin(np.pi / (n_points + 1) * np.outer(idx, idx))
-    h = (2.0 / (n_points + 1)) * (s @ (tk[:, None] * s))
-    h[np.diag_indices_from(h)] += v
-    return 0.5 * (h + h.T), r
-
-
 def _sine(u):
     """Orthonormal DST-I down the columns; it is its own inverse."""
     return dst(u, type=1, norm="ortho", axis=0)
+
+
+def _potential_product(v):
+    """coef -> _sine(v * _sine(coef)) down the columns, by one FFT pair.
+
+    In the sine basis diag(v) is t(k - l) - t(k + l), t the even DCT-I of v
+    with period 2(n+1): zero-padded to a fast length >= 2n - 1, a circular
+    convolution with t minus one of the reversed column with t(2..2n), whose
+    rfft is conj(X) times a phase that the Hankel kernel absorbs.
+    """
+    n = v.shape[0]
+    size = next_fast_len(2 * n - 1, real=True)
+    t = irfft(np.concatenate(([0.0], v, [0.0])), 2 * (n + 1))
+    d = np.arange(size)
+    # circularly even, so its spectrum is real; the middle of it is never read
+    even = rfft(t[np.minimum(d, size - d)]).real[:, None]
+    hankel = rfft(t[2:], size)[:, None]
+
+    def apply(coef):
+        f = rfft(coef, size, axis=0)
+        return irfft(even * f - hankel * f.conj(), size, axis=0)[:n]
+
+    return apply
 
 
 def _energy_scale(mu, c, alpha, v):
@@ -193,11 +192,11 @@ def radial_levels(n_points, length, m1, m2, alpha, c=1.0, kinetic="salpeter",
                   ell=0, softening=None, n_levels=6, return_states=False):
     """Lowest bound-state energies of the radial problem, ascending.
 
-    Matrix-free: H u = DST(T * DST(u)) + V u with the orthonormal DST-I,
-    solved on sine coefficients by LOBPCG with the diagonal preconditioner
-    1/(T(k) + shift).  The shift is the Bohr binding of the highest
-    requested level, E / (2 (ell + n_levels)^2), with the energy scale
-    E = mu (c alpha)^2, or max|V| if that is smaller.  The start block is
+    Matrix-free: on sine coefficients H is diagonal T plus one FFT pair for
+    V, solved by LOBPCG with the diagonal preconditioner 1/(T(k) + shift).
+    The shift is the Bohr binding of the highest requested level,
+    E / (2 (ell + n_levels)^2), with the energy scale E = mu (c alpha)^2,
+    or max|V| if that is smaller.  The start block is
     hydrogen-like, r^(ell+j) exp(-r/((ell+j) a)) for j = 1..n_levels with
     the Bohr radius a = 1/(mu c alpha) kept inside [dr, length].  Every
     level's residual is brought below 1e-8 of E, or below the round-off of
@@ -215,10 +214,11 @@ def radial_levels(n_points, length, m1, m2, alpha, c=1.0, kinetic="salpeter",
            + 64 * np.finfo(float).eps * (tk[-1] + np.abs(v).max()))
     inverse = 1.0 / (tk + scale / (2.0 * (ell + n_levels) ** 2) + tk[0])
 
-    # the iteration runs on sine coefficients, where T and the
-    # preconditioner are diagonal and only V needs the two transforms
+    # on sine coefficients T and the preconditioner are diagonal
+    apply_v = _potential_product(v)
+
     def apply_h(coef):
-        return tk[:, None] * coef + _sine(v[:, None] * _sine(coef))
+        return tk[:, None] * coef + apply_v(coef)
 
     def apply_m(coef):
         return inverse[:, None] * coef

@@ -22,6 +22,7 @@ from instantform.relquant import (
     _MAXITER,
     _energy_scale,
     _lowest_eigenpairs,
+    _radial_terms,
     _start_block,
     kinetic_dispersion,
 )
@@ -269,6 +270,28 @@ def nonrel_fd_levels(n_points, length, mu, alpha, c=1.0, n_levels=6):
     off = np.full(n_points - 1, -0.5 / (mu * dr**2))
     return eigh_tridiagonal(diag, off, select="i",
                             select_range=(0, n_levels - 1))[0]
+
+
+def build_radial_hamiltonian(n_points, length, m1, m2, alpha, c=1.0,
+                             kinetic="salpeter", ell=0, softening=None):
+    """Dense matrix of the radial operator on the interior grid, for checks.
+
+    Returns (H, r).  ``radial_levels`` never forms this matrix; it applies
+    the same operator through sine transforms.  The kinetic part is
+    T = (2/(n+1)) S diag(T(k_m)) S with S_mj = sin(m j pi/(n+1)), the exact
+    representation of T(k^2) under Dirichlet walls at 0 and L.
+    softening defaults to length/(4*n_points); for ell > 0 the centrifugal
+    barrier ell(ell+1)/(2 mu (r^2 + eps^2)) joins the potential, softened
+    the same way.  Raises FloatingPointError when the kinetic or potential
+    term is not finite on the grid, as for a vanishingly small ``length``.
+    """
+    r, tk, v = _radial_terms(n_points, length, m1, m2, alpha, c, kinetic,
+                             ell, softening)
+    idx = np.arange(1, n_points + 1)
+    s = np.sin(np.pi / (n_points + 1) * np.outer(idx, idx))
+    h = (2.0 / (n_points + 1)) * (s @ (tk[:, None] * s))
+    h[np.diag_indices_from(h)] += v
+    return 0.5 * (h + h.T), r
 
 
 def dense_radial_levels(n_points, length, m1, m2, alpha, c=1.0,

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
+from instantform import relquant
 from instantform.errors import NonConvergenceError
 from instantform.relquant import (
-    build_radial_hamiltonian,
+    _potential_product,
+    _sine,
     kinetic_dispersion,
     radial_grid,
     radial_levels,
 )
-from oracles import cartesian_ground_state, dense_radial_levels, nonrel_fd_levels
+from oracles import (
+    build_radial_hamiltonian,
+    cartesian_ground_state,
+    dense_radial_levels,
+    nonrel_fd_levels,
+)
 
 # weak-coupling hydrogen-like setup shared by several tests
 M1 = M2 = 1.0
@@ -114,6 +121,7 @@ def test_eigenvectors_orthonormal():
     pytest.param(2048, 100.0, 0.5, dict(softening=0.8, n_levels=2), id="strong-softened"),
     pytest.param(8, LENGTH, ALPHA, dict(n_levels=1), id="n8"),
     pytest.param(16, LENGTH, ALPHA, dict(n_levels=6), id="n16"),
+    pytest.param(256, LENGTH, ALPHA, dict(n_levels=4), id="n256-prime-dst"),
     pytest.param(64, 50.0, -0.5, dict(n_levels=3), id="repulsive"),
     pytest.param(64, 50.0, 0.0, dict(n_levels=3, kinetic="nonrelativistic"), id="free"),
 ])
@@ -126,6 +134,40 @@ def test_matrix_free_levels_match_dense_oracle(n_points, length, alpha, kw):
         got = radial_levels(n_points, length, M1, M2, alpha, **kw)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 128, 255, 256, 340, 384, 511, 512,
+                               1000, 2048])
+def test_potential_product_matches_two_sine_transforms(n):
+    """One zero-padded FFT pair applies diag(V) in the sine basis.
+
+    2(n + 1) is smooth for some n and has a large prime factor for others
+    (514 = 2 x 257, 4098 = 2 x 3 x 683); the FFT length never depends on it.
+    """
+    rng = np.random.default_rng(n)
+    r = np.arange(1, n + 1) * 50.0 / (n + 1)
+    v = (-1.0 / np.sqrt(r**2 + 0.01) + 3.0 / (r**2 + 0.01)
+         + rng.standard_normal(n))
+    apply_v = _potential_product(v)
+    for columns in (1, 2, 3, 4):
+        x = rng.standard_normal((n, columns))
+        want = _sine(v[:, None] * _sine(x))
+        got = apply_v(x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(v).max() * np.abs(x).max()
+
+
+def test_radial_levels_applies_no_sine_transform_per_product(monkeypatch):
+    calls = []
+
+    def counted(u):
+        calls.append(u.shape)
+        return _sine(u)
+
+    monkeypatch.setattr(relquant, "_sine", counted)
+    radial_levels(2048, LENGTH, M1, M2, ALPHA, n_levels=6)
+    # the start block only, however many products LOBPCG took
+    assert len(calls) <= 2
 
 
 def test_matrix_free_states_match_dense_oracle():
