@@ -37,7 +37,6 @@ mostly-minus, the default, or -1 for mostly-plus): ``minkowski.metric``,
 
 __version__ = "0.1.0"
 
-from . import collective, foliation, minkowski, potentials, radar, relquant, restframe
 from .errors import (
     AdmissibilityError,
     CollisionError,
@@ -71,3 +70,16 @@ __all__ = [
     "NonConvergenceError",
     "ConfigError",
 ]
+
+# Submodules load on first use (PEP 562), so the numpy-only layers never
+# pay for relquant's scipy imports.  __import__ rather than
+# importlib.import_module, whose imports -X importtime does not report.
+_SUBMODULES = {"minkowski", "foliation", "radar", "potentials", "collective",
+               "restframe", "relquant"}
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from . import __version__, collective, foliation, radar, relquant, restframe
+from . import __version__, collective, foliation, potentials, radar, restframe
 from .errors import ConfigError, InstantFormError
 
 __all__ = ["main", "parse_config", "run"]
@@ -124,7 +124,7 @@ _PARTICLES = {
         "p": _VEC3_ZERO,
         "q": _Key("number", 0.0),
     })),
-    "potential": _Key("choice", "none", of=restframe.POTENTIALS),
+    "potential": _Key("choice", "none", of=potentials.POTENTIALS),
     "x0": _Key("number", 0.0),
 }
 _PAIR = {
@@ -133,7 +133,7 @@ _PAIR = {
     "charge_product": _Key("number", 0.0),
     "rho0": _VEC3,
     "pi0": _VEC3_ZERO,
-    "potential": _Key("choice", "coulomb", of=restframe.POTENTIALS),
+    "potential": _Key("choice", "coulomb", of=potentials.POTENTIALS),
     "dtau": _POSITIVE,
     "n_steps": _Key("integer", minimum=1),
     "sample_every": _Key("integer", 1, minimum=1),
@@ -192,7 +192,7 @@ SCHEMA = {
         "m1": _POSITIVE,
         "m2": _POSITIVE,
         "alpha": _POSITIVE,
-        "kinetic": _Key("choice", "salpeter", of=relquant.KINETIC_KINDS),
+        "kinetic": _Key("choice", "salpeter", of=potentials.KINETIC_KINDS),
         "ell": _Key("integer", 0, minimum=0),
         "softening": _Key("number", _OPTIONAL, minimum=0),  # see _default_softening
         "n_levels": _Key("integer", 6, minimum=1),
@@ -532,6 +532,8 @@ def _run_reconstruct(cfg, rng):
 
 
 def _run_spectrum(cfg, rng):
+    from . import relquant  # scipy.fft and scipy.sparse: only spectra load them
+
     def levels_at(n_points, n_levels):
         return relquant.radial_levels(
             n_points, cfg["length"], cfg["m1"], cfg["m2"], cfg["alpha"],

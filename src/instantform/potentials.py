@@ -22,6 +22,7 @@ import numpy as np
 from .errors import SingularPotentialError
 
 __all__ = [
+    "KINETIC_KINDS",
     "POTENTIALS",
     "coulomb_energy",
     "darwin_energy",
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 POTENTIALS = ("none", "coulomb", "coulomb+darwin")
+# two-body kinetic energies of relquant.kinetic_dispersion
+KINETIC_KINDS = ("salpeter", "nonrelativistic")
 
 COINCIDENCE_TOL = 1e-300
 

@@ -9,20 +9,25 @@ echo at w(s_absorb), and set
 
 Both legs are roots of the null condition f(s) = <P - w(s), P - w(s)> = 0,
 located by scanning f for sign changes on the world-line's domain and
-polishing each bracket with a safeguarded root solver.
+polishing each bracket with Brent's method (Brent, Algorithms for
+Minimization without Derivatives, 1973, ch. 4).  An event close to the
+observer can put both roots in one scan cell, so the scan sees no sign
+change; the minimum of f, where <P - w(s), u(s)> = 0, then splits them.
+Radar time is defined near the observer (Bini, Lusanna & Mashhoon, IJMP D
+14, 1413 (2005)), so such events resolve.
 
 radar_coordinates inverts a foliation chart: given an event x and an
 embedding z, it solves z(tau, sigma) = x with a damped Newton iteration on
 the 4x4 system, using the embedding Jacobian.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InversionError, NonTimelikeError, NoSolutionError
-from .minkowski import interval
+from .minkowski import interval, minkowski_dot
 
 __all__ = [
     "Worldline",
@@ -149,14 +154,106 @@ def _null_f(w, event):
     return f
 
 
+# root tolerances of einstein_sync: |s - root| <= (xtol + rtol |s|) / 2
+_XTOL = 1e-14
+_RTOL = 8.9e-16
+
+
+def _brent(f, a, b, xtol, rtol, maxiter=100):
+    """Root of f in [a, b] by Brent's method, f(a) and f(b) of opposite sign.
+
+    A step-for-step port of scipy.optimize.brentq (scipy's Zeros/brentq.c),
+    so it returns the same root bit for bit: inverse quadratic or secant
+    steps when they shrink the bracket fast enough, bisection otherwise,
+    and at least a step of (xtol + rtol |x|) / 2.  Raises ValueError when
+    f(a) and f(b) share a sign or f returns NaN, RuntimeError after
+    ``maxiter`` iterations.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:             # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry   # good short step
+            else:
+                spre = scur = sbis        # bisect
+        else:
+            spre = scur = sbis            # bisect
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
+# einstein_sync solves through this module-level name, which
+# perfbench/tracing.py wraps to count root solves per event
+brentq = _brent
+
+
+def _one_cell_roots(w, event, f, s_grid, i):
+    """Both null roots around the scan sample s_grid[i] where f is least.
+
+    The minimum of f, where <P - w(s), u(s)> = -f'(s)/2 falls through zero,
+    lies within one cell of s_grid[i]; if f < 0 there, one root lies on each
+    side of it.  Empty when the minimum is not bracketed or f >= 0 there.
+    """
+    lo, hi = s_grid[max(i - 1, 0)], s_grid[min(i + 1, len(s_grid) - 1)]
+
+    def slope(s):
+        return float(minkowski_dot(event - w.position(s), w.velocity(s)))
+
+    if not slope(lo) > 0.0 > slope(hi):
+        return []
+    s_min = brentq(slope, lo, hi, _XTOL, _RTOL)
+    if not f(s_min) < 0.0:
+        return []
+    return [brentq(f, lo, s_min, _XTOL, _RTOL), brentq(f, s_min, hi, _XTOL, _RTOL)]
+
+
 def einstein_sync(w, event, scan_points=512):
     """Midpoint radar time of ``event`` as judged by world-line ``w``.
 
     Scans the domain with ``scan_points`` samples for sign changes of the
-    null condition, refines each bracket, and classifies roots into the
-    emission leg (event on the future light cone of w(s)) and absorption leg
-    (event on the past light cone).  Raises NoSolutionError when either leg
-    is missing on the domain, e.g. beyond a Rindler horizon.
+    null condition, refines each bracket by Brent's method, and classifies
+    roots into the emission leg (event on the future light cone of w(s))
+    and absorption leg (event on the past light cone).  When the scan finds
+    no sign change but f > 0 at its start, both roots may lie in one cell,
+    as for an event close to the observer: Brent's method on
+    <P - w(s), u(s)> then finds the minimum of f near the least sample, and
+    if f < 0 there, one root on each side.  Raises NoSolutionError when
+    either leg is missing on the domain, e.g. beyond a Rindler horizon.
     """
     event = np.asarray(event, dtype=float)
     s_grid = np.linspace(w.domain[0], w.domain[1], int(scan_points))
@@ -173,9 +270,11 @@ def einstein_sync(w, event, scan_points=512):
             continue
         if fb == 0.0:
             continue  # picked up by the next interval's left edge
-        roots.append(brentq(f, a, b, xtol=1e-14, rtol=8.9e-16))
+        roots.append(brentq(f, a, b, _XTOL, _RTOL))
     if fvals[-1] == 0.0:
         roots.append(s_grid[-1])
+    if sign_change.size == 0 and fvals[0] > 0.0:
+        roots = _one_cell_roots(w, event, f, s_grid, int(np.argmin(fvals)))
 
     emit = absorb = None
     for s in roots:

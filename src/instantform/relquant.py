@@ -35,6 +35,7 @@ from scipy.fft import dst, irfft, next_fast_len, rfft
 from scipy.sparse.linalg import lobpcg
 
 from .errors import NonConvergenceError
+from .potentials import KINETIC_KINDS
 
 __all__ = [
     "KINETIC_KINDS",
@@ -42,8 +43,6 @@ __all__ = [
     "radial_grid",
     "radial_levels",
 ]
-
-KINETIC_KINDS = ("salpeter", "nonrelativistic")
 
 # radial_levels: residual tolerance as a fraction of the energy scale
 # (see _energy_scale); LOBPCG iterations of one attempt
@@ -136,8 +135,14 @@ def _potential_product(v):
     hankel = rfft(t[2:], size)[:, None]
 
     def apply(coef):
+        # even * f - hankel * conj(f), in place; the operand order keeps
+        # each complex product's rounding
         f = rfft(coef, size, axis=0)
-        return irfft(even * f - hankel * f.conj(), size, axis=0)[:n]
+        g = np.conjugate(f)
+        np.multiply(hankel, g, out=g)
+        np.multiply(even, f, out=f)
+        np.subtract(f, g, out=f)
+        return irfft(f, size, axis=0)[:n]
 
     return apply
 

@@ -1,6 +1,10 @@
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -47,3 +51,22 @@ def test_only_sign_dependent_api_takes_sgn():
                 if "sgn" in inspect.signature(fn).parameters:
                     takers.add(f"{name}.{fn.__qualname__}")
     assert takers == SIGN_DEPENDENT
+
+
+def _scipy_modules_after(imports):
+    """scipy modules loaded by a fresh interpreter after ``imports``."""
+    code = (f"import json, sys; import {imports}; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(instantform.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    return set(json.loads(proc.stdout))
+
+
+def test_kinematics_layers_import_no_scipy():
+    """The package and its numpy-only layers load without scipy; the CLI loads
+    no scipy solver until a spectrum runs."""
+    assert _scipy_modules_after(
+        "instantform, instantform.radar, instantform.collective, instantform.foliation") == set()
+    loaded = _scipy_modules_after("instantform.cli")
+    assert loaded & {"scipy.optimize", "scipy.sparse", "scipy.fft"} == set()

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
+from scipy.optimize import brentq
 
 from instantform.errors import NoSolutionError, NonTimelikeError
 from instantform.radar import (
+    _brent,
     einstein_sync,
     inertial_worldline,
     radar_coordinates,
@@ -137,3 +143,49 @@ def test_radar_coordinates_inverts_embedding():
             got_tau, got_sigma = radar_coordinates(emb, event)
             assert got_tau == pytest.approx(tau, abs=1e-8)
             np.testing.assert_allclose(got_sigma, sigma, atol=1e-8)
+
+
+def test_static_observer_resolves_event_with_both_roots_in_one_cell():
+    """Both null roots of an event 0.1 from a static observer fall inside one
+    scan cell (width 200/511); the radar time is still t, the legs t -/+ 0.1."""
+    w = inertial_worldline(np.zeros(4), np.zeros(3))
+    res = einstein_sync(w, np.array([0.0, 0.1, 0.0, 0.0]))
+    assert res.tau == pytest.approx(0.0, abs=1e-12)
+    assert res.s_emit == pytest.approx(-0.1, abs=1e-12)
+    assert res.s_absorb == pytest.approx(0.1, abs=1e-12)
+
+
+def _solve(solver, *args, **kwargs):
+    try:
+        return solver(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hst.lists(hst.floats(-3.0, 3.0), min_size=4, max_size=4),
+       hst.floats(0.1, 8.0), hst.floats(-4.0, 4.0), hst.floats(1e-3, 5.0),
+       hst.sampled_from([(1e-14, 8.9e-16), (2e-12, 4 * np.finfo(float).eps), (1e-6, 1e-9)]),
+       hst.sampled_from([3, 100]))
+def test_brent_is_scipy_brentq_bit_for_bit(coef, freq, a, width, tols, maxiter):
+    """Same root as scipy.optimize.brentq, or the same error after too few
+    iterations, on smooth functions: a cubic plus a sine over a bracket."""
+    c0, c1, c2, c3 = coef
+
+    def f(x):
+        return c0 + c1 * x + c3 * x**3 + c2 * math.sin(freq * x)
+
+    assume(math.copysign(1.0, f(a)) != math.copysign(1.0, f(a + width)))
+    xtol, rtol = tols
+    want = _solve(brentq, f, a, a + width, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    got = _solve(_brent, f, a, a + width, xtol, rtol, maxiter)
+    assert got == want
+    if isinstance(want, float):
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_brent_refuses_bracket_without_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14, 8.9e-16)
+    with pytest.raises(ValueError, match="different signs"):
+        _brent(lambda x: -1.0 - x * x, 0.0, 2.0, 1e-14, 8.9e-16)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import irfft, next_fast_len, rfft
 
 from instantform import relquant
 from instantform.errors import NonConvergenceError
@@ -155,6 +156,31 @@ def test_potential_product_matches_two_sine_transforms(n):
         got = apply_v(x)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(v).max() * np.abs(x).max()
+
+
+def _out_of_place_product(v):
+    """relquant._potential_product with its product formed out of place."""
+    n = v.shape[0]
+    size = next_fast_len(2 * n - 1, real=True)
+    t = irfft(np.concatenate(([0.0], v, [0.0])), 2 * (n + 1))
+    d = np.arange(size)
+    even = rfft(t[np.minimum(d, size - d)]).real[:, None]
+    hankel = rfft(t[2:], size)[:, None]
+
+    def apply(coef):
+        f = rfft(coef, size, axis=0)
+        return irfft(even * f - hankel * f.conj(), size, axis=0)[:n]
+
+    return apply
+
+
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 511, 1024, 2048, 4096])
+def test_potential_product_in_place_is_bit_for_bit(n):
+    rng = np.random.default_rng(n + 1)
+    r = np.arange(1, n + 1) * 50.0 / (n + 1)
+    v = -1.0 / np.sqrt(r**2 + 0.01) + rng.standard_normal(n)
+    x = rng.standard_normal((n, 6))
+    np.testing.assert_array_equal(_potential_product(v)(x), _out_of_place_product(v)(x))
 
 
 def test_radial_levels_applies_no_sine_transform_per_product(monkeypatch):
