@@ -363,7 +363,8 @@ def moller_tube_sample(sys, n_frames, rapidity_max, seed=0):
     the lab, then measure its transverse distance from the covariant center
     in the system rest frame (where the covariant center is static, so the
     distance is time-independent).  rapidity_max = 0 reproduces the lab
-    center of energy itself.
+    center of energy itself.  All frames go through one stacked pass: one
+    boost_from_h call each for the frame boosts and their inverses.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
@@ -377,14 +378,12 @@ def moller_tube_sample(sys, n_frames, rapidity_max, seed=0):
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     xis = rng.uniform(0.0, rapidity_max, size=n_frames)
 
-    distances = np.empty(n_frames)
-    events_lab = np.empty((n_frames, 4))
-    for k in range(n_frames):
-        hf = np.sinh(xis[k]) * dirs[k]
-        lam = boost_from_h(hf)
-        xe_f = (lam @ g.J @ lam.T)[1:, 0] / (lam @ g.P)[0]   # center of energy, frame time 0
-        events_lab[k] = boost_from_h(-hf) @ np.concatenate(([0.0], xe_f))
-        distances[k] = np.linalg.norm((to_rest @ events_lab[k])[1:] - x_rest)
+    hf = np.sinh(xis)[:, None] * dirs
+    lam = boost_from_h(hf)
+    events_f = np.zeros((n_frames, 4))                   # centers of energy, frame time 0
+    events_f[:, 1:] = (lam @ g.J @ lam.mT)[:, 1:, 0] / (lam[:, 0] @ g.P)[:, None]
+    events_lab = (boost_from_h(-hf) @ events_f[:, :, None])[:, :, 0]
+    distances = np.linalg.norm((events_lab @ to_rest.T)[:, 1:] - x_rest, axis=1)
     return TubeSample(
         distances=distances,
         rapidities=xis,

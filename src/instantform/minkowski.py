@@ -2,7 +2,9 @@
 
 Four-vectors are plain numpy arrays of shape (4,), ordered (x0, x1, x2, x3),
 with the time component carrying the c factor so that all four entries share
-one unit (lengths for events, momentum units for four-momenta).  The metric is
+one unit (lengths for events, momentum units for four-momenta).  The scalar
+products work on trailing axes, and boost_from_h takes a stack of h shaped
+(..., 3) and returns the stack of boosts (..., 4, 4).  The metric is
 
     eta = sgn * diag(+1, -1, -1, -1),      sgn in {+1, -1}
 
@@ -70,16 +72,19 @@ def boost_from_h(h):
     """Pure (rotation-free) boost with velocity parameter h = gamma*beta.
 
     Maps the rest-frame momentum (Mc, 0, 0, 0) to (Mc*sqrt(1+h^2), Mc*h).
+    h may be a stack shaped (..., 3); the result is then shaped (..., 4, 4),
+    and each matrix is bitwise the one a single (3,) call gives.
     """
     h = np.asarray(h, dtype=float)
-    if h.shape != (3,):
-        raise ValueError(f"h must be a 3-vector, got shape {h.shape}")
-    gamma = np.sqrt(1.0 + h @ h)
-    lam = np.empty((4, 4))
-    lam[0, 0] = gamma
-    lam[0, 1:] = h
-    lam[1:, 0] = h
-    lam[1:, 1:] = np.eye(3) + np.outer(h, h) / (1.0 + gamma)
+    if h.shape[-1:] != (3,):
+        raise ValueError(f"h must be a 3-vector or a stack of them, got shape {h.shape}")
+    gamma = np.sqrt(1.0 + np.vecdot(h, h))
+    lam = np.empty(h.shape[:-1] + (4, 4))
+    lam[..., 0, 0] = gamma
+    lam[..., 0, 1:] = h
+    lam[..., 1:, 0] = h
+    outer = h[..., :, None] * h[..., None, :]
+    lam[..., 1:, 1:] = np.eye(3) + outer / (1.0 + gamma)[..., None, None]
     return lam
 
 

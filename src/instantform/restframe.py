@@ -101,7 +101,7 @@ def to_rest_frame(sys):
     mc, h, s_bar = collective.invariant_mass_spin(g)
     x_nw, z, _ = collective.newton_wigner_and_jacobi(g)
 
-    to_rest = boost_from_h(-h)
+    to_rest = g._rest[3]
     center = np.concatenate(([sys.x0], x_nw + sys.x0 * g.P[1:] / g.P[0]))
     tau = float(to_rest[0] @ center)
     x_rest, kappas = collective.map_and_resync(sys, to_rest, np.zeros(4), tau)

@@ -79,27 +79,43 @@ def snapshots(draw, potentials=POTENTIALS, interacting_at_rest=True):
     )
 
 
-def phase_space_gradient(f, sys, eps=1e-5):
-    """Central-difference gradient of f(system) over (x_i^k, p_i^k).
+def phase_space_jacobian(f, sys, eps=1e-5):
+    """Central-difference Jacobian of a vector f(system) over (x_i^k, p_i^k).
 
-    Returns (df_dx, df_dp), each shaped (n, 3).  Used by the canonical
-    bracket checks; deliberately knows nothing about the generators'
-    analytic structure.
+    Returns (df_dx, df_dp), each shaped (m, n, 3) for an f with m components
+    (m = 1 for a scalar f).  f is evaluated 12 n times, however many
+    components it has.  Used by the canonical bracket checks; deliberately
+    knows nothing about the generators' analytic structure.
     """
     n = sys.n
-    df_dx = np.zeros((n, 3))
-    df_dp = np.zeros((n, 3))
+    cols = []
     for i in range(n):
         for k in range(3):
-            for arr, out in ((sys.positions, df_dx), (sys.momenta, df_dp)):
+            for arr in (sys.positions, sys.momenta):
                 keep = arr[i, k]
                 arr[i, k] = keep + eps
-                fp = f(sys)
+                fp = np.asarray(f(sys), dtype=float)
                 arr[i, k] = keep - eps
-                fm = f(sys)
+                fm = np.asarray(f(sys), dtype=float)
                 arr[i, k] = keep
-                out[i, k] = (fp - fm) / (2 * eps)
-    return df_dx, df_dp
+                cols.append((fp - fm) / (2 * eps))
+    jac = np.moveaxis(np.reshape(cols, (n, 3, 2, -1)), -1, 0)   # (m, i, k, x|p)
+    return np.ascontiguousarray(jac[..., 0]), np.ascontiguousarray(jac[..., 1])
+
+
+def phase_space_gradient(f, sys, eps=1e-5):
+    """Central-difference gradient of a scalar f(system) over (x_i^k, p_i^k).
+
+    Returns (df_dx, df_dp), each shaped (n, 3).
+    """
+    df_dx, df_dp = phase_space_jacobian(f, sys, eps)
+    return df_dx[0], df_dp[0]
+
+
+def jacobian_bracket(jac, a, b):
+    """Poisson bracket {f_a, f_b} of two components of a phase_space_jacobian."""
+    df_dx, df_dp = jac
+    return float(np.sum(df_dx[a] * df_dp[b]) - np.sum(df_dx[b] * df_dp[a]))
 
 
 def poisson_bracket(f, g, sys, eps=1e-5):
@@ -118,3 +134,9 @@ def momentum_component(k):
     def f(sys):
         return float(poincare_generators(sys).P[k + 1])
     return f
+
+
+def nw_and_momentum(sys):
+    """(X_NW^1..3 at lab time 0, P^1..3): one vector for all canonical brackets."""
+    g = poincare_generators(sys)
+    return np.concatenate((newton_wigner_and_jacobi(g)[0], g.P[1:]))

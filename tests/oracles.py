@@ -257,6 +257,54 @@ def pauli_lubanski_spin(g, sgn=1):
     return sgn * w_rest[1:] / mc
 
 
+def outer_boost_from_h(h):
+    """One pure boost from a single (3,) h, built with ``h @ h`` and
+    ``np.outer`` where minkowski.boost_from_h broadcasts over a stack."""
+    gamma = np.sqrt(1.0 + h @ h)
+    lam = np.empty((4, 4))
+    lam[0, 0] = gamma
+    lam[0, 1:] = h
+    lam[1:, 0] = h
+    lam[1:, 1:] = np.eye(3) + np.outer(h, h) / (1.0 + gamma)
+    return lam
+
+
+def framewise_moller_tube_sample(sys, n_frames, rapidity_max, seed=0):
+    """collective.moller_tube_sample one frame at a time.
+
+    The same random frames, but two (3,) boosts, one lam J lam^T and one
+    norm per frame in a Python loop, where the library makes one stacked
+    pass over all frames.
+    """
+    if n_frames < 1:
+        raise ValueError("n_frames must be >= 1")
+    if rapidity_max < 0:
+        raise ValueError("rapidity_max must be >= 0")
+    g = collective.poincare_generators(sys)
+    to_rest, x_rest = g._rest[3:]
+
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(n_frames, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    xis = rng.uniform(0.0, rapidity_max, size=n_frames)
+
+    distances = np.empty(n_frames)
+    events_lab = np.empty((n_frames, 4))
+    for k in range(n_frames):
+        hf = np.sinh(xis[k]) * dirs[k]
+        lam = boost_from_h(hf)
+        xe_f = (lam @ g.J @ lam.T)[1:, 0] / (lam @ g.P)[0]   # center of energy, frame time 0
+        events_lab[k] = boost_from_h(-hf) @ np.concatenate(([0.0], xe_f))
+        distances[k] = np.linalg.norm((to_rest @ events_lab[k])[1:] - x_rest)
+    return collective.TubeSample(
+        distances=distances,
+        rapidities=xis,
+        directions=dirs,
+        bound=collective.tube_radius(g),
+        events_lab=events_lab,
+    )
+
+
 def nonrel_fd_levels(n_points, length, mu, alpha, c=1.0, n_levels=6):
     """Second-order finite differences for the bare Coulomb radial problem.
 

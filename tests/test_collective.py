@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
+from instantform import collective
 from instantform.collective import (
     ParticleSystem,
     PoincareGenerators,
@@ -24,15 +25,18 @@ from instantform.errors import NonTimelikeError
 from instantform.foliation import rotation_from_euler_zyz
 from instantform.minkowski import boost_from_h, minkowski_dot, rotation_to_lorentz
 from helpers import (
+    jacobian_bracket,
     momentum_component,
+    nw_and_momentum,
     nw_component,
+    phase_space_jacobian,
     poisson_bracket,
     random_coulomb_pair,
     random_free_system,
     random_spinning_pair,
     snapshots,
 )
-from oracles import pauli_lubanski_spin
+from oracles import framewise_moller_tube_sample, pauli_lubanski_spin
 
 
 def test_generators_shapes_and_antisymmetry():
@@ -202,6 +206,21 @@ def test_newton_wigner_brackets_are_canonical():
                 ) == pytest.approx(want, abs=1e-8)
 
 
+def test_jacobian_brackets_equal_pairwise_brackets_bitwise():
+    """One Jacobian of (X_NW, P) gives every bracket that 12 separate
+    pairs of gradients give, to the bit."""
+    rng = np.random.default_rng(1006)
+    pairs = [(nw_component(i), nw_component(j), i, j)
+             for i in range(3) for j in range(i + 1, 3)]
+    pairs += [(nw_component(i), momentum_component(j), i, 3 + j)
+              for i in range(3) for j in range(3)]
+    for _ in range(3):
+        sys = random_free_system(rng)
+        jac = phase_space_jacobian(nw_and_momentum, sys)
+        for f, g, a, b in pairs:
+            assert jacobian_bracket(jac, a, b) == poisson_bracket(f, g, sys)
+
+
 def test_energy_center_brackets_do_not_vanish():
     # sanity that the bracket machinery has teeth: X_E is not canonical
     rng = np.random.default_rng(11)
@@ -238,6 +257,43 @@ def test_tube_sample_is_reproducible():
     b = moller_tube_sample(sys, n_frames=50, rapidity_max=2.0, seed=9)
     np.testing.assert_array_equal(a.distances, b.distances)
     np.testing.assert_array_equal(a.events_lab, b.events_lab)
+
+
+@pytest.mark.parametrize("rapidity_max", [0.0, 3.0])
+@pytest.mark.parametrize("n_frames", [1, 2, 100, 500])
+def test_tube_sample_matches_framewise_oracle(n_frames, rapidity_max):
+    rng = np.random.default_rng(17)
+    for seed in range(4):
+        sys = random_spinning_pair(rng)
+        got = moller_tube_sample(sys, n_frames, rapidity_max, seed=seed)
+        want = framewise_moller_tube_sample(sys, n_frames, rapidity_max, seed=seed)
+        assert got.rapidities.tobytes() == want.rapidities.tobytes()
+        assert got.directions.tobytes() == want.directions.tobytes()
+        assert got.bound == want.bound
+        np.testing.assert_allclose(got.distances, want.distances,
+                                   rtol=0, atol=1e-13 * want.bound)
+        scale = np.max(np.abs(want.events_lab))
+        np.testing.assert_allclose(got.events_lab, want.events_lab,
+                                   rtol=0, atol=1e-13 * scale)
+        if rapidity_max == 0.0:
+            lab = np.concatenate(([0.0], center_of_energy(poincare_generators(sys), 0.0)))
+            np.testing.assert_allclose(got.events_lab, np.broadcast_to(lab, (n_frames, 4)),
+                                       rtol=0, atol=1e-13 * scale)
+
+
+def test_tube_sample_boosts_all_frames_in_two_stacked_calls(monkeypatch):
+    sys = random_spinning_pair(np.random.default_rng(18))
+    calls = []
+
+    def counted(h):
+        calls.append(np.shape(h))
+        return boost_from_h(h)
+
+    monkeypatch.setattr(collective, "boost_from_h", counted)
+    moller_tube_sample(sys, n_frames=500, rapidity_max=3.0, seed=1)
+    # the rest-frame boost that PoincareGenerators caches, then one stacked
+    # call for the frame boosts and one for their inverses
+    assert len(calls) <= 3
 
 
 def test_tube_offset_closed_form():

@@ -16,7 +16,7 @@ from instantform.minkowski import (
     standard_boost,
     wigner_rotation,
 )
-from oracles import levi_civita4
+from oracles import levi_civita4, outer_boost_from_h
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -70,6 +70,24 @@ def test_boost_from_h_gamma_relation():
     assert lam[0, 0] == pytest.approx(gamma, abs=1e-14)
     np.testing.assert_allclose(lam[0, 1:], h, atol=1e-14)
     assert is_lorentz(lam)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(arrays(float, hst.tuples(hst.integers(1, 4), hst.integers(1, 5), hst.just(3)),
+              elements=hst.floats(-1e3, 1e3)))
+def test_stacked_boost_from_h_equals_single_calls_bitwise_property(h):
+    h[0, 0] = 0.0
+    lam = boost_from_h(h)
+    assert lam.shape == h.shape[:-1] + (4, 4)
+    for idx in np.ndindex(h.shape[:-1]):
+        assert lam[idx].tobytes() == boost_from_h(h[idx]).tobytes()
+        assert lam[idx].tobytes() == outer_boost_from_h(h[idx]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (5, 4), (3, 2)])
+def test_boost_from_h_needs_last_axis_3(shape):
+    with pytest.raises(ValueError):
+        boost_from_h(np.zeros(shape))
 
 
 def test_boost_inverse_is_opposite_h():
