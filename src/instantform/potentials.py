@@ -37,10 +37,19 @@ KINETIC_KINDS = ("salpeter", "nonrelativistic")
 COINCIDENCE_TOL = 1e-300
 
 
-# Stacked dots use np.vecdot, which rounds each row as the one-vector
-# ``a @ b`` does, so a stack gives each vector's own answer bit for bit.
+def _dot3(a, b):
+    """a . b of 3-vectors, row by row for (..., 3) stacks of one shape (or a
+    stack and one 3-vector), as the plain sum (a0 b0 + a1 b1) + a2 b2.
+    ``@`` and np.vecdot go through BLAS, whose dot may fuse the multiply-adds
+    depending on the CPU; this sum rounds alike for a stack, one vector and
+    the same sum on Python floats (evolve's explicit loop).  Indexing the
+    transposes costs a third of ``a[..., 0]`` on one vector."""
+    a, b = a.T, b.T
+    return ((a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]).T
+
+
 def _sep(r_vec, context):
-    r = np.sqrt(np.vecdot(r_vec, r_vec))
+    r = np.sqrt(_dot3(r_vec, r_vec))
     if np.count_nonzero(r <= COINCIDENCE_TOL):
         r_min = float(np.min(r))
         raise SingularPotentialError(f"{context}: particles coincide (|r| = {r_min})")
@@ -49,19 +58,21 @@ def _sep(r_vec, context):
 
 def coulomb_energy(q1q2, r_vec):
     """q1*q2 / (4 pi |r|)."""
-    r = _sep(r_vec, "coulomb")
+    r = _sep(np.asarray(r_vec, dtype=float), "coulomb")
     return q1q2 / (4.0 * np.pi * r)
 
 
 def darwin_energy(q1q2, m1, m2, c, r_vec, p1, p2):
     """Momentum-dependent correction for a particle pair, lab-frame momenta."""
     r_vec = np.asarray(r_vec, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
     r = _sep(r_vec, "darwin")
     rhat = r_vec / r[..., None]
     return (
         q1q2
         / (8.0 * np.pi * m1 * m2 * c**2 * r)
-        * (np.vecdot(p1, p2) + np.vecdot(p1, rhat) * np.vecdot(p2, rhat))
+        * (_dot3(p1, p2) + _dot3(p1, rhat) * _dot3(p2, rhat))
     )
 
 
@@ -97,26 +108,42 @@ def pair_energies(potential, masses, charges, c, positions, momenta):
 
 def relative_potential_energy(potential, q1q2, m1, m2, c, rho, pi):
     """V(rho, pi) for the two-body relative problem (an energy)."""
-    rho = np.asarray(rho, dtype=float)
-    return _pair_energy(potential, q1q2, m1, m2, c, rho, pi, -np.asarray(pi, dtype=float))
+    pi = np.asarray(pi, dtype=float)
+    return _pair_energy(potential, q1q2, m1, m2, c, rho, pi, -pi)
 
 
 def relative_potential_gradients(potential, q1q2, m1, m2, c, rho, pi):
     """(dV/drho, dV/dpi) for the relative problem, both 3-vectors (energies)."""
     rho = np.asarray(rho, dtype=float)
     pi = np.asarray(pi, dtype=float)
+    return (_rho_gradient(potential, q1q2, m1, m2, c, rho, pi),
+            _pi_gradient(potential, q1q2, m1, m2, c, rho, pi))
+
+
+def _rho_gradient(potential, q1q2, m1, m2, c, rho, pi):
+    """dV/drho at the 3-vectors rho, pi (an energy)."""
     if potential == "none":
-        return np.zeros(3), np.zeros(3)
+        return np.zeros(3)
     r = _sep(rho, "potential gradient")
     g_rho = -q1q2 * rho / (4.0 * np.pi * r**3)
-    g_pi = np.zeros(3)
-    if potential == "coulomb+darwin":
-        a = -q1q2 / (8.0 * np.pi * m1 * m2 * c**2)
-        pr = pi @ rho
-        g_rho = g_rho + a * (
-            -(pi @ pi) * rho / r**3 + 2.0 * pr * pi / r**3 - 3.0 * pr**2 * rho / r**5
-        )
-        g_pi = a * (2.0 * pi / r + 2.0 * pr * rho / r**3)
-    elif potential != "coulomb":
+    if potential == "coulomb":
+        return g_rho
+    if potential != "coulomb+darwin":
         raise ValueError(f"unknown potential {potential!r}")
-    return g_rho, g_pi
+    a = -q1q2 / (8.0 * np.pi * m1 * m2 * c**2)
+    pr = _dot3(pi, rho)
+    return g_rho + a * (
+        -_dot3(pi, pi) * rho / r**3 + 2.0 * pr * pi / r**3 - 3.0 * pr**2 * rho / r**5
+    )
+
+
+def _pi_gradient(potential, q1q2, m1, m2, c, rho, pi):
+    """dV/dpi at the 3-vectors rho, pi (an energy); zero unless the Darwin
+    term is on."""
+    if potential in ("none", "coulomb"):
+        return np.zeros(3)
+    if potential != "coulomb+darwin":
+        raise ValueError(f"unknown potential {potential!r}")
+    r = _sep(rho, "potential gradient")
+    a = -q1q2 / (8.0 * np.pi * m1 * m2 * c**2)
+    return a * (2.0 * pi / r + 2.0 * _dot3(pi, rho) * rho / r**3)

@@ -26,11 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import collective
-from .errors import CollisionError, NonConvergenceError
+from .errors import CollisionError, NonConvergenceError, SingularPotentialError
 from .foliation import Embedding
 from .minkowski import boost_from_h
 from .potentials import (
+    COINCIDENCE_TOL,
     POTENTIALS,
+    _dot3,
+    _pi_gradient,
+    _rho_gradient,
     pair_energies,
     relative_potential_energy,
     relative_potential_gradients,
@@ -223,13 +227,13 @@ def rest_frame_from_relative(rel, potential, z=None, h=None, charges=None):
     )
 
 
-# Stacked (..., 3) dots use np.vecdot: it rounds each row exactly as the
-# one-vector ``a @ b`` does, which einsum and sum(a * b) do not.  Hence no
-# collective._kinetic_energies here: its np.sum(p**2) differs in about a fifth
-# of rows, and evolve's energy drift is pinned bit for bit.
+# pi^2 is potentials._dot3, the plain sum that evolve's explicit loop repeats
+# on Python floats, so Mc over a whole trajectory is bitwise Mc sample by
+# sample.  Hence no collective._kinetic_energies here: its np.sum(p**2) sums
+# pairwise and differs in about a fifth of rows.
 def _energies(rel, pi):
     """Kinetic energies (E1, E2) of the pair at relative momenta pi (..., 3)."""
-    p2 = np.vecdot(pi, pi)
+    p2 = _dot3(pi, pi)
     return np.sqrt((rel.m1 * rel.c) ** 2 + p2), np.sqrt((rel.m2 * rel.c) ** 2 + p2)
 
 
@@ -285,6 +289,18 @@ class Trajectory:
         return float(np.max(np.abs(self.H - self.H[0])) / abs(self.H[0]))
 
 
+def _swept_distance(a, b):
+    """Closest approach to the origin of the straight segment a -> b (two
+    3-sequences), in potentials._dot3's plain sums.  Both evolve schemes
+    decide a collision by it."""
+    ax, ay, az = a
+    dx, dy, dz = b[0] - ax, b[1] - ay, b[2] - az
+    dd = (dx * dx + dy * dy) + dz * dz
+    t = 0.0 if dd == 0.0 else min(max(-((ax * dx + ay * dy) + az * dz) / dd, 0.0), 1.0)
+    cx, cy, cz = ax + t * dx, ay + t * dy, az + t * dz
+    return math.sqrt((cx * cx + cy * cy) + cz * cz)
+
+
 def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-3):
     """Integrate the relative motion under the invariant-mass Hamiltonian.
 
@@ -293,18 +309,24 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
     A fixed-step second-order symmetric (generalized leapfrog) scheme:
     momentum-independent potentials use the explicit kick-drift-kick form,
     first same as last: dH/drho does not depend on pi there, so the
-    gradient of each closing half kick opens the next step, one potential
-    gradient per step.  The Darwin term makes dH/drho depend on pi and
-    dH/dpi on rho, so those substeps turn implicit and are solved by
-    fixed-point iteration to a relative update of ``meta["fp_tol"]`` = 1e-12
-    (NonConvergenceError after ``fp_max_iter`` sweeps).  The loop stores rho
-    and pi only; Mc and the angular momentum rho x pi are evaluated over the
-    whole trajectory once it is done.
+    gradient of each closing half kick opens the next step.  That loop runs
+    on Python floats, one potential gradient call per trajectory; its
+    arithmetic is that of the numpy helpers term by term, with every dot
+    the plain sum of potentials._dot3, so the samples do not depend on the
+    machine's BLAS.  The Darwin term makes dH/drho depend on pi and dH/dpi
+    on rho, so those substeps turn implicit and are solved by fixed-point
+    iteration to a relative update of ``meta["fp_tol"]`` = 1e-12
+    (NonConvergenceError after ``fp_max_iter`` sweeps); the momentum sweeps
+    evaluate only dH/drho and the position sweeps only dH/dpi.  The loops
+    store rho and pi only; Mc and the angular momentum rho x pi are
+    evaluated over the whole trajectory once it is done.
 
     Raises CollisionError, carrying the last good sample, when a step passes
     within ``collision_fraction`` times the initial separation of rho = 0
     (checked against the whole straight segment swept during the step, so a
     plunge cannot tunnel through the singularity between samples).
+    Extreme inputs may end in OverflowError or ZeroDivisionError from the
+    float arithmetic where numpy would carry inf or NaN on.
     """
     if potential not in POTENTIALS:
         raise ValueError(f"potential must be one of {POTENTIALS}")
@@ -317,75 +339,99 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
     implicit = potential == "coulomb+darwin"
     rho = np.array(rel.rho, dtype=float)
     pi = np.array(rel.pi, dtype=float)
-    r_floor = collision_fraction * np.linalg.norm(rho)
+    r_floor = collision_fraction * math.sqrt(_dot3(rho, rho))
     # Mc at the start: a coincident pair fails on V before any step is taken
     _mass_and_weights(rel, potential, rho, pi)
 
     taus = rel.tau + dtau * np.arange(n_steps + 1)
-    rhos = np.empty((n_steps + 1, 3))
-    pis = np.empty((n_steps + 1, 3))
-    rhos[0] = rho
-    pis[0] = pi
+    rows = [(*rho.tolist(), *pi.tolist())]  # (rho, pi) per sample
 
     def fixed_point(update, x, what, k):
         """Iterate x <- update(x) until an update moves x by at most _FP_TOL."""
         for sweep in range(fp_max_iter):
             x_new = update(x)
-            delta = np.max(np.abs(x_new - x))
+            delta = np.abs(x_new - x).max()
             x = x_new
-            if delta <= _FP_TOL * max(1.0, np.max(np.abs(x))):
+            if delta <= _FP_TOL * max(1.0, np.abs(x).max()):
                 return x, sweep + 1
         raise NonConvergenceError(
             f"implicit {what} substep stalled at step {k} (last update {delta:.3e})"
         )
 
     def check_separation(k, rho_old, rho):
-        # closest approach of the swept segment to the origin
-        d = rho - rho_old
-        dd = d.dot(d)
-        t = 0.0 if dd == 0.0 else min(max(-rho_old.dot(d) / dd, 0.0), 1.0)
-        closest = rho_old + t * d
-        if math.sqrt(closest.dot(closest)) <= r_floor:
+        if _swept_distance(rho_old, rho) <= r_floor:
+            last = rows[-1]
             raise CollisionError(
                 f"separation fell below {r_floor:.3e} during step {k}",
-                last_state=(float(taus[k - 1]), rhos[k - 1].copy(), pis[k - 1].copy()),
+                last_state=(float(taus[k - 1]), np.array(last[:3]), np.array(last[3:])),
             )
 
     max_sweeps = 0
+    c = float(rel.c)
     if implicit:
+        args = (potential, rel.charge_product, rel.m1, rel.m2, rel.c)
+
+        def dh_drho(r, p):
+            return _rho_gradient(*args, r, p) / c
+
         for k in range(1, n_steps + 1):
             # half kick, implicit in the updated momentum
             pi_h, sweeps = fixed_point(
-                lambda p: pi - 0.5 * dtau * _gradients(rel, potential, rho, p)[0],
-                pi, "momentum", k,
+                lambda p: pi - 0.5 * dtau * dh_drho(rho, p), pi, "momentum", k,
             )
             max_sweeps = max(max_sweeps, sweeps)
-            # symmetric drift, implicit in the updated position
-            _, g_pi_old = _gradients(rel, potential, rho, pi_h)
+            # symmetric drift, implicit in the updated position; pi_h and with
+            # it the kinetic part of dH/dpi stay fixed over the sweeps
+            e1, e2 = _energies(rel, pi_h)
+            v_kin = pi_h * (1.0 / e1 + 1.0 / e2)
+
+            def dh_dpi(r):
+                return v_kin + _pi_gradient(*args, r, pi_h) / c
+
+            g_pi_old = dh_dpi(rho)
             rho_new, sweeps = fixed_point(
-                lambda r: rho + 0.5 * dtau * (g_pi_old + _gradients(rel, potential, r, pi_h)[1]),
+                lambda r: rho + 0.5 * dtau * (g_pi_old + dh_dpi(r)),
                 rho + dtau * g_pi_old, "position", k,
             )
             max_sweeps = max(max_sweeps, sweeps)
-            pi = pi_h - 0.5 * dtau * _gradients(rel, potential, rho_new, pi_h)[0]
-            check_separation(k, rho, rho_new)
-            rho = rhos[k] = rho_new
-            pis[k] = pi
+            pi = pi_h - 0.5 * dtau * dh_drho(rho_new, pi_h)
+            check_separation(k, rho.tolist(), rho_new.tolist())
+            rho = rho_new
+            rows.append((*rho.tolist(), *pi.tolist()))
     else:
-        q, m1, m2, c = rel.charge_product, rel.m1, rel.m2, rel.c
-        g_rho, g_pi = relative_potential_gradients(potential, q, m1, m2, c, rho, pi)
-        # g_pi is zero here; adding it keeps the signed zeros of dH/dpi
-        g_rho, g_pi = g_rho / c, g_pi / c
+        # _gradients and _energies written out on floats; dV/dpi is zero here
+        # and is still added, as +0.0, so the signed zeros of dH/dpi match
+        q = float(rel.charge_product)
+        m1c2, m2c2 = float((rel.m1 * rel.c) ** 2), float((rel.m2 * rel.c) ** 2)
+        dtau = float(dtau)
+        half = 0.5 * dtau
+        coulomb = potential == "coulomb"
+        x, y, z, px, py, pz = rows[0]
+        gx, gy, gz = _gradients(rel, potential, rho, pi)[0].tolist()
         for k in range(1, n_steps + 1):
-            pi_h = pi - 0.5 * dtau * g_rho
-            e1, e2 = _energies(rel, pi_h)
-            rho_new = rho + dtau * (pi_h * (1.0 / e1 + 1.0 / e2) + g_pi)
-            g_rho = relative_potential_gradients(potential, q, m1, m2, c, rho_new, pi_h)[0] / c
-            pi = pi_h - 0.5 * dtau * g_rho
-            check_separation(k, rho, rho_new)
-            rho = rhos[k] = rho_new
-            pis[k] = pi
+            hx, hy, hz = px - half * gx, py - half * gy, pz - half * gz
+            p2 = (hx * hx + hy * hy) + hz * hz
+            w = 1.0 / math.sqrt(m1c2 + p2) + 1.0 / math.sqrt(m2c2 + p2)
+            nx = x + dtau * (hx * w + 0.0)
+            ny = y + dtau * (hy * w + 0.0)
+            nz = z + dtau * (hz * w + 0.0)
+            if coulomb:
+                r = math.sqrt((nx * nx + ny * ny) + nz * nz)
+                if r <= COINCIDENCE_TOL:
+                    raise SingularPotentialError(
+                        f"potential gradient: particles coincide (|r| = {r})")
+                try:
+                    s = 4.0 * math.pi * r**3
+                except OverflowError:  # numpy's r**3 is inf, and the force zero
+                    s = math.inf
+                gx, gy, gz = -q * nx / s / c, -q * ny / s / c, -q * nz / s / c
+            px, py, pz = hx - half * gx, hy - half * gy, hz - half * gz
+            check_separation(k, (x, y, z), (nx, ny, nz))
+            x, y, z = nx, ny, nz
+            rows.append((x, y, z, px, py, pz))
 
+    states = np.array(rows)
+    rhos, pis = states[:, :3], states[:, 3:]
     scheme = "generalized-leapfrog(implicit)" if implicit else "leapfrog"
     traj = Trajectory(
         tau=taus, rho=rhos, pi=pis,

@@ -367,6 +367,47 @@ def test_tiny_positive_scale_exits_3_with_strict_json(tmp_path, sub, cfg, error)
     assert strict_json(os.path.join(rd, "failure.json"))["error"] == error
 
 
+PAIR_CFG = {
+    "m1": 1.0, "m2": 1.5, "charge_product": -2.0,
+    "rho0": [1.0, 0.0, 0.0], "pi0": [0.0, 0.309, 0.0],
+    "potential": "coulomb", "dtau": 0.01, "n_steps": 200, "sample_every": 10,
+}
+
+
+@pytest.mark.parametrize("sub", ["evolve", "reconstruct"])
+@pytest.mark.parametrize("change, want", [
+    pytest.param({"rho0": [1e200, 0.0, 0.0]}, 3, id="rho-1e200"),
+    pytest.param({"rho0": [1e-200, 0.0, 0.0]}, 3, id="rho-1e-200"),
+    # |rho|**3 overflows, the force underflows to zero: a finite free drift
+    pytest.param({"rho0": [1e120, 0.0, 0.0]}, 0, id="rho-1e120"),
+    pytest.param({"pi0": [0.0, 1e200, 0.0]}, 3, id="pi-1e200"),
+    pytest.param({"pi0": [0.0, 1e300, 0.0]}, 3, id="pi-1e300"),
+    pytest.param({"charge_product": -1e300}, 3, id="charge-1e300"),
+    pytest.param({"charge_product": 1e-300}, 0, id="charge-1e-300"),
+    pytest.param({"dtau": 1e300}, 3, id="dtau-1e300"),
+    pytest.param({"dtau": 1e-300}, 0, id="dtau-1e-300"),
+    pytest.param({"m1": 1e300, "m2": 1e300}, 3, id="masses-1e300"),
+    pytest.param({"m1": 1e-300, "m2": 1e-300}, 0, id="masses-1e-300"),
+    pytest.param({"rho0": [1e-300, 0.0, 0.0], "pi0": [0.0, 0.0, 0.0]}, 3, id="rho-1e-300-at-rest"),
+    pytest.param({"potential": "none", "pi0": [0.0, 1e300, 0.0]}, 3, id="free-pi-1e300"),
+])
+def test_extreme_pair_configs_keep_their_exit_codes(tmp_path, sub, change, want):
+    """Overflow, underflow and division by zero on extreme pair states end in
+    exit 3 with a strict failure.json, whether numpy returns inf/NaN or Python
+    float arithmetic raises; tiny scales that stay finite exit 0."""
+    cfg = {**PAIR_CFG, **change}
+    if sub == "reconstruct":
+        cfg.update(z=[0.0, 0.0, 0.0], h=[0.6, 0.0, 0.2])
+    code, out = run_cli(tmp_path, sub, cfg)
+    assert code == want
+    rd = only_run_dir(out)
+    if want == 3:
+        assert os.listdir(rd) == ["failure.json"]
+        strict_json(os.path.join(rd, "failure.json"))
+    else:
+        assert "manifest.json" in os.listdir(rd)
+
+
 # run-directory names of the committed configs; a change to how configs
 # resolve moves them
 COMMITTED_DIGESTS = {

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from instantform.errors import SingularPotentialError
 from instantform.potentials import (
+    _dot3,
     coulomb_energy,
     darwin_energy,
     relative_potential_energy,
@@ -82,3 +86,24 @@ def test_potential_none_is_zero():
 def test_unknown_potential_rejected():
     with pytest.raises(ValueError):
         relative_potential_energy("yukawa", 1.0, 1, 1, 1, np.ones(3), np.ones(3))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(array_shapes(min_dims=0, max_dims=2, max_side=4), hst.data())
+def test_dot3_stack_rows_and_float_sum_agree_bitwise(stack, data):
+    """_dot3 of a stack is each row's _dot3, and each row is the plain
+    left-to-right sum on Python floats, bit for bit (signed zeros too)."""
+    shape = stack + (3,)
+    elements = hst.floats(-1e100, 1e100)  # no product overflows
+    a = data.draw(arrays(float, shape, elements=elements))
+    b = data.draw(arrays(float, shape, elements=elements))
+    got = np.asarray(_dot3(a, b))
+    assert got.shape == stack
+    for idx in np.ndindex(stack):
+        (a0, a1, a2), (b0, b1, b2) = a[idx].tolist(), b[idx].tolist()
+        want = np.float64((a0 * b0 + a1 * b1) + a2 * b2).tobytes()
+        assert got[idx].tobytes() == np.float64(_dot3(a[idx], b[idx])).tobytes() == want
+    if stack:  # one 3-vector against the whole stack
+        row = b[(0,) * len(stack)]
+        assert np.asarray(_dot3(a, row)).tobytes() == np.array(
+            [_dot3(a[idx], row) for idx in np.ndindex(stack)]).reshape(stack).tobytes()

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
+from instantform import potentials, restframe
 from instantform.collective import (
     ParticleSystem,
     PoincareGenerators,
@@ -456,6 +461,57 @@ def test_evolve_and_reconstruct_match_stepwise_oracle_bitwise(potential):
     assert finished >= 12
     if potential != "none":
         assert collisions >= 2
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(arrays(float, 3, elements=hst.floats(-1e3, 1e3)),
+       arrays(float, 3, elements=hst.floats(-1e3, 1e3)),
+       arrays(float, 3, elements=hst.floats(-1e3, 1e3)),
+       hst.floats(-10.0, 10.0), hst.floats(0.1, 10.0), hst.floats(0.1, 10.0),
+       hst.floats(0.1, 10.0))
+def test_numpy_helpers_equal_the_explicit_loops_float_arithmetic(rho, pi, rho_next, q, m1, m2, c):
+    """On one 3-vector, dH/drho of _gradients (coulomb), the kinetic energies
+    and the swept-segment distance equal evolve's Python-float arithmetic
+    bit for bit; this keeps the explicit loop and the numpy helpers that
+    the stepwise oracle and the stacked Mc use in step."""
+    x, y, z = rho.tolist()
+    r = math.sqrt((x * x + y * y) + z * z)
+    assume(r > 1e-100)
+    s = 4.0 * math.pi * r**3
+    rel = RelativeState(m1=m1, m2=m2, rho=rho, pi=pi, charge_product=q, c=c)
+    g_rho = restframe._gradients(rel, "coulomb", rho, pi)[0]
+    assert g_rho.tobytes() == np.array([-q * v / s / c for v in (x, y, z)]).tobytes()
+
+    px, py, pz = pi.tolist()
+    p2 = (px * px + py * py) + pz * pz
+    e1, e2 = restframe._energies(rel, pi)
+    assert np.float64(e1).tobytes() == np.float64(math.sqrt((m1 * c) ** 2 + p2)).tobytes()
+    assert np.float64(e2).tobytes() == np.float64(math.sqrt((m2 * c) ** 2 + p2)).tobytes()
+
+    # the swept segment in numpy arithmetic: the plain dots of _dot3
+    d = rho_next - rho
+    dd = potentials._dot3(d, d)
+    t = 0.0 if dd == 0.0 else min(max(-potentials._dot3(rho, d) / dd, 0.0), 1.0)
+    closest = rho + t * d
+    want = np.sqrt(potentials._dot3(closest, closest))
+    got = restframe._swept_distance(rho.tolist(), rho_next.tolist())
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_explicit_evolve_makes_at_most_one_gradient_call(monkeypatch):
+    """The explicit leapfrog steps on Python floats: the numpy gradient is
+    evaluated once, to open the first step, not once per step."""
+    rel = RelativeState(m1=1.0, m2=1.5, rho=np.array([1.0, 0.0, 0.0]),
+                        pi=np.array([0.0, 0.309, 0.0]), charge_product=-2.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return potentials.relative_potential_gradients(*args)
+
+    monkeypatch.setattr(restframe, "relative_potential_gradients", counted)
+    evolve(rel, "coulomb", 0.01, 500)
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("potential", ["coulomb", "coulomb+darwin"])
