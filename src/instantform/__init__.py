@@ -71,8 +71,8 @@ __all__ = [
     "ConfigError",
 ]
 
-# Submodules load on first use (PEP 562), so the numpy-only layers never
-# pay for relquant's scipy imports.  __import__ rather than
+# Submodules load on first use (PEP 562), so a program pays only for the
+# layers it uses.  __import__ rather than
 # importlib.import_module, whose imports -X importtime does not report.
 _SUBMODULES = {"minkowski", "foliation", "radar", "potentials", "collective",
                "restframe", "relquant"}

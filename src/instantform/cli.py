@@ -532,7 +532,7 @@ def _run_reconstruct(cfg, rng):
 
 
 def _run_spectrum(cfg, rng):
-    from . import relquant  # scipy.fft and scipy.sparse: only spectra load them
+    from . import relquant  # only spectra load the solver
 
     def levels_at(n_points, n_levels):
         return relquant.radial_levels(

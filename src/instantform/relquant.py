@@ -16,13 +16,16 @@ on a uniform grid with u(0) = u(L) = 0; the sine transform (DST-I)
 diagonalizes any function of k^2 on that grid, so the square roots above
 are exact in the basis rather than Taylor-expanded.
 
-The solver forms no matrix.  On sine coefficients H applied to a block of
-vectors is diagonal T plus one FFT pair for V, since multiplying by V is a
-symmetric convolution there (Martucci, IEEE Trans. Signal Process. 42,
-1038 (1994)) that zero-pads to a fast length.  The lowest levels come from
-LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) preconditioned in
-momentum space by 1/(T(k) + shift), the choice of plane-wave codes (Teter,
-Payne & Allan, PRB 40, 12255 (1989)).
+The solver forms no matrix and needs numpy alone.  On sine coefficients H
+applied to a block of vectors is diagonal T plus one FFT pair for V, since
+multiplying by V is a symmetric convolution there (Martucci, IEEE Trans.
+Signal Process. 42, 1038 (1994)) that zero-pads to a 5-smooth length; the
+sine transform itself is one rfft of the odd extension.  The lowest levels
+come from a block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001))
+preconditioned in momentum space by 1/(T(k) + shift), the choice of
+plane-wave codes (Teter, Payne & Allan, PRB 40, 12255 (1989)), whose basis
+is kept orthonormal as by Hetmaniuk & Lehoucq (J. Comput. Phys. 218, 324
+(2006)), so that Rayleigh-Ritz is a plain symmetric eigensolve.
 
 The Coulomb singularity is softened, V = -alpha*c/sqrt(r^2 + eps^2), with
 eps defaulting to a quarter grid spacing.
@@ -31,8 +34,7 @@ eps defaulting to a quarter grid spacing.
 import warnings
 
 import numpy as np
-from scipy.fft import dst, irfft, next_fast_len, rfft
-from scipy.sparse.linalg import lobpcg
+from numpy.fft import irfft, rfft
 
 from .errors import NonConvergenceError
 from .potentials import KINETIC_KINDS
@@ -45,11 +47,9 @@ __all__ = [
 ]
 
 # radial_levels: residual tolerance as a fraction of the energy scale
-# (see _energy_scale); LOBPCG iterations of one attempt
+# (see _energy_scale); LOBPCG iterations, restarts included
 _RADIAL_TOL = 1e-8
 _MAXITER = 200
-# LOBPCG calls before a residual check that keeps failing is final
-_ATTEMPTS = 3
 
 
 def kinetic_dispersion(k, m1, m2, c=1.0, kind="salpeter"):
@@ -114,8 +114,30 @@ def _radial_terms(n_points, length, m1, m2, alpha, c, kinetic, ell, softening):
 
 
 def _sine(u):
-    """Orthonormal DST-I down the columns; it is its own inverse."""
-    return dst(u, type=1, norm="ortho", axis=0)
+    """Orthonormal DST-I down the columns; it is its own inverse.
+
+    One rfft of the odd extension (0, u, 0, -reversed u) of period 2(n+1),
+    whose imaginary part is -2 times the sine sum.
+    """
+    n = u.shape[0]
+    odd = np.zeros((2 * (n + 1),) + u.shape[1:])
+    odd[1:n + 1] = u
+    odd[n + 2:] = -u[::-1]
+    return rfft(odd, axis=0).imag[1:n + 1] * -(2 * (n + 1)) ** -0.5
+
+
+def _next_fast_len(n):
+    """Smallest 2^a 3^b 5^c >= n, the rfft sizes pocketfft is fastest at."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to n or beyond
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _potential_product(v):
@@ -127,7 +149,7 @@ def _potential_product(v):
     rfft is conj(X) times a phase that the Hankel kernel absorbs.
     """
     n = v.shape[0]
-    size = next_fast_len(2 * n - 1, real=True)
+    size = _next_fast_len(2 * n - 1)
     t = irfft(np.concatenate(([0.0], v, [0.0])), 2 * (n + 1))
     d = np.arange(size)
     # circularly even, so its spectrum is real; the middle of it is never read
@@ -157,40 +179,78 @@ def _start_block(columns):
     """Orthonormal start block: the unit columns plus a seeded perturbation.
 
     The perturbation, 1e-3 of each column, keeps the preconditioned
-    residuals of nearly parallel columns independent, which lobpcg needs
-    at its first step, and breaks symmetries the columns share.
+    residuals of nearly parallel columns independent at the first step,
+    and breaks symmetries the columns share.
     """
     x = columns / np.linalg.norm(columns, axis=0)
     noise = np.random.default_rng(7).standard_normal(x.shape)
     return np.linalg.qr(x + 1e-3 / np.sqrt(x.shape[0]) * noise)[0]
 
 
+def _orthonormal_directions(basis, w):
+    """Orthonormal columns spanning the part of ``w`` orthogonal to the
+    orthonormal ``basis``: two block Gram-Schmidt passes, then a QR.  A
+    column left with under 1e-10 of its norm is dropped and the rest redone,
+    so a near-dependent column cannot carry noise into the basis."""
+    v = w
+    for _ in range(2):
+        v = v - basis @ (basis.T @ v)
+    q, r = np.linalg.qr(v)
+    keep = np.abs(np.diagonal(r)) > 1e-10 * np.linalg.norm(w, axis=0)
+    return q if keep.all() else _orthonormal_directions(basis, w[:, keep])
+
+
 def _lowest_eigenpairs(apply_h, apply_m, x, tol, maxiter, where):
     """Lowest eigenpairs of a symmetric operator, one per column of ``x``.
 
-    Runs preconditioned LOBPCG from the orthonormal start block ``x``.
-    lobpcg can return early without a warning, so every level's residual
-    |H x - lambda x| is checked here against ``tol``; a failed check
-    restarts from the returned block, and after _ATTEMPTS calls raises
-    NonConvergenceError.  Returns (ascending values, vectors).
+    Block LOBPCG from the start block ``x``, kept orthonormal as by
+    Hetmaniuk & Lehoucq: the preconditioned residuals W of the unconverged
+    columns are made orthonormal to [X, P], and P is the complement of the
+    Ritz vectors inside the span of [W, P], so Rayleigh-Ritz on [X, W, P]
+    is a plain eigh.  Each iteration applies H to W only; H X and H P are
+    carried by the small-space combinations that give X and P.  When the
+    carried residuals all meet ``tol``, or ``maxiter`` iterations in all
+    have run, H X is computed afresh and every level's true residual
+    |H x - lambda x| checked against ``tol``.  The block restarts from
+    there while the worst residual at least halves, else raises
+    NonConvergenceError.  Returns (ascending values, orthonormal vectors).
     """
-    for _ in range(_ATTEMPTS):
-        with warnings.catch_warnings():
-            # it warns when it stops short (checked below) and when it hands
-            # a block too large for the problem to a dense solver
-            warnings.simplefilter("ignore", UserWarning)
-            vals, x = lobpcg(apply_h, x, M=apply_m, tol=tol, maxiter=maxiter,
-                             largest=False)
-        order = np.argsort(vals)
-        vals, x = vals[order], x[:, order]
-        res = np.linalg.norm(apply_h(x) - x * vals, axis=0)
-        if np.all(res <= tol):
+    k = x.shape[1]
+    worst, iterations, restarts = np.inf, 0, -1
+    while True:
+        restarts += 1
+        x = np.linalg.qr(x)[0]
+        hx = apply_h(x)
+        vals, c = np.linalg.eigh(x.T @ hx)
+        x, hx = x @ c, hx @ c
+        res = np.linalg.norm(hx - x * vals, axis=0).max()
+        if res <= tol:
             return vals, x
-    raise NonConvergenceError(
-        f"LOBPCG left a residual of {res.max():.2e} (tolerance {tol:.2e}) "
-        f"for the {len(vals)} lowest levels on {where} after {_ATTEMPTS} "
-        f"attempts of {maxiter} iterations"
-    )
+        if not (res <= 0.5 * worst and iterations < maxiter):
+            raise NonConvergenceError(
+                f"LOBPCG left a residual of {res:.2e} (tolerance {tol:.2e}) "
+                f"for the {k} lowest levels on {where} after {iterations} "
+                f"iterations and {restarts} restarts"
+            )
+        worst = res
+        xp, hxp = x, hx  # [X, P] and H [X, P]; P is empty at a restart
+        while iterations < maxiter:
+            r = hxp[:, :k] - xp[:, :k] * vals
+            active = np.linalg.norm(r, axis=0) > tol
+            if not active.any():
+                break
+            iterations += 1
+            w = _orthonormal_directions(xp, apply_m(r[:, active]))
+            s, hs = np.hstack((xp, w)), np.hstack((hxp, apply_h(w)))
+            theta, y = np.linalg.eigh(s.T @ hs)
+            vals, y = theta[:k], y[:, :k]
+            # P: the active Ritz vectors' steps out of X, made orthogonal
+            # to the Ritz vectors within the small space
+            z = y[:, active].copy()
+            z[:k] = 0.0
+            yz = np.hstack((y, _orthonormal_directions(y, z)))
+            xp, hxp = s @ yz, hs @ yz
+        x = xp[:, :k]
 
 
 def radial_levels(n_points, length, m1, m2, alpha, c=1.0, kinetic="salpeter",

@@ -325,8 +325,10 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
     within ``collision_fraction`` times the initial separation of rho = 0
     (checked against the whole straight segment swept during the step, so a
     plunge cannot tunnel through the singularity between samples).
-    Extreme inputs may end in OverflowError or ZeroDivisionError from the
-    float arithmetic where numpy would carry inf or NaN on.
+    Raises OverflowError before the first step when |rho0|, the collision
+    floor or Mc is not finite.  Extreme inputs may end in OverflowError or
+    ZeroDivisionError from the float arithmetic where numpy would carry inf
+    or NaN on.
     """
     if potential not in POTENTIALS:
         raise ValueError(f"potential must be one of {POTENTIALS}")
@@ -339,9 +341,13 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
     implicit = potential == "coulomb+darwin"
     rho = np.array(rel.rho, dtype=float)
     pi = np.array(rel.pi, dtype=float)
-    r_floor = collision_fraction * math.sqrt(_dot3(rho, rho))
+    separation = math.sqrt(_dot3(rho, rho))
+    r_floor = collision_fraction * separation
     # Mc at the start: a coincident pair fails on V before any step is taken
-    _mass_and_weights(rel, potential, rho, pi)
+    mc = _mass_and_weights(rel, potential, rho, pi)[0]
+    if not (math.isfinite(r_floor) and math.isfinite(mc)):
+        raise OverflowError(
+            f"the initial state overflows: |rho0| = {separation:.3e}, Mc = {mc:.3e}")
 
     taus = rel.tau + dtau * np.arange(n_steps + 1)
     rows = [(*rho.tolist(), *pi.tolist())]  # (rho, pi) per sample

@@ -382,7 +382,7 @@ def cartesian_ground_state(n_points, length, m1, m2, alpha, c=1.0,
     of ``radial_levels`` with the preconditioner 1/(T(|k|) + shift) on the
     FFT grid; every level's residual must fall below ``tol`` times the
     energy scale E of ``radial_levels`` within ``maxiter`` iterations
-    (default 200) of one of a few restarts, else NonConvergenceError.  The
+    (default 200), restarts included, else NonConvergenceError.  The
     start block is a seeded perturbation of exp(-r/(0.1 length)), which
     breaks the cube's symmetries.  The box is a cube of side ``length``
     centered on the charge, momenta are the periodic FFT frequencies, and

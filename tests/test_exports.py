@@ -53,14 +53,15 @@ def test_only_sign_dependent_api_takes_sgn():
     assert takers == SIGN_DEPENDENT
 
 
-def _scipy_modules_after(imports):
-    """scipy modules loaded by a fresh interpreter after ``imports``."""
-    code = (f"import json, sys; import {imports}; "
+def _scipy_modules_after(imports, then="pass"):
+    """scipy modules loaded by a fresh interpreter after ``imports`` and the
+    statement ``then``."""
+    code = (f"import json, sys; import {imports}; {then}; "
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(instantform.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=60)
-    return set(json.loads(proc.stdout))
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_kinematics_layers_import_no_scipy():
@@ -70,3 +71,14 @@ def test_kinematics_layers_import_no_scipy():
         "instantform, instantform.radar, instantform.collective, instantform.foliation") == set()
     loaded = _scipy_modules_after("instantform.cli")
     assert loaded & {"scipy.optimize", "scipy.sparse", "scipy.fft"} == set()
+
+
+def test_spectra_load_no_scipy_solver(tmp_path):
+    """relquant is numpy-only, and a spectrum run through the CLI loads none
+    of scipy's transforms or sparse solvers."""
+    assert _scipy_modules_after("instantform.relquant") == set()
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "spectrum.json")
+    run = (f"assert instantform.cli.main(['spectrum', '--config', {config!r}, "
+           f"'--out', {str(tmp_path)!r}]) == 0")
+    loaded = _scipy_modules_after("instantform.cli", run)
+    assert {m for m in loaded if m.startswith(("scipy.fft", "scipy.sparse"))} == set()

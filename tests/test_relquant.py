@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import dst, irfft, next_fast_len, rfft
 
 from instantform import relquant
 from instantform.errors import NonConvergenceError
 from instantform.relquant import (
+    _RADIAL_TOL,
+    _energy_scale,
+    _lowest_eigenpairs,
+    _next_fast_len,
     _potential_product,
+    _radial_terms,
     _sine,
+    _start_block,
     kinetic_dispersion,
     radial_grid,
     radial_levels,
@@ -158,6 +164,50 @@ def test_potential_product_matches_two_sine_transforms(n):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(v).max() * np.abs(x).max()
 
 
+def test_next_fast_len_is_scipys_real_fast_length():
+    got = [_next_fast_len(n) for n in range(1, 20001)]
+    assert got == [next_fast_len(n, real=True) for n in range(1, 20001)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 255, 256, 511, 1000, 2048])
+def test_sine_is_the_orthonormal_dst1_and_its_own_inverse(n):
+    """Including 2(n + 1) = 2 x 257 and 2 x 3 x 683, at n = 256 and 2048."""
+    x = np.random.default_rng(n).standard_normal((n, 3))
+    want = dst(x, type=1, norm="ortho", axis=0)
+    got = _sine(x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.abs(want).max())
+    np.testing.assert_allclose(_sine(got), x, rtol=0, atol=1e-14 * np.abs(x).max())
+    np.testing.assert_array_equal(_sine(x[:, 0]), got[:, 0])
+
+
+def _clustered_operator(n=300):
+    """A diagonal whose three lowest entries lie within 2e-6, plus a rank-2
+    term that mixes them with the rest of the spectrum."""
+    diag = np.concatenate(([1.0, 1.0 + 1e-6, 1.0 + 2e-6], np.linspace(1.5, 40.0, n - 3)))
+    low = np.random.default_rng(5).standard_normal((n, 2)) * 5e-4
+    return np.diag(diag) + low @ low.T, diag
+
+
+def test_lowest_eigenpairs_match_dense_eigh_on_a_clustered_operator():
+    h, diag = _clustered_operator()
+    x = _start_block(np.random.default_rng(6).standard_normal((h.shape[0], 4)))
+    vals, vecs = _lowest_eigenpairs(lambda u: h @ u, lambda u: u / (diag[:, None] + 0.5),
+                                    x, 1e-9, 200, "the clustered operator")
+    want = np.linalg.eigh(h)[0][:4]
+    np.testing.assert_allclose(vals, want, rtol=1e-10, atol=0)
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(4))) < 1e-12
+    assert np.all(np.linalg.norm(h @ vecs - vecs * vals, axis=0) <= 1e-9)
+
+
+def test_lowest_eigenpairs_refuses_a_short_iteration_budget():
+    h, diag = _clustered_operator()
+    x = _start_block(np.random.default_rng(6).standard_normal((h.shape[0], 4)))
+    with pytest.raises(NonConvergenceError, match=r"residual of \S+ .* after 3 iterations"):
+        _lowest_eigenpairs(lambda u: h @ u, lambda u: u / (diag[:, None] + 0.5),
+                           x, 1e-9, 3, "the clustered operator")
+
+
 def _out_of_place_product(v):
     """relquant._potential_product with its product formed out of place."""
     n = v.shape[0]
@@ -205,6 +255,27 @@ def test_matrix_free_states_match_dense_oracle():
     assert np.max(np.abs(vecs.T @ vecs - np.eye(5))) < 1e-12
     # the same states up to sign
     assert np.all(np.abs(np.sum(vecs * want_vecs, axis=0)) > 1 - 1e-9)
+
+
+def test_hydrogen_like_levels_converge_at_n4096():
+    """A plain hydrogen-like grid, 30 Bohr radii at n = 4096, too large for a
+    dense check in the suite: every residual, recomputed through two sine
+    transforms rather than the solver's FFT pair, meets the solver's
+    tolerance, the states are orthonormal, and the Salpeter levels lie below."""
+    n, m1, m2 = 4096, 1.0, 1.3
+    mu = m1 * m2 / (m1 + m2)
+    args = (n, 30.0 / (mu * ALPHA), m1, m2, ALPHA)
+    vals, vecs, _ = radial_levels(*args, kinetic="nonrelativistic", n_levels=3,
+                                  return_states=True)
+    _, tk, v = _radial_terms(*args, 1.0, "nonrelativistic", 0, None)
+    tol = (_RADIAL_TOL * (_energy_scale(mu, 1.0, ALPHA, v) + tk[0])
+           + 64 * np.finfo(float).eps * (tk[-1] + np.abs(v).max()))
+    coef = _sine(vecs)
+    res = tk[:, None] * coef + _sine(v[:, None] * _sine(coef)) - coef * vals
+    assert np.all(np.linalg.norm(res, axis=0) <= tol)
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) < 1e-12
+    sal = radial_levels(*args, kinetic="salpeter", n_levels=3)
+    assert np.all(sal < vals)
 
 
 def test_more_levels_than_points_raises():

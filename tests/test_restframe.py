@@ -286,6 +286,15 @@ def test_radial_plunge_raises_collision_error():
     assert tau > 0
 
 
+def test_overflowing_initial_separation_is_refused_not_a_collision():
+    """|rho0| = inf would make the collision floor inf, and step 1 a collision."""
+    rel = RelativeState(m1=1.0, m2=1.0, rho=np.array([1e200, 0.0, 0.0]),
+                        pi=np.array([0.0, 0.1, 0.0]), charge_product=-1.0)
+    for potential in POTENTIALS:
+        with pytest.raises(OverflowError, match="rho0"):
+            evolve(rel, potential, 0.1, 10)
+
+
 def test_evolve_argument_validation():
     rel = RelativeState(m1=1.0, m2=1.0, rho=np.ones(3), pi=np.zeros(3))
     with pytest.raises(ValueError):
