@@ -10,18 +10,24 @@ manifest.json records the fully-resolved config (every default expanded),
 library versions, the effective seed, wall time, and artifact checksums;
 wall time is the one intentionally non-reproducible field, so the manifest
 is the one file excluded from byte-level comparisons.  Numerical failures
-(as opposed to config errors) write failure.json and exit 3.
+(as opposed to config errors) write failure.json and exit 3; an output
+directory that cannot be created is a usage error, exit 2 with nothing
+written.
+
+main is cheap to call many times in one process: the argument parser is
+built once and shared, each subcommand's handler imports the physics layer
+it needs on first use, and a CSV row is rendered by one %-format.
 
 Every config key is declared once, in COMMON_KEYS and SCHEMA below; the
 README documents them, and configs/ holds a worked example per subcommand.
 """
 
 import argparse
-import csv
+import functools
 import hashlib
-import io
 import json
 import os
+import re
 import sys
 import time
 from typing import NamedTuple
@@ -29,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from . import __version__, collective, foliation, potentials, radar, restframe
+from . import __version__, potentials
 from .errors import ConfigError, InstantFormError
 
 __all__ = ["main", "parse_config", "run"]
@@ -49,11 +55,6 @@ _EXIT_CONFIG = 2
 _EXIT_NUMERICAL = 3
 
 
-def _fmt(x):
-    """Round-trippable decimal formatting used for every numeric cell."""
-    return format(float(x), ".17g")
-
-
 def _atomic_write(path, data):
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -61,17 +62,35 @@ def _atomic_write(path, data):
     os.replace(tmp, path)
 
 
+# csv's minimal quoting: it quotes a cell that holds its delimiter, its quote
+# character or a character of its line terminator, doubling the quotes
+_NEEDS_QUOTES = re.compile('[,"\n]')
+
+
 def _render(name, content):
     """Artifact text.  A .csv is RFC-4180 with LF line endings and minimal
-    quoting, every number formatted by _fmt.  A .json is strict JSON: a
-    non-finite value is a numerical failure, never an invalid artifact."""
+    quoting: a header of column names, then the rows, each line one
+    %-format over its row with every number as "%.17g" (round-trippable).
+    A .json is strict JSON: a non-finite value is a numerical failure, never
+    an invalid artifact."""
     if name.endswith(".csv"):
-        header, rows = content
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows)
-        return buf.getvalue()
+        formats = {}  # cell types -> (row format, indices of text cells)
+        lines = []
+        for row in (content[0], *content[1]):
+            types = tuple(map(type, row))
+            if types not in formats:
+                texts = [i for i, t in enumerate(types) if issubclass(t, str)]
+                formats[types] = (",".join("%s" if i in texts else "%.17g"
+                                           for i in range(len(types))), texts)
+            fmt, texts = formats[types]
+            if texts:
+                row = list(row)
+                for i in texts:
+                    if _NEEDS_QUOTES.search(row[i]):
+                        row[i] = '"%s"' % row[i].replace('"', '""')
+            # a lone empty cell is quoted, so that the line is not blank
+            lines.append(fmt % tuple(row) if row != [""] else '""')
+        return "\n".join(lines) + "\n"
     try:
         return json.dumps(content, indent=2, sort_keys=True, allow_nan=False,
                           default=lambda x: x.tolist()) + "\n"
@@ -324,6 +343,7 @@ _RULES = {
 
 
 def _build_system(resolved):
+    from . import collective
     parts = resolved["particles"]
     return collective.ParticleSystem(
         masses=np.array([p["m"] for p in parts], dtype=float),
@@ -369,10 +389,12 @@ def parse_config(text, subcommand, seed_override=None):
 #
 # Each handler returns its artifacts as {file name: content}: (header, rows)
 # for a .csv, an object for a .json.  run renders them all before writing
-# any, so a failed run leaves only failure.json.
+# any, so a failed run leaves only failure.json.  Each handler imports the
+# layers it uses, so importing cli loads none of them.
 
 
 def _make_embedding(block, c):
+    from . import foliation
     kind = block["kind"]
     if kind == "identity":
         return foliation.identity_embedding()
@@ -387,6 +409,7 @@ def _make_embedding(block, c):
 
 
 def _run_validate_foliation(cfg, rng):
+    from . import foliation
     emb = _make_embedding(cfg["embedding"], cfg["c"])
     report = foliation.check_admissibility(
         emb, foliation.GridSpec(**cfg["grid"]), asym_tol=cfg["asymptotic_tol"],
@@ -407,6 +430,7 @@ def _run_validate_foliation(cfg, rng):
 
 
 def _run_radar(cfg, rng):
+    from . import radar
     block = cfg["worldline"]
     if block["kind"] == "inertial":
         wline = radar.inertial_worldline(
@@ -443,6 +467,7 @@ def _run_radar(cfg, rng):
 
 
 def _run_centers(cfg, rng):
+    from . import collective
     g = collective.poincare_generators(_build_system(cfg))
     mc, h, s_bar = collective.invariant_mass_spin(g)
     x_nw, z, _ = collective.newton_wigner_and_jacobi(g)
@@ -464,6 +489,7 @@ def _run_centers(cfg, rng):
 
 
 def _run_tube(cfg, rng):
+    from . import collective
     sample = collective.moller_tube_sample(
         _build_system(cfg),
         n_frames=cfg["n_frames"],
@@ -491,6 +517,7 @@ def _sampled_rows(n, every):
 
 def _evolve(cfg):
     """The evolve artifacts and the trajectory they sample."""
+    from . import restframe
     rel = restframe.RelativeState(
         m1=cfg["m1"], m2=cfg["m2"],
         rho=np.asarray(cfg["rho0"]), pi=np.asarray(cfg["pi0"]),
@@ -516,6 +543,7 @@ def _evolve(cfg):
 
 
 def _run_reconstruct(cfg, rng):
+    from . import restframe
     artifacts, traj = _evolve(cfg)
     rec = restframe.reconstruct_worldlines(traj, np.asarray(cfg["z"]), np.asarray(cfg["h"]))
     idx = _sampled_rows(rec.tau.shape[0], cfg["sample_every"])
@@ -532,7 +560,7 @@ def _run_reconstruct(cfg, rng):
 
 
 def _run_spectrum(cfg, rng):
-    from . import relquant  # only spectra load the solver
+    from . import relquant
 
     def levels_at(n_points, n_levels):
         return relquant.radial_levels(
@@ -581,7 +609,11 @@ def run(cfg, out_base):
     """Execute a resolved config; returns (exit_code, run_dir)."""
     digest = _config_digest(cfg)
     run_dir = os.path.join(out_base, digest)
-    os.makedirs(run_dir, exist_ok=True)
+    try:
+        os.makedirs(run_dir, exist_ok=True)
+    except OSError as exc:  # such as --out naming a file
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG, run_dir
     rng = np.random.default_rng(cfg["seed"])
 
     start = time.monotonic()
@@ -620,7 +652,10 @@ def run(cfg, out_base):
     return _EXIT_OK, run_dir
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and shared by every main call
+    of the process: parse_args reads it without changing it."""
     parser = argparse.ArgumentParser(
         prog="instantform",
         description="Rest-frame instant form toolkit batch runner.",
@@ -632,7 +667,11 @@ def main(argv=None):
         p.add_argument("--out", default="out", help="base output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

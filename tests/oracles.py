@@ -6,6 +6,8 @@ algebra, or closed forms.  Keeping them in one place makes it easy to see
 that no oracle shares code with what it checks.
 """
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -584,3 +586,19 @@ def samplewise_reconstruct_worldlines(traj, z, h):
         Mc=mc,
         timelike=timelike,
     )
+
+
+def cellwise_csv(header, rows):
+    """CSV text as csv.writer writes it, each number formatted on its own.
+
+    The CLI renders a whole row with one %-format and quotes text cells
+    itself; this is the cell-by-cell route it replaced: every non-text cell
+    through float() and format(..., ".17g"), then the csv module's minimal
+    quoting with LF line endings.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, str) else format(float(v), ".17g") for v in row]
+                     for row in rows)
+    return buf.getvalue()

@@ -1,14 +1,21 @@
+import argparse
 import hashlib
 import json
+import math
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from instantform import cli
 from instantform.errors import ConfigError
+
+from oracles import cellwise_csv
 
 
 def run_cli(tmp_path, sub, cfg, out_name="out", seed=None):
@@ -313,6 +320,75 @@ def test_negative_seed_override_exits_2(tmp_path):
     code, out = run_cli(tmp_path, "tube", TUBE_CFG, seed=-1)
     assert code == 2
     assert not os.path.exists(out)
+
+
+def test_unusable_out_exits_2_and_writes_nothing(tmp_path, capsys):
+    # --out naming a file, or a directory below one, is a usage error
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    config = str(ROOT / "configs" / "centers.json")
+    for out in (taken, taken / "below"):
+        assert cli.main(["centers", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("cannot write output: ")
+    assert os.listdir(tmp_path) == ["taken"]
+    assert taken.read_text() == "a file"
+
+
+def test_seed_override_does_not_outlive_its_call(tmp_path):
+    _, out = run_cli(tmp_path, "tube", TUBE_CFG, out_name="a", seed=5)
+    assert read_json(only_run_dir(out), "manifest.json")["seed"] == 5
+    _, out = run_cli(tmp_path, "tube", TUBE_CFG, out_name="b")
+    assert read_json(only_run_dir(out), "manifest.json")["seed"] == TUBE_CFG["seed"]
+
+
+def test_usage_error_leaves_the_next_call_working(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["frobnicate", "--config", "x.json"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    code, _ = run_cli(tmp_path, "tube", TUBE_CFG)
+    assert code == 0
+
+
+def test_main_builds_at_most_one_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for i in range(3):
+        code, _ = run_cli(tmp_path, "tube", TUBE_CFG, out_name=f"out{i}")
+        assert code == 0
+    # each subcommand's parser is an ArgumentParser too, "instantform <name>"
+    assert built.count("instantform") <= 1
+
+
+# zeros, non-finite values, subnormals and the float range's ends; a literal
+# 1.8e308 is already inf
+EXTREMES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+            sys.float_info.max, -sys.float_info.max]
+NUMBERS = hst.one_of(
+    hst.floats(), hst.sampled_from(EXTREMES), hst.floats().map(np.float64),
+    hst.sampled_from(EXTREMES).map(np.float64), hst.integers(-2**63, 2**63 - 1).map(np.int64),
+    hst.integers(-2**1000, 2**1000), hst.booleans(),
+)
+# text csv quotes (a comma, a double quote, a line feed, a lone empty cell)
+# and text it leaves bare (a carriage return, a tab, spaces, other unicode)
+TEXTS = hst.one_of(hst.text(hst.sampled_from('ab ,"\n\r\t\'é'), max_size=5), hst.text(max_size=3))
+
+
+def _rows(cells):
+    row = hst.lists(cells, max_size=6)
+    return hst.one_of(row, row.map(tuple))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_rows(TEXTS), hst.lists(_rows(hst.one_of(NUMBERS, TEXTS)), max_size=5))
+def test_render_csv_is_the_cellwise_csv_writer(header, rows):
+    assert cli._render("table.csv", (header, rows)) == cellwise_csv(header, rows)
 
 
 def test_nonfinite_result_exits_3_with_strict_json(tmp_path):

@@ -53,11 +53,11 @@ def test_only_sign_dependent_api_takes_sgn():
     assert takers == SIGN_DEPENDENT
 
 
-def _scipy_modules_after(imports, then="pass"):
-    """scipy modules loaded by a fresh interpreter after ``imports`` and the
-    statement ``then``."""
+def _modules_after(package, imports, then="pass"):
+    """Modules of ``package`` loaded by a fresh interpreter after ``imports``
+    and the statement ``then``."""
     code = (f"import json, sys; import {imports}; {then}; "
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+            f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(instantform.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=60)
@@ -67,18 +67,28 @@ def _scipy_modules_after(imports, then="pass"):
 def test_kinematics_layers_import_no_scipy():
     """The package and its numpy-only layers load without scipy; the CLI loads
     no scipy solver until a spectrum runs."""
-    assert _scipy_modules_after(
-        "instantform, instantform.radar, instantform.collective, instantform.foliation") == set()
-    loaded = _scipy_modules_after("instantform.cli")
+    assert _modules_after(
+        "scipy", "instantform, instantform.radar, instantform.collective, instantform.foliation") == set()
+    loaded = _modules_after("scipy", "instantform.cli")
     assert loaded & {"scipy.optimize", "scipy.sparse", "scipy.fft"} == set()
 
 
 def test_spectra_load_no_scipy_solver(tmp_path):
     """relquant is numpy-only, and a spectrum run through the CLI loads none
     of scipy's transforms or sparse solvers."""
-    assert _scipy_modules_after("instantform.relquant") == set()
+    assert _modules_after("scipy", "instantform.relquant") == set()
     config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "spectrum.json")
     run = (f"assert instantform.cli.main(['spectrum', '--config', {config!r}, "
            f"'--out', {str(tmp_path)!r}]) == 0")
-    loaded = _scipy_modules_after("instantform.cli", run)
+    loaded = _modules_after("scipy", "instantform.cli", run)
     assert {m for m in loaded if m.startswith(("scipy.fft", "scipy.sparse"))} == set()
+
+
+def test_cli_imports_no_physics_layer():
+    """Each cli handler imports the layer it runs, so importing cli loads no
+    kinematic layer and no spectrum solver."""
+    loaded = _modules_after("instantform", "instantform.cli")
+    assert {"instantform.cli", "instantform.potentials"} <= loaded
+    layers = {f"instantform.{m}" for m in
+              ("foliation", "radar", "collective", "restframe", "relquant")}
+    assert loaded & layers == set()
