@@ -33,10 +33,9 @@ import time
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__, potentials
-from .errors import ConfigError, InstantFormError
+from .errors import ConfigError, InstantFormError, SingularPotentialError
 
 __all__ = ["main", "parse_config", "run"]
 
@@ -306,14 +305,16 @@ def _worldline_domain(cfg, problems):
 
 
 def _charges_apart(cfg, problems):
-    # mirrors the ParticleSystem coincidence invariant
-    seen = {}
-    for i, p in enumerate(cfg["particles"] or []):
-        if cfg["potential"] in _COULOMB and p and p["x"] and p["q"]:
-            j = seen.setdefault(tuple(p["x"]), i)
-            if j != i:
-                problems.append(f"particles[{i}].x: coincides with particles[{j}].x; "
-                                f"singular with potential={cfg['potential']!r}")
+    # the ParticleSystem coincidence rule; a particle with a bad x or q counts
+    # as neutral
+    if cfg["potential"] not in _COULOMB:
+        return
+    parts = [p if p and p["x"] and p["q"] is not None else {"x": [0.0] * 3, "q": 0.0}
+             for p in cfg["particles"] or []]
+    try:
+        potentials._check_apart([p["q"] for p in parts], np.array([p["x"] for p in parts]))
+    except SingularPotentialError as exc:
+        problems.append(f"{exc}; singular with potential={cfg['potential']!r}")
 
 
 def _coulomb_charge(cfg, problems):
@@ -643,7 +644,6 @@ def run(cfg, out_base):
         "versions": {
             "instantform": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "artifacts": {name: hashlib.sha256(text.encode("utf-8")).hexdigest()

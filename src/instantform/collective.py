@@ -30,9 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonTimelikeError, SingularPotentialError
+from .errors import NonTimelikeError
 from .minkowski import boost_from_h
-from .potentials import POTENTIALS, pair_energies
+from .potentials import POTENTIALS, _charged_pairs, _check_apart, _dot3, _pair_energy
 
 __all__ = [
     "ParticleSystem",
@@ -53,8 +53,9 @@ __all__ = [
 
 
 def _kinetic_energies(masses, momenta, c):
-    """sqrt(m_i^2 c^2 + p_i^2) in momentum units, for momenta of shape (n, 3)."""
-    return np.sqrt((masses * c) ** 2 + np.sum(momenta**2, axis=1))
+    """sqrt(m^2 c^2 + p^2) in momentum units, one per momentum of a (..., 3)
+    stack, with p^2 the plain sum of potentials._dot3."""
+    return np.sqrt((masses * c) ** 2 + _dot3(momenta, momenta))
 
 
 @dataclass
@@ -63,7 +64,8 @@ class ParticleSystem:
 
     positions and momenta have shape (n, 3); momenta are in momentum units.
     ``potential`` is one of "none", "coulomb", "coulomb+darwin" and applies
-    pairwise between all charged particles.
+    pairwise between all charged particles, two of which may then not
+    coincide (SingularPotentialError).
     """
 
     masses: np.ndarray
@@ -97,13 +99,7 @@ class ParticleSystem:
             raise ValueError("c must be positive")
         self.x0 = float(self.x0)
         if self.potential != "none":
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if np.linalg.norm(self.positions[i] - self.positions[j]) == 0.0:
-                        raise SingularPotentialError(
-                            f"particles {i} and {j} coincide; {self.potential} "
-                            "potential undefined"
-                        )
+            _check_apart(self.charges, self.positions)
 
     @property
     def n(self):
@@ -112,11 +108,6 @@ class ParticleSystem:
     def energies(self):
         """Kinetic particle energies in momentum units, sqrt(m^2 c^2 + p^2)."""
         return _kinetic_energies(self.masses, self.momenta, self.c)
-
-    def pair_potential_energies(self):
-        """List of (i, j, V_ij) with V_ij an energy; empty for potential none."""
-        return pair_energies(self.potential, self.masses, self.charges, self.c,
-                             self.positions, self.momenta)
 
 
 @dataclass(frozen=True)
@@ -157,22 +148,26 @@ class PoincareGenerators:
         return mc, h, s_bar, to_rest, x_rest
 
 
-def energy_and_moment(energies, positions, pairs, c):
-    """Total energy sum E_i + sum V_ij/c and energy-weighted moment
-    sum x_i E_i + sum (V_ij/c)(x_i + x_j)/2, with pairs from pair_energies."""
-    total = energies.sum() + sum(v for _, _, v in pairs) / c
-    moment = positions.T @ energies
-    for i, j, v in pairs:
-        moment = moment + (v / c) * 0.5 * (positions[i] + positions[j])
-    return total, moment
+def energy_and_moment(potential, masses, charges, c, positions, momenta):
+    """Total energy sum E_i + sum V_ij/c, in momentum units, and energy-weighted
+    moment sum x_i E_i + sum (V_ij/c)(x_i + x_j)/2 of particles at positions
+    with momenta, V_ij over the charged pairs."""
+    energies = _kinetic_energies(masses, momenta, c)
+    v_sum, moment = 0, positions.T @ energies
+    if potential != "none":
+        for i, j, q1q2 in _charged_pairs(charges):
+            v = _pair_energy(potential, q1q2, masses[i], masses[j], c,
+                             positions[i] - positions[j], momenta[i], momenta[j])
+            v_sum += v
+            moment += (v / c) * 0.5 * (positions[i] + positions[j])
+    return energies.sum() + v_sum / c, moment
 
 
 def poincare_generators(sys):
     """Build the ten Poincare generators from a snapshot."""
     p4 = np.empty(4)
     p4[0], boost_moment = energy_and_moment(
-        sys.energies(), sys.positions, sys.pair_potential_energies(), sys.c
-    )
+        sys.potential, sys.masses, sys.charges, sys.c, sys.positions, sys.momenta)
     p4[1:] = sys.momenta.sum(axis=0)
 
     jmat = np.zeros((4, 4))

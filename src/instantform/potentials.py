@@ -89,21 +89,18 @@ def _pair_energy(potential, q1q2, m1, m2, c, r_vec, p1, p2):
     raise ValueError(f"unknown potential {potential!r}")
 
 
-def pair_energies(potential, masses, charges, c, positions, momenta):
-    """[(i, j, V_ij)] over the charged pairs of a snapshot, V_ij an energy; the
-    Darwin term takes each particle's own momentum.  Empty for potential none."""
-    out = []
-    if potential == "none":
-        return out
-    n = masses.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            q1q2 = charges[i] * charges[j]
-            if q1q2 != 0.0:
-                v = _pair_energy(potential, q1q2, masses[i], masses[j], c,
-                                 positions[i] - positions[j], momenta[i], momenta[j])
-                out.append((i, j, v))
-    return out
+def _charged_pairs(charges):
+    """(i, j, q_i q_j) over the pairs i < j that interact: q_i q_j != 0."""
+    n = len(charges)
+    return [(i, j, q1q2) for i in range(n) for j in range(i + 1, n)
+            if (q1q2 := charges[i] * charges[j]) != 0.0]
+
+
+def _check_apart(charges, positions):
+    """Raise SingularPotentialError, by _sep's rule, if two interacting
+    particles (q_i q_j != 0) coincide."""
+    for i, j, _ in _charged_pairs(charges):
+        _sep(positions[i] - positions[j], f"particles[{i}] and particles[{j}]")
 
 
 def relative_potential_energy(potential, q1q2, m1, m2, c, rho, pi):

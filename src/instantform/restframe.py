@@ -35,7 +35,6 @@ from .potentials import (
     _dot3,
     _pi_gradient,
     _rho_gradient,
-    pair_energies,
     relative_potential_energy,
     relative_potential_gradients,
 )
@@ -83,9 +82,6 @@ class RestFrameState:
     def n(self):
         return self.masses.shape[0]
 
-    def internal_energies(self):
-        return collective._kinetic_energies(self.masses, self.kappas, self.c)
-
 
 def to_rest_frame(sys):
     """Map a lab snapshot to its rest-frame instant-form representation.
@@ -112,9 +108,8 @@ def to_rest_frame(sys):
     kap_residual = float(np.linalg.norm(kappas.sum(axis=0)))
     kappas -= kappas.sum(axis=0) / sys.n
 
-    energies = collective._kinetic_energies(sys.masses, kappas, sys.c)
-    pairs = pair_energies(sys.potential, sys.masses, sys.charges, sys.c, x_rest, kappas)
-    e_int, moment = collective.energy_and_moment(energies, x_rest, pairs, sys.c)
+    e_int, moment = collective.energy_and_moment(
+        sys.potential, sys.masses, sys.charges, sys.c, x_rest, kappas)
     shift = moment / e_int
     etas = x_rest - shift
 
@@ -146,8 +141,8 @@ class InternalGenerators:
 
 def internal_generators(st):
     """Evaluate the internal generators of a rest-frame state."""
-    pairs = pair_energies(st.potential, st.masses, st.charges, st.c, st.etas, st.kappas)
-    e_int, k_int = collective.energy_and_moment(st.internal_energies(), st.etas, pairs, st.c)
+    e_int, k_int = collective.energy_and_moment(
+        st.potential, st.masses, st.charges, st.c, st.etas, st.kappas)
     p_int = st.kappas.sum(axis=0)
     s_bar = np.sum(np.cross(st.etas, st.kappas), axis=0)
     return InternalGenerators(E_int=float(e_int), P_int=p_int, S_bar=s_bar, K_int=k_int)
@@ -227,14 +222,10 @@ def rest_frame_from_relative(rel, potential, z=None, h=None, charges=None):
     )
 
 
-# pi^2 is potentials._dot3, the plain sum that evolve's explicit loop repeats
-# on Python floats, so Mc over a whole trajectory is bitwise Mc sample by
-# sample.  Hence no collective._kinetic_energies here: its np.sum(p**2) sums
-# pairwise and differs in about a fifth of rows.
 def _energies(rel, pi):
     """Kinetic energies (E1, E2) of the pair at relative momenta pi (..., 3)."""
-    p2 = _dot3(pi, pi)
-    return np.sqrt((rel.m1 * rel.c) ** 2 + p2), np.sqrt((rel.m2 * rel.c) ** 2 + p2)
+    return (collective._kinetic_energies(rel.m1, pi, rel.c),
+            collective._kinetic_energies(rel.m2, pi, rel.c))
 
 
 def _mass_and_weights(rel, potential, rho, pi):
@@ -252,15 +243,6 @@ def _mass_and_weights(rel, potential, rho, pi):
 def invariant_mass_hamiltonian(rel, potential):
     """Mc(rho, pi): the invariant mass of the pair, in momentum units."""
     return float(_mass_and_weights(rel, potential, rel.rho, rel.pi)[0])
-
-
-def _gradients(rel, potential, rho, pi):
-    """(dH/drho, dH/dpi) of the invariant-mass Hamiltonian."""
-    e1, e2 = _energies(rel, pi)
-    g_rho, g_pi = relative_potential_gradients(
-        potential, rel.charge_product, rel.m1, rel.m2, rel.c, rho, pi
-    )
-    return g_rho / rel.c, pi * (1.0 / e1 + 1.0 / e2) + g_pi / rel.c
 
 
 _FP_TOL = 1e-12  # relative update at which evolve's implicit substeps stop
@@ -374,9 +356,8 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
 
     max_sweeps = 0
     c = float(rel.c)
+    args = (potential, rel.charge_product, rel.m1, rel.m2, rel.c)
     if implicit:
-        args = (potential, rel.charge_product, rel.m1, rel.m2, rel.c)
-
         def dh_drho(r, p):
             return _rho_gradient(*args, r, p) / c
 
@@ -405,7 +386,7 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
             rho = rho_new
             rows.append((*rho.tolist(), *pi.tolist()))
     else:
-        # _gradients and _energies written out on floats; dV/dpi is zero here
+        # dH/drho and _energies written out on floats; dV/dpi is zero here
         # and is still added, as +0.0, so the signed zeros of dH/dpi match
         q = float(rel.charge_product)
         m1c2, m2c2 = float((rel.m1 * rel.c) ** 2), float((rel.m2 * rel.c) ** 2)
@@ -413,7 +394,7 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
         half = 0.5 * dtau
         coulomb = potential == "coulomb"
         x, y, z, px, py, pz = rows[0]
-        gx, gy, gz = _gradients(rel, potential, rho, pi)[0].tolist()
+        gx, gy, gz = (relative_potential_gradients(*args, rho, pi)[0] / c).tolist()
         for k in range(1, n_steps + 1):
             hx, hy, hz = px - half * gx, py - half * gy, pz - half * gz
             p2 = (hx * hx + hy * hy) + hz * hz

@@ -19,7 +19,7 @@ from instantform import collective
 from instantform.errors import CollisionError, NonConvergenceError
 from instantform.foliation import AdmissibilityReport, Violation
 from instantform.minkowski import boost_from_h, metric
-from instantform.potentials import POTENTIALS
+from instantform.potentials import POTENTIALS, relative_potential_gradients
 from instantform.relquant import (
     _MAXITER,
     _energy_scale,
@@ -32,7 +32,7 @@ from instantform.restframe import (
     ReconstructedWorldlines,
     RelativeState,
     Trajectory,
-    _gradients,
+    _energies,
     _mass_and_weights,
 )
 
@@ -433,6 +433,16 @@ def cartesian_ground_state(n_points, length, m1, m2, alpha, c=1.0,
     return vals
 
 
+def mc_gradients(rel, potential, rho, pi):
+    """(dH/drho, dH/dpi) of the invariant-mass Hamiltonian Mc(rho, pi), in
+    the numpy arithmetic that evolve's explicit float loop repeats."""
+    e1, e2 = _energies(rel, pi)
+    g_rho, g_pi = relative_potential_gradients(
+        potential, rel.charge_product, rel.m1, rel.m2, rel.c, rho, pi
+    )
+    return g_rho / rel.c, pi * (1.0 / e1 + 1.0 / e2) + g_pi / rel.c
+
+
 def stepwise_evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-3):
     """The rest-frame leapfrog one step and one sample at a time.
 
@@ -513,22 +523,22 @@ def stepwise_evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fra
         if implicit:
             # half kick, implicit in the updated momentum
             pi_h, sweeps = fixed_point(
-                lambda p: pi - 0.5 * dtau * _gradients(rel, potential, rho, p)[0],
+                lambda p: pi - 0.5 * dtau * mc_gradients(rel, potential, rho, p)[0],
                 pi, "momentum", k,
             )
             max_sweeps = max(max_sweeps, sweeps)
             # symmetric drift, implicit in the updated position
-            _, g_pi_old = _gradients(rel, potential, rho, pi_h)
+            _, g_pi_old = mc_gradients(rel, potential, rho, pi_h)
             rho_new, sweeps = fixed_point(
-                lambda r: rho + 0.5 * dtau * (g_pi_old + _gradients(rel, potential, r, pi_h)[1]),
+                lambda r: rho + 0.5 * dtau * (g_pi_old + mc_gradients(rel, potential, r, pi_h)[1]),
                 rho + dtau * g_pi_old, "position", k,
             )
             max_sweeps = max(max_sweeps, sweeps)
             rho = rho_new
         else:
-            pi_h = pi - 0.5 * dtau * _gradients(rel, potential, rho, pi)[0]
-            rho = rho + dtau * _gradients(rel, potential, rho, pi_h)[1]
-        pi = pi_h - 0.5 * dtau * _gradients(rel, potential, rho, pi_h)[0]
+            pi_h = pi - 0.5 * dtau * mc_gradients(rel, potential, rho, pi)[0]
+            rho = rho + dtau * mc_gradients(rel, potential, rho, pi_h)[1]
+        pi = pi_h - 0.5 * dtau * mc_gradients(rel, potential, rho, pi_h)[0]
         check_separation(k, rho_old, rho)
         record(k, rho, pi)
 

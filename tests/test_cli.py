@@ -65,7 +65,7 @@ def test_manifest_contents(tmp_path):
     assert man["config"]["c"] == 1.0
     assert man["config"]["seed"] == 0
     assert "numpy" in man["versions"]
-    assert "scipy" in man["versions"]
+    assert "scipy" not in man["versions"]  # a test-only dependency
     assert man["wall_time_s"] >= 0
     assert man["subcommand"] == "validate-foliation"
     assert "artifacts" in man
@@ -80,7 +80,7 @@ def test_radar_rows_and_horizon_status(tmp_path):
     }
     code, out = run_cli(tmp_path, "radar", cfg)
     assert code == 0
-    lines = open(os.path.join(only_run_dir(out), "radar.csv")).read().splitlines()
+    lines = Path(only_run_dir(out), "radar.csv").read_text().splitlines()
     assert len(lines) == 4
     assert lines[1].split(",")[-1] == "ok"
     assert lines[3].split(",")[-1].startswith("no_solution")
@@ -95,7 +95,7 @@ def test_radar_random_events(tmp_path):
     }
     code, out = run_cli(tmp_path, "radar", cfg)
     assert code == 0
-    lines = open(os.path.join(only_run_dir(out), "radar.csv")).read().splitlines()
+    lines = Path(only_run_dir(out), "radar.csv").read_text().splitlines()
     assert len(lines) == 13
     assert all(line.split(",")[-1] == "ok" for line in lines[1:])
 
@@ -166,8 +166,7 @@ def test_evolve_free_h_column_constant(tmp_path):
     }
     code, out = run_cli(tmp_path, "evolve", cfg)
     assert code == 0
-    rows = open(os.path.join(only_run_dir(out), "trajectory.csv")
-                ).read().strip().splitlines()[1:]
+    rows = Path(only_run_dir(out), "trajectory.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 21
     h_strings = {row.split(",")[7] for row in rows}
     assert len(h_strings) == 1  # literally the same 17-digit string
@@ -181,7 +180,7 @@ def test_spectrum_levels_and_convergence(tmp_path):
     code, out = run_cli(tmp_path, "spectrum", cfg)
     assert code == 0
     rd = only_run_dir(out)
-    rows = open(os.path.join(rd, "levels.csv")).read().strip().splitlines()
+    rows = Path(rd, "levels.csv").read_text().strip().splitlines()
     assert rows[0] == "n,E_n,binding,bohr_ratio"
     ratio = float(rows[1].split(",")[3])
     assert ratio == pytest.approx(1.0, abs=0.01)
@@ -212,7 +211,7 @@ def test_reconstruct_outputs(tmp_path):
     rd = only_run_dir(out)
     rec = read_json(rd, "reconstruct.json")
     assert rec["all_segments_causal"] is True
-    lines = open(os.path.join(rd, "worldlines.csv")).read().splitlines()
+    lines = Path(rd, "worldlines.csv").read_text().splitlines()
     assert len(lines) == 1 + 2 * 101  # both worldlines, every sample
 
 
@@ -234,6 +233,31 @@ def test_validation_collects_every_problem():
     assert "bogus_key" in text
     # coincident charged particles with a potential on is one of them
     assert "coincide" in text
+
+
+def test_neutral_particle_on_a_charged_one_runs(tmp_path):
+    """Only interacting pairs (q_i q_j != 0) can coincide: a neutral particle
+    may sit on a charged one under a coulomb potential."""
+    cfg = {"particles": [{"m": 1.0, "x": [0.5, 0.0, 0.0], "q": 1.0},
+                         {"m": 2.0, "x": [0.5, 0.0, 0.0]},
+                         {"m": 1.0, "x": [-0.5, 0.0, 0.0], "q": -1.0}],
+           "potential": "coulomb"}
+    code, out = run_cli(tmp_path, "centers", cfg)
+    assert code == 0
+    assert os.path.exists(os.path.join(only_run_dir(out), "centers.csv"))
+
+
+def test_charged_pair_closer_than_the_potentials_resolve_exits_2(tmp_path, capsys):
+    """Two charged particles 1e-200 apart are distinct coordinates, but their
+    separation underflows to |r| = 0, which the potentials refuse: the config
+    check applies the same rule and reports the pair."""
+    cfg = {"particles": [{"m": 1.0, "x": [0.0, 0.0, 0.0], "q": 1.0},
+                         {"m": 1.0, "x": [1e-200, 0.0, 0.0], "q": -1.0}],
+           "potential": "coulomb"}
+    code, out = run_cli(tmp_path, "centers", cfg)
+    assert code == 2
+    assert not os.path.exists(out)
+    assert "coincide" in capsys.readouterr().err
 
 
 def test_bad_config_exits_2(tmp_path):

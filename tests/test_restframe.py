@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
-from instantform import potentials, restframe
+from instantform import collective, potentials, restframe
 from instantform.collective import (
     ParticleSystem,
     PoincareGenerators,
@@ -32,6 +32,7 @@ from instantform.restframe import (
 from helpers import random_coulomb_pair, random_free_system, snapshots
 from oracles import (
     circular_orbit_momentum,
+    mc_gradients,
     newtonian_relative_orbit,
     samplewise_reconstruct_worldlines,
     stepwise_evolve,
@@ -477,18 +478,23 @@ def test_evolve_and_reconstruct_match_stepwise_oracle_bitwise(potential):
        arrays(float, 3, elements=hst.floats(-1e3, 1e3)),
        arrays(float, 3, elements=hst.floats(-1e3, 1e3)),
        hst.floats(-10.0, 10.0), hst.floats(0.1, 10.0), hst.floats(0.1, 10.0),
-       hst.floats(0.1, 10.0))
-def test_numpy_helpers_equal_the_explicit_loops_float_arithmetic(rho, pi, rho_next, q, m1, m2, c):
-    """On one 3-vector, dH/drho of _gradients (coulomb), the kinetic energies
-    and the swept-segment distance equal evolve's Python-float arithmetic
-    bit for bit; this keeps the explicit loop and the numpy helpers that
-    the stepwise oracle and the stacked Mc use in step."""
+       hst.floats(0.1, 10.0),
+       arrays(float, hst.tuples(hst.integers(1, 6), hst.just(3)),
+              elements=hst.floats(-1e3, 1e3)))
+def test_numpy_helpers_equal_the_explicit_loops_float_arithmetic(
+        rho, pi, rho_next, q, m1, m2, c, momenta):
+    """On one 3-vector, dH/drho of the oracle's gradients (coulomb), the
+    kinetic energies and the swept-segment distance equal evolve's
+    Python-float arithmetic bit for bit; this keeps the explicit loop and
+    the numpy helpers that the stepwise oracle and the stacked Mc use in
+    step.  On an (n, 3) stack, C- or F-ordered, the kinetic energies of
+    collective equal the same float arithmetic row by row."""
     x, y, z = rho.tolist()
     r = math.sqrt((x * x + y * y) + z * z)
     assume(r > 1e-100)
     s = 4.0 * math.pi * r**3
     rel = RelativeState(m1=m1, m2=m2, rho=rho, pi=pi, charge_product=q, c=c)
-    g_rho = restframe._gradients(rel, "coulomb", rho, pi)[0]
+    g_rho = mc_gradients(rel, "coulomb", rho, pi)[0]
     assert g_rho.tobytes() == np.array([-q * v / s / c for v in (x, y, z)]).tobytes()
 
     px, py, pz = pi.tolist()
@@ -496,6 +502,12 @@ def test_numpy_helpers_equal_the_explicit_loops_float_arithmetic(rho, pi, rho_ne
     e1, e2 = restframe._energies(rel, pi)
     assert np.float64(e1).tobytes() == np.float64(math.sqrt((m1 * c) ** 2 + p2)).tobytes()
     assert np.float64(e2).tobytes() == np.float64(math.sqrt((m2 * c) ** 2 + p2)).tobytes()
+
+    masses = np.linspace(m1, m2, len(momenta))
+    want = np.array([math.sqrt((m * c) ** 2 + ((px * px + py * py) + pz * pz))
+                     for m, (px, py, pz) in zip(masses.tolist(), momenta.tolist())])
+    for stack in (momenta, np.asfortranarray(momenta)):
+        assert collective._kinetic_energies(masses, stack, c).tobytes() == want.tobytes()
 
     # the swept segment in numpy arithmetic: the plain dots of _dot3
     d = rho_next - rho
