@@ -91,6 +91,9 @@ class ParticleSystem:
             )
         if self.charges.shape != (n,):
             raise ValueError(f"charges must have shape ({n},)")
+        if not np.isfinite(np.concatenate((self.masses, self.charges, self.positions.ravel(),
+                                           self.momenta.ravel()))).all():
+            raise ValueError("masses, positions, momenta and charges must be finite")
         if np.any(self.masses <= 0.0):
             raise ValueError("masses must be positive")
         if self.potential not in POTENTIALS:

@@ -13,8 +13,8 @@ which in the two-body rest frame (p1 = -p2 = pi) becomes
 
 All potentials return energies; callers divide by c where momentum units are
 required.  Separations at or below ``COINCIDENCE_TOL`` times the natural
-scale raise SingularPotentialError.  The energies take stacks of vectors,
-shape (..., 3), and return one value per vector.
+scale, or NaN, raise SingularPotentialError.  The energies take stacks of
+vectors, shape (..., 3), and return one value per vector.
 """
 
 import numpy as np
@@ -50,7 +50,7 @@ def _dot3(a, b):
 
 def _sep(r_vec, context):
     r = np.sqrt(_dot3(r_vec, r_vec))
-    if np.count_nonzero(r <= COINCIDENCE_TOL):
+    if np.count_nonzero(r > COINCIDENCE_TOL) < r.size:  # NaN is no separation either
         r_min = float(np.min(r))
         raise SingularPotentialError(f"{context}: particles coincide (|r| = {r_min})")
     return r

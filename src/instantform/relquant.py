@@ -16,13 +16,14 @@ on a uniform grid with u(0) = u(L) = 0; the sine transform (DST-I)
 diagonalizes any function of k^2 on that grid, so the square roots above
 are exact in the basis rather than Taylor-expanded.
 
-The solver forms no matrix and needs numpy alone.  On sine coefficients H
-applied to a block of vectors is diagonal T plus one FFT pair for V, since
-multiplying by V is a symmetric convolution there (Martucci, IEEE Trans.
-Signal Process. 42, 1038 (1994)) that zero-pads to a 5-smooth length; the
-sine transform itself is one rfft of the odd extension.  The lowest levels
-come from a block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001))
-preconditioned in momentum space by 1/(T(k) + shift), the choice of
+The solver forms no matrix and needs numpy alone; a block of vectors holds
+one vector per row, so that every transform runs along contiguous memory.
+On sine coefficients H applied to a block is diagonal T plus one FFT pair for
+V, since multiplying by V is a symmetric convolution there (Martucci, IEEE
+Trans. Signal Process. 42, 1038 (1994)) that zero-pads to a 5-smooth length;
+the sine transform itself is one rfft of the odd extension.  The lowest
+levels come from a block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517
+(2001)) preconditioned in momentum space by 1/(T(k) + shift), the choice of
 plane-wave codes (Teter, Payne & Allan, PRB 40, 12255 (1989)), whose basis
 is kept orthonormal as by Hetmaniuk & Lehoucq (J. Comput. Phys. 218, 324
 (2006)), so that Rayleigh-Ritz is a plain symmetric eigensolve.
@@ -39,12 +40,8 @@ from numpy.fft import irfft, rfft
 from .errors import NonConvergenceError
 from .potentials import KINETIC_KINDS
 
-__all__ = [
-    "KINETIC_KINDS",
-    "kinetic_dispersion",
-    "radial_grid",
-    "radial_levels",
-]
+__all__ = ["KINETIC_KINDS", "kinetic_dispersion", "radial_grid",
+           "radial_levels"]
 
 # radial_levels: residual tolerance as a fraction of the energy scale
 # (see _energy_scale); LOBPCG iterations, restarts included
@@ -94,11 +91,8 @@ def _radial_terms(n_points, length, m1, m2, alpha, c, kinetic, ell, softening):
     if softening < 0:
         raise ValueError("softening must be >= 0")
     if alpha <= 0:
-        warnings.warn(
-            "alpha <= 0 gives a repulsive or free system; the spectrum "
-            "will contain no bound levels",
-            stacklevel=3,
-        )
+        warnings.warn("alpha <= 0 gives a repulsive or free system; the "
+                      "spectrum will contain no bound levels", stacklevel=3)
 
     tk = kinetic_dispersion(k, m1, m2, c, kinetic)
     v = -alpha * c / np.sqrt(r**2 + softening**2)
@@ -108,22 +102,21 @@ def _radial_terms(n_points, length, m1, m2, alpha, c, kinetic, ell, softening):
     if not (np.all(np.isfinite(tk)) and np.all(np.isfinite(v))):
         raise FloatingPointError(
             f"radial Hamiltonian is not finite on this grid (length={length}, "
-            f"n_points={n_points}, softening={softening})"
-        )
+            f"n_points={n_points}, softening={softening})")
     return r, tk, v
 
 
 def _sine(u):
-    """Orthonormal DST-I down the columns; it is its own inverse.
+    """Orthonormal DST-I along the rows; it is its own inverse.
 
     One rfft of the odd extension (0, u, 0, -reversed u) of period 2(n+1),
     whose imaginary part is -2 times the sine sum.
     """
-    n = u.shape[0]
-    odd = np.zeros((2 * (n + 1),) + u.shape[1:])
-    odd[1:n + 1] = u
-    odd[n + 2:] = -u[::-1]
-    return rfft(odd, axis=0).imag[1:n + 1] * -(2 * (n + 1)) ** -0.5
+    n = u.shape[-1]
+    odd = np.zeros(u.shape[:-1] + (2 * (n + 1),))
+    odd[..., 1:n + 1] = u
+    odd[..., n + 2:] = -u[..., ::-1]
+    return rfft(odd).imag[..., 1:n + 1] * -(2 * (n + 1)) ** -0.5
 
 
 def _next_fast_len(n):
@@ -141,11 +134,11 @@ def _next_fast_len(n):
 
 
 def _potential_product(v):
-    """coef -> _sine(v * _sine(coef)) down the columns, by one FFT pair.
+    """coef -> _sine(v * _sine(coef)) along the rows, by one FFT pair.
 
     In the sine basis diag(v) is t(k - l) - t(k + l), t the even DCT-I of v
     with period 2(n+1): zero-padded to a fast length >= 2n - 1, a circular
-    convolution with t minus one of the reversed column with t(2..2n), whose
+    convolution with t minus one of the reversed row with t(2..2n), whose
     rfft is conj(X) times a phase that the Hankel kernel absorbs.
     """
     n = v.shape[0]
@@ -153,18 +146,18 @@ def _potential_product(v):
     t = irfft(np.concatenate(([0.0], v, [0.0])), 2 * (n + 1))
     d = np.arange(size)
     # circularly even, so its spectrum is real; the middle of it is never read
-    even = rfft(t[np.minimum(d, size - d)]).real[:, None]
-    hankel = rfft(t[2:], size)[:, None]
+    even = rfft(t[np.minimum(d, size - d)]).real
+    hankel = rfft(t[2:], size)
 
     def apply(coef):
         # even * f - hankel * conj(f), in place; the operand order keeps
         # each complex product's rounding
-        f = rfft(coef, size, axis=0)
+        f = rfft(coef, size)
         g = np.conjugate(f)
         np.multiply(hankel, g, out=g)
         np.multiply(even, f, out=f)
         np.subtract(f, g, out=f)
-        return irfft(f, size, axis=0)[:n]
+        return irfft(f, size)[..., :n]
 
     return apply
 
@@ -175,37 +168,38 @@ def _energy_scale(mu, c, alpha, v):
     return min(mu * (c * alpha) ** 2, np.abs(v).max())
 
 
-def _start_block(columns):
-    """Orthonormal start block: the unit columns plus a seeded perturbation.
+def _start_block(rows):
+    """Orthonormal start block: the unit rows plus a seeded perturbation.
 
-    The perturbation, 1e-3 of each column, keeps the preconditioned
-    residuals of nearly parallel columns independent at the first step,
-    and breaks symmetries the columns share.
+    The perturbation, 1e-3 of each row, keeps the preconditioned residuals
+    of nearly parallel rows independent at the first step, and breaks
+    symmetries the rows share.  Norms and noise are taken on the n x k
+    transpose, which fixes the block bit for bit whatever the layout.
     """
-    x = columns / np.linalg.norm(columns, axis=0)
-    noise = np.random.default_rng(7).standard_normal(x.shape)
-    return np.linalg.qr(x + 1e-3 / np.sqrt(x.shape[0]) * noise)[0]
+    x = rows / np.linalg.norm(rows.T.copy(), axis=0)[:, None]
+    noise = np.random.default_rng(7).standard_normal(x.shape[::-1]).T
+    return np.linalg.qr((x + 1e-3 / np.sqrt(x.shape[1]) * noise).T)[0].T
 
 
 def _orthonormal_directions(basis, w):
-    """Orthonormal columns spanning the part of ``w`` orthogonal to the
-    orthonormal ``basis``: two block Gram-Schmidt passes, then a QR.  A
-    column left with under 1e-10 of its norm is dropped and the rest redone,
-    so a near-dependent column cannot carry noise into the basis."""
+    """Orthonormal rows spanning the part of the rows ``w`` orthogonal to the
+    orthonormal rows ``basis``: two block Gram-Schmidt passes, then a QR.  A
+    row left with under 1e-10 of its norm is dropped and the rest redone, so
+    a near-dependent row cannot carry noise into the basis."""
     v = w
     for _ in range(2):
-        v = v - basis @ (basis.T @ v)
-    q, r = np.linalg.qr(v)
-    keep = np.abs(np.diagonal(r)) > 1e-10 * np.linalg.norm(w, axis=0)
-    return q if keep.all() else _orthonormal_directions(basis, w[:, keep])
+        v = v - (v @ basis.T) @ basis
+    q, r = np.linalg.qr(v.T)
+    keep = np.abs(np.diagonal(r)) > 1e-10 * np.linalg.norm(w, axis=1)
+    return q.T if keep.all() else _orthonormal_directions(basis, w[keep])
 
 
 def _lowest_eigenpairs(apply_h, apply_m, x, tol, maxiter, where):
-    """Lowest eigenpairs of a symmetric operator, one per column of ``x``.
+    """Lowest eigenpairs of a symmetric operator, one per row of ``x``.
 
     Block LOBPCG from the start block ``x``, kept orthonormal as by
     Hetmaniuk & Lehoucq: the preconditioned residuals W of the unconverged
-    columns are made orthonormal to [X, P], and P is the complement of the
+    rows are made orthonormal to [X, P], and P is the complement of the
     Ritz vectors inside the span of [W, P], so Rayleigh-Ritz on [X, W, P]
     is a plain eigh.  Each iteration applies H to W only; H X and H P are
     carried by the small-space combinations that give X and P.  When the
@@ -213,44 +207,53 @@ def _lowest_eigenpairs(apply_h, apply_m, x, tol, maxiter, where):
     have run, H X is computed afresh and every level's true residual
     |H x - lambda x| checked against ``tol``.  The block restarts from
     there while the worst residual at least halves, else raises
-    NonConvergenceError.  Returns (ascending values, orthonormal vectors).
+    NonConvergenceError.  Returns (ascending values, orthonormal rows).
     """
-    k = x.shape[1]
+    k = x.shape[0]
     worst, iterations, restarts = np.inf, 0, -1
     while True:
         restarts += 1
-        x = np.linalg.qr(x)[0]
+        x = np.linalg.qr(x.T)[0].T
         hx = apply_h(x)
-        vals, c = np.linalg.eigh(x.T @ hx)
-        x, hx = x @ c, hx @ c
-        res = np.linalg.norm(hx - x * vals, axis=0).max()
+        vals, c = np.linalg.eigh(hx @ x.T)
+        x, hx = c.T @ x, c.T @ hx
+        res = np.linalg.norm(hx - vals[:, None] * x, axis=1).max()
         if res <= tol:
             return vals, x
         if not (res <= 0.5 * worst and iterations < maxiter):
             raise NonConvergenceError(
                 f"LOBPCG left a residual of {res:.2e} (tolerance {tol:.2e}) "
                 f"for the {k} lowest levels on {where} after {iterations} "
-                f"iterations and {restarts} restarts"
-            )
+                f"iterations and {restarts} restarts")
         worst = res
         xp, hxp = x, hx  # [X, P] and H [X, P]; P is empty at a restart
         while iterations < maxiter:
-            r = hxp[:, :k] - xp[:, :k] * vals
-            active = np.linalg.norm(r, axis=0) > tol
+            r = hxp[:k] - vals[:, None] * xp[:k]
+            active = np.linalg.norm(r, axis=1) > tol
             if not active.any():
                 break
             iterations += 1
-            w = _orthonormal_directions(xp, apply_m(r[:, active]))
-            s, hs = np.hstack((xp, w)), np.hstack((hxp, apply_h(w)))
-            theta, y = np.linalg.eigh(s.T @ hs)
+            w = _orthonormal_directions(xp, apply_m(r[active]))
+            # H acts on W as the contiguous rows it takes in S
+            s = np.vstack((xp, w))
+            hs = np.vstack((hxp, apply_h(s[len(xp):])))
+            theta, y = np.linalg.eigh(hs @ s.T)
             vals, y = theta[:k], y[:, :k]
-            # P: the active Ritz vectors' steps out of X, made orthogonal
-            # to the Ritz vectors within the small space
-            z = y[:, active].copy()
+            # P: the active Ritz vectors' steps out of X, made orthogonal to
+            # them by one QR of [Y, Z] in the small space (room for len(y) - k
+            # steps); one left under 1e-10 of its norm is dropped, QR redone
+            z = y[:, active][:, :len(y) - k]
             z[:k] = 0.0
-            yz = np.hstack((y, _orthonormal_directions(y, z)))
-            xp, hxp = s @ yz, hs @ yz
-        x = xp[:, :k]
+            while True:
+                q, rz = np.linalg.qr(np.hstack((y, z)))
+                keep = (np.abs(np.diagonal(rz)[k:])
+                        > 1e-10 * np.linalg.norm(z, axis=0))
+                if keep.all():
+                    break
+                z = z[:, keep]
+            yz = np.hstack((y, q[:, k:]))
+            xp, hxp = yz.T @ s, yz.T @ hs
+        x = xp[:k]
 
 
 def radial_levels(n_points, length, m1, m2, alpha, c=1.0, kinetic="salpeter",
@@ -279,26 +282,19 @@ def radial_levels(n_points, length, m1, m2, alpha, c=1.0, kinetic="salpeter",
            + 64 * np.finfo(float).eps * (tk[-1] + np.abs(v).max()))
     inverse = 1.0 / (tk + scale / (2.0 * (ell + n_levels) ** 2) + tk[0])
 
-    # on sine coefficients T and the preconditioner are diagonal
-    apply_v = _potential_product(v)
-
-    def apply_h(coef):
-        return tk[:, None] * coef + apply_v(coef)
-
-    def apply_m(coef):
-        return inverse[:, None] * coef
-
     bohr = 1.0 / (mu * c * alpha) if alpha > 0 else length
     a = min(max(bohr, r[0]), length)
-    shell = ell + np.arange(1, n_levels + 1)
-    # in logs, scaled per column, so that no power of r overflows
-    log_x = shell * np.log(r[:, None] / a) - r[:, None] / (shell * a)
-    start = _sine(_start_block(np.exp(log_x - log_x.max(axis=0))))
+    shell = ell + np.arange(1, n_levels + 1)[:, None]
+    # in logs, scaled per row, so that no power of r overflows
+    log_x = shell * np.log(r / a) - r / (shell * a)
+    start = _sine(_start_block(np.exp(log_x - log_x.max(axis=1)[:, None])))
 
+    # on sine coefficients T and the preconditioner are diagonal
+    apply_v = _potential_product(v)
     vals, coef = _lowest_eigenpairs(
-        apply_h, apply_m, start, tol, _MAXITER,
-        f"the {n_points}-point radial grid (length={length}, ell={ell})",
-    )
+        lambda coef: tk * coef + apply_v(coef), lambda coef: inverse * coef,
+        start, tol, _MAXITER,
+        f"the {n_points}-point radial grid (length={length}, ell={ell})")
     if return_states:
-        return vals, _sine(coef), r
+        return vals, _sine(coef).T, r
     return vals

@@ -415,17 +415,17 @@ def cartesian_ground_state(n_points, length, m1, m2, alpha, c=1.0,
     def in_k(diag, grids):
         return irfftn(diag * rfftn(grids, axes=(1, 2, 3)), s=shape, axes=(1, 2, 3))
 
-    # a block of columns as a stack of grids and back
+    # a block of rows as a stack of grids and back
     def apply_h(u):
-        grids = u.T.reshape((-1,) + shape)
-        return (in_k(tk, grids) + v * grids).reshape(-1, size).T
+        grids = u.reshape((-1,) + shape)
+        return (in_k(tk, grids) + v * grids).reshape(-1, size)
 
     def apply_m(u):
-        return in_k(inverse, u.T.reshape((-1,) + shape)).reshape(-1, size).T
+        return in_k(inverse, u.reshape((-1,) + shape)).reshape(-1, size)
 
-    envelope = np.exp(-np.sqrt(r2) / (0.1 * length)).reshape(size, 1)
+    envelope = np.exp(-np.sqrt(r2) / (0.1 * length)).reshape(1, size)
     vals, _ = _lowest_eigenpairs(
-        apply_h, apply_m, _start_block(np.repeat(envelope, n_levels, axis=1)),
+        apply_h, apply_m, _start_block(np.repeat(envelope, n_levels, axis=0)),
         tol * (scale + t_min),
         _MAXITER if maxiter is None else maxiter,
         f"the {n_points}^3 grid",

@@ -363,3 +363,17 @@ def test_particle_system_validation():
             charges=np.array([1.0, -1.0]),
             potential="coulomb",
         )
+
+
+@pytest.mark.parametrize("field", ["masses", "positions", "momenta", "charges"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_particle_system_refuses_non_finite_inputs(field, bad):
+    """Also where no other rule trips: NaN slips past m <= 0 and |r| <= tol."""
+    kw = dict(masses=np.array([1.0, 2.0]),
+              positions=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+              momenta=np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]]),
+              charges=np.array([1.0, -1.0]), potential="coulomb")
+    kw[field] = kw[field].copy()
+    kw[field].flat[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ParticleSystem(**kw)

@@ -27,6 +27,15 @@ def test_coincident_particles_raise():
         darwin_energy(-1.0, 1.0, 1.0, 1.0, np.zeros(3), np.ones(3), np.ones(3))
 
 
+def test_nan_separation_raises():
+    """A NaN |r| is no separation: |r| <= tol is False for it, |r| > tol too."""
+    with pytest.raises(SingularPotentialError, match="nan"):
+        coulomb_energy(-1.0, np.array([np.nan, 0.0, 0.0]))
+    with pytest.raises(SingularPotentialError):
+        relative_potential_gradients("coulomb", -1.0, 1.0, 1.0, 1.0,
+                                     np.array([0.0, np.nan, 0.0]), np.zeros(3))
+
+
 def test_darwin_rest_frame_reduction():
     """Lab form with p1 = -p2 = pi equals the relative form."""
     rng = np.random.default_rng(3)

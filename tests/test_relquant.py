@@ -9,6 +9,7 @@ from instantform.relquant import (
     _energy_scale,
     _lowest_eigenpairs,
     _next_fast_len,
+    _orthonormal_directions,
     _potential_product,
     _radial_terms,
     _sine,
@@ -156,9 +157,9 @@ def test_potential_product_matches_two_sine_transforms(n):
     v = (-1.0 / np.sqrt(r**2 + 0.01) + 3.0 / (r**2 + 0.01)
          + rng.standard_normal(n))
     apply_v = _potential_product(v)
-    for columns in (1, 2, 3, 4):
-        x = rng.standard_normal((n, columns))
-        want = _sine(v[:, None] * _sine(x))
+    for rows in (1, 2, 3, 4):
+        x = rng.standard_normal((n, rows)).T
+        want = _sine(v * _sine(x))
         got = apply_v(x)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(v).max() * np.abs(x).max()
@@ -172,13 +173,13 @@ def test_next_fast_len_is_scipys_real_fast_length():
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 255, 256, 511, 1000, 2048])
 def test_sine_is_the_orthonormal_dst1_and_its_own_inverse(n):
     """Including 2(n + 1) = 2 x 257 and 2 x 3 x 683, at n = 256 and 2048."""
-    x = np.random.default_rng(n).standard_normal((n, 3))
-    want = dst(x, type=1, norm="ortho", axis=0)
+    x = np.random.default_rng(n).standard_normal((n, 3)).T
+    want = dst(x, type=1, norm="ortho", axis=-1)
     got = _sine(x)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.abs(want).max())
     np.testing.assert_allclose(_sine(got), x, rtol=0, atol=1e-14 * np.abs(x).max())
-    np.testing.assert_array_equal(_sine(x[:, 0]), got[:, 0])
+    np.testing.assert_array_equal(_sine(x[0]), got[0])
 
 
 def _clustered_operator(n=300):
@@ -191,9 +192,10 @@ def _clustered_operator(n=300):
 
 def test_lowest_eigenpairs_match_dense_eigh_on_a_clustered_operator():
     h, diag = _clustered_operator()
-    x = _start_block(np.random.default_rng(6).standard_normal((h.shape[0], 4)))
-    vals, vecs = _lowest_eigenpairs(lambda u: h @ u, lambda u: u / (diag[:, None] + 0.5),
+    x = _start_block(np.random.default_rng(6).standard_normal((h.shape[0], 4)).T)
+    vals, rows = _lowest_eigenpairs(lambda u: u @ h, lambda u: u / (diag + 0.5),
                                     x, 1e-9, 200, "the clustered operator")
+    vecs = rows.T
     want = np.linalg.eigh(h)[0][:4]
     np.testing.assert_allclose(vals, want, rtol=1e-10, atol=0)
     assert np.max(np.abs(vecs.T @ vecs - np.eye(4))) < 1e-12
@@ -202,10 +204,37 @@ def test_lowest_eigenpairs_match_dense_eigh_on_a_clustered_operator():
 
 def test_lowest_eigenpairs_refuses_a_short_iteration_budget():
     h, diag = _clustered_operator()
-    x = _start_block(np.random.default_rng(6).standard_normal((h.shape[0], 4)))
+    x = _start_block(np.random.default_rng(6).standard_normal((h.shape[0], 4)).T)
     with pytest.raises(NonConvergenceError, match=r"residual of \S+ .* after 3 iterations"):
-        _lowest_eigenpairs(lambda u: h @ u, lambda u: u / (diag[:, None] + 0.5),
+        _lowest_eigenpairs(lambda u: u @ h, lambda u: u / (diag + 0.5),
                            x, 1e-9, 3, "the clustered operator")
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+def test_start_block_is_the_column_block_transposed_bit_for_bit(n):
+    """Noise drawn as n x k and norms summed down its columns: the block of
+    rows is the transpose of the block built from columns."""
+    cols = np.exp(-np.outer(np.arange(1, n + 1), [0.01, 0.02, 0.04]))
+    unit = cols / np.linalg.norm(cols, axis=0)
+    noise = np.random.default_rng(7).standard_normal(cols.shape)
+    want = np.linalg.qr(unit + 1e-3 / np.sqrt(n) * noise)[0]
+    np.testing.assert_array_equal(_start_block(cols.T.copy()), want.T)
+
+
+def test_orthonormal_directions_complement_the_basis():
+    rng = np.random.default_rng(9)
+    basis = np.linalg.qr(rng.standard_normal((200, 5)))[0].T
+    w = rng.standard_normal((4, 200))
+    q = _orthonormal_directions(basis, w)
+    assert q.shape == (4, 200)
+    assert np.max(np.abs(q @ q.T - np.eye(4))) < 1e-12
+    assert np.max(np.abs(q @ basis.T)) < 1e-12
+    # a row inside span(basis, other rows) is dropped, not normalized noise
+    w[2] = 2.0 * w[0] - w[3] + rng.standard_normal(5) @ basis
+    q = _orthonormal_directions(basis, w)
+    assert q.shape == (3, 200)
+    assert np.max(np.abs(q @ q.T - np.eye(3))) < 1e-12
+    assert np.max(np.abs(q @ basis.T)) < 1e-12
 
 
 def _out_of_place_product(v):
@@ -214,12 +243,12 @@ def _out_of_place_product(v):
     size = next_fast_len(2 * n - 1, real=True)
     t = irfft(np.concatenate(([0.0], v, [0.0])), 2 * (n + 1))
     d = np.arange(size)
-    even = rfft(t[np.minimum(d, size - d)]).real[:, None]
-    hankel = rfft(t[2:], size)[:, None]
+    even = rfft(t[np.minimum(d, size - d)]).real
+    hankel = rfft(t[2:], size)
 
     def apply(coef):
-        f = rfft(coef, size, axis=0)
-        return irfft(even * f - hankel * f.conj(), size, axis=0)[:n]
+        f = rfft(coef, size)
+        return irfft(even * f - hankel * f.conj(), size)[..., :n]
 
     return apply
 
@@ -229,7 +258,7 @@ def test_potential_product_in_place_is_bit_for_bit(n):
     rng = np.random.default_rng(n + 1)
     r = np.arange(1, n + 1) * 50.0 / (n + 1)
     v = -1.0 / np.sqrt(r**2 + 0.01) + rng.standard_normal(n)
-    x = rng.standard_normal((n, 6))
+    x = rng.standard_normal((n, 6)).T
     np.testing.assert_array_equal(_potential_product(v)(x), _out_of_place_product(v)(x))
 
 
@@ -244,6 +273,36 @@ def test_radial_levels_applies_no_sine_transform_per_product(monkeypatch):
     radial_levels(2048, LENGTH, M1, M2, ALPHA, n_levels=6)
     # the start block only, however many products LOBPCG took
     assert len(calls) <= 2
+
+
+# (n_points, ell, kinetic, m1, m2, alpha, box in Bohr radii of the level's
+# shell, H products, vectors multiplied by H), as the spectrum benchmark draws
+# its light and heavy grids; the exact counts pin the iteration path, so a
+# change of layout or arithmetic that costs products fails here
+@pytest.mark.parametrize("n, ell, kinetic, m1, m2, alpha, box, products, vectors", [
+    (256, 0, "salpeter", 1.0, 1.3, 0.012, 15.0, 14, 35),
+    (512, 1, "nonrelativistic", 0.7, 1.6, 0.008, 15.0, 18, 49),
+    (2048, 0, "nonrelativistic", 1.2, 0.9, 0.015, 30.0, 17, 44),
+    (2048, 1, "salpeter", 1.8, 0.6, 0.006, 30.0, 22, 53),
+])
+def test_radial_levels_keeps_its_iteration_path(monkeypatch, n, ell, kinetic, m1, m2,
+                                                alpha, box, products, vectors):
+    calls = []
+
+    def counted(v):
+        apply = _potential_product(v)
+
+        def apply_counted(coef):
+            calls.append(coef.size // n)
+            return apply(coef)
+
+        return apply_counted
+
+    monkeypatch.setattr(relquant, "_potential_product", counted)
+    mu = m1 * m2 / (m1 + m2)
+    radial_levels(n, box * (1 + ell) ** 2 / (mu * alpha), m1, m2, alpha,
+                  kinetic=kinetic, ell=ell, n_levels=3)
+    assert (len(calls), sum(calls)) == (products, vectors)
 
 
 def test_matrix_free_states_match_dense_oracle():
@@ -270,9 +329,9 @@ def test_hydrogen_like_levels_converge_at_n4096():
     _, tk, v = _radial_terms(*args, 1.0, "nonrelativistic", 0, None)
     tol = (_RADIAL_TOL * (_energy_scale(mu, 1.0, ALPHA, v) + tk[0])
            + 64 * np.finfo(float).eps * (tk[-1] + np.abs(v).max()))
-    coef = _sine(vecs)
-    res = tk[:, None] * coef + _sine(v[:, None] * _sine(coef)) - coef * vals
-    assert np.all(np.linalg.norm(res, axis=0) <= tol)
+    coef = _sine(vecs.T)
+    res = tk * coef + _sine(v * _sine(coef)) - vals[:, None] * coef
+    assert np.all(np.linalg.norm(res, axis=1) <= tol)
     assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) < 1e-12
     sal = radial_levels(*args, kinetic="salpeter", n_levels=3)
     assert np.all(sal < vals)
