@@ -20,6 +20,8 @@ it needs on first use, and a CSV row is rendered by one %-format.
 
 Every config key is declared once, in COMMON_KEYS and SCHEMA below; the
 README documents them, and configs/ holds a worked example per subcommand.
+A handler gets the resolved config alone, as the schema walk returns it;
+the run hash covers that config and nothing else.
 """
 
 import argparse
@@ -38,16 +40,6 @@ from . import __version__, potentials
 from .errors import ConfigError, InstantFormError, SingularPotentialError
 
 __all__ = ["main", "parse_config", "run"]
-
-SUBCOMMANDS = (
-    "validate-foliation",
-    "radar",
-    "centers",
-    "tube",
-    "evolve",
-    "reconstruct",
-    "spectrum",
-)
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -122,7 +114,6 @@ class _Key(NamedTuple):
     of: object = None
     positive: bool = False
     minimum: float | None = None
-    as_given: bool = False  # keep ints as written: run hashes depend on it
 
 
 _COULOMB = ("coulomb", "coulomb+darwin")
@@ -131,13 +122,12 @@ _VEC3_ZERO = _Key("vector", [0.0, 0.0, 0.0], of=3)
 _POSITIVE = _Key("number", positive=True)
 
 COMMON_KEYS = {
-    "sgn": _Key("choice", 1, of=(1, -1)),
     "c": _Key("number", 1.0, positive=True),
     "seed": _Key("integer", 0, minimum=0),
 }
 _PARTICLES = {
     "particles": _Key("list", of=_Key("object", of={
-        "m": _Key("number", positive=True, as_given=True),
+        "m": _POSITIVE,
         "x": _VEC3,
         "p": _VEC3_ZERO,
         "q": _Key("number", 0.0),
@@ -187,7 +177,7 @@ SCHEMA = {
                 "domain_max": _Key("number", 10.0),
             },
         }),
-        "events": _Key("list", _OPTIONAL, of=_Key("vector", of=4, as_given=True)),
+        "events": _Key("list", _OPTIONAL, of=_Key("vector", of=4)),
         "random_events": _Key("object", _OPTIONAL, of={
             "n": _Key("integer", 16, minimum=1),
             "time_scale": _Key("number", 1.0, positive=True),
@@ -245,11 +235,11 @@ def _walk(key, val, path, problems):
             return bad(f"must be > 0, got {val}")
         if key.minimum is not None and val < key.minimum:
             return bad(f"must be >= {key.minimum}, got {val}")
-        return val if key.as_given else int(val) if key.type == "integer" else float(val)
+        return int(val) if key.type == "integer" else float(val)
     if key.type == "vector":
         if not (isinstance(val, list) and len(val) == key.of and all(map(_is_finite_number, val))):
             return bad(f"expected a list of {key.of} finite numbers")
-        return list(val) if key.as_given else [float(v) for v in val]
+        return [float(v) for v in val]
     if key.type == "list":
         if not isinstance(val, list) or not val:
             return bad("expected a non-empty list")
@@ -295,15 +285,6 @@ def _events_given(cfg, problems):
         problems.append("events: provide either events or random_events")
 
 
-def _worldline_domain(cfg, problems):
-    wl = cfg["worldline"]
-    if wl and wl["kind"]:
-        if wl["kind"] == "inertial":
-            # a spatial origin: proper time zero sits at lab time zero
-            wl["origin"] = [0.0] + (wl["origin"] or [0.0] * 3)
-        wl["domain"] = [wl.pop("domain_min"), wl.pop("domain_max")]
-
-
 def _charges_apart(cfg, problems):
     # the ParticleSystem coincidence rule; a particle with a bad x or q counts
     # as neutral
@@ -334,7 +315,7 @@ def _default_softening(cfg, problems):
 
 _RULES = {
     "validate-foliation": (_tau_order, _subluminal_velocity),
-    "radar": (_events_given, _worldline_domain),
+    "radar": (_events_given,),
     "centers": (_charges_apart,),
     "tube": (_charges_apart,),
     "evolve": (_coulomb_charge,),
@@ -347,10 +328,10 @@ def _build_system(resolved):
     from . import collective
     parts = resolved["particles"]
     return collective.ParticleSystem(
-        masses=np.array([p["m"] for p in parts], dtype=float),
-        positions=np.array([p["x"] for p in parts], dtype=float),
-        momenta=np.array([p["p"] for p in parts], dtype=float),
-        charges=np.array([p["q"] for p in parts], dtype=float),
+        masses=np.array([p["m"] for p in parts]),
+        positions=np.array([p["x"] for p in parts]),
+        momenta=np.array([p["p"] for p in parts]),
+        charges=np.array([p["q"] for p in parts]),
         potential=resolved["potential"],
         x0=resolved["x0"],
         c=resolved["c"],
@@ -401,15 +382,10 @@ def _make_embedding(block, c):
         return foliation.identity_embedding()
     if kind == "tilted":
         return foliation.tilted_embedding(np.asarray(block["velocity"]))
-    return foliation.make_rotating_embedding(
-        kind="rigid" if kind == "rigid" else "differential",
-        omega=block["omega"],
-        r0=block.get("r0", 1.0),
-        c=c,
-    )
+    return foliation.make_rotating_embedding(kind, block["omega"], block.get("r0"), c)
 
 
-def _run_validate_foliation(cfg, rng):
+def _run_validate_foliation(cfg):
     from . import foliation
     emb = _make_embedding(cfg["embedding"], cfg["c"])
     report = foliation.check_admissibility(
@@ -430,30 +406,26 @@ def _run_validate_foliation(cfg, rng):
     }
 
 
-def _run_radar(cfg, rng):
+def _run_radar(cfg):
     from . import radar
     block = cfg["worldline"]
+    domain = (block["domain_min"], block["domain_max"])
     if block["kind"] == "inertial":
+        # a spatial origin: proper time zero sits at lab time zero
         wline = radar.inertial_worldline(
-            origin=np.asarray(block["origin"]),
-            h=np.asarray(block["h"]),
-            domain=tuple(block["domain"]),
-        )
+            np.array([0.0, *block["origin"]]), np.asarray(block["h"]), domain)
     else:
-        wline = radar.rindler_worldline(
-            accel=block["accel"], domain=tuple(block["domain"])
-        )
+        wline = radar.rindler_worldline(block["accel"], domain)
     events = cfg.get("events")
     if events is None:
         rand = cfg["random_events"]
+        rng = np.random.default_rng(cfg["seed"])
         n = rand["n"]
         times = rand["time_scale"] * rng.uniform(-1.0, 1.0, n)
         space = np.asarray(rand["space_offset"]) + rand["space_scale"] * rng.uniform(
             -1.0, 1.0, (n, 3)
         )
         events = np.concatenate((times[:, None], space), axis=1)
-    else:
-        events = np.asarray(events, dtype=float)
 
     rows = []
     for ev in events:
@@ -467,7 +439,7 @@ def _run_radar(cfg, rng):
     return {"radar.csv": (header, rows)}
 
 
-def _run_centers(cfg, rng):
+def _run_centers(cfg):
     from . import collective
     g = collective.poincare_generators(_build_system(cfg))
     mc, h, s_bar = collective.invariant_mass_spin(g)
@@ -489,7 +461,7 @@ def _run_centers(cfg, rng):
     }
 
 
-def _run_tube(cfg, rng):
+def _run_tube(cfg):
     from . import collective
     sample = collective.moller_tube_sample(
         _build_system(cfg),
@@ -536,14 +508,14 @@ def _evolve(cfg):
             "scheme": traj.scheme,
             "energy_drift": float(traj.energy_drift),
             "H0": float(traj.H[0]),
-            "n_steps": int(cfg["n_steps"]),
+            "n_steps": cfg["n_steps"],
             "max_fixed_point_sweeps": traj.meta.get("max_fixed_point_sweeps", 0),
         },
     }
     return artifacts, traj
 
 
-def _run_reconstruct(cfg, rng):
+def _run_reconstruct(cfg):
     from . import restframe
     artifacts, traj = _evolve(cfg)
     rec = restframe.reconstruct_worldlines(traj, np.asarray(cfg["z"]), np.asarray(cfg["h"]))
@@ -560,7 +532,7 @@ def _run_reconstruct(cfg, rng):
     }
 
 
-def _run_spectrum(cfg, rng):
+def _run_spectrum(cfg):
     from . import relquant
 
     def levels_at(n_points, n_levels):
@@ -584,7 +556,7 @@ def _run_spectrum(cfg, rng):
             "ground_binding": float(levels[0]),
             "ground_binding_half_resolution": float(half[0]),
             "relative_change": float(abs(levels[0] - half[0]) / abs(levels[0])),
-            "n_points": int(cfg["n_points"]),
+            "n_points": cfg["n_points"],
         },
     }
 
@@ -594,7 +566,7 @@ _HANDLERS = {
     "radar": _run_radar,
     "centers": _run_centers,
     "tube": _run_tube,
-    "evolve": lambda cfg, rng: _evolve(cfg)[0],
+    "evolve": lambda cfg: _evolve(cfg)[0],
     "reconstruct": _run_reconstruct,
     "spectrum": _run_spectrum,
 }
@@ -615,11 +587,10 @@ def run(cfg, out_base):
     except OSError as exc:  # such as --out naming a file
         print(f"cannot write output: {exc}", file=sys.stderr)
         return _EXIT_CONFIG, run_dir
-    rng = np.random.default_rng(cfg["seed"])
 
     start = time.monotonic()
     try:
-        artifacts = _HANDLERS[cfg["subcommand"]](cfg, rng)
+        artifacts = _HANDLERS[cfg["subcommand"]](cfg)
         texts = {name: _render(name, content) for name, content in artifacts.items()}
     # ArithmeticError: FloatingPointError, and ZeroDivisionError or
     # OverflowError from Python float arithmetic on extreme inputs
@@ -639,7 +610,7 @@ def run(cfg, out_base):
         "subcommand": cfg["subcommand"],
         "config": cfg,
         "config_hash": digest,
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "wall_time_s": wall,
         "versions": {
             "instantform": __version__,
@@ -661,7 +632,7 @@ def _parser():
         description="Rest-frame instant form toolkit batch runner.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in SCHEMA:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default="out", help="base output directory")

@@ -206,7 +206,7 @@ def fokker_pryce_worldline(g):
     three centers coincide at the static point J_rest^{k0}/Mc, and boosting
     that world-line back with the standard boost of h.
     """
-    mc, h, _, _, x_rest = g._rest
+    _, h, _, _, x_rest = g._rest
     back = boost_from_h(h)
 
     def line(tau):
@@ -216,9 +216,7 @@ def fokker_pryce_worldline(g):
         ev[..., 1:] = x_rest
         return ev @ back.T
 
-    line.x_rest = x_rest
-    line.h = h
-    line.Mc = mc
+    line.h = h  # the line's velocity parameter, for callers that boost along it
     return line
 
 

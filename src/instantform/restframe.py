@@ -165,6 +165,9 @@ class RelativeState:
         self.pi = np.asarray(self.pi, dtype=float)
         if self.rho.shape != (3,) or self.pi.shape != (3,):
             raise ValueError("rho and pi must be 3-vectors")
+        if not np.isfinite(np.concatenate((self.rho, self.pi,
+                                           [self.charge_product, self.tau]))).all():
+            raise ValueError("rho, pi, charge_product and tau must be finite")
         if not (self.m1 > 0 and self.m2 > 0):
             raise ValueError("masses must be positive")
         if not self.c > 0:

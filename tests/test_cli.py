@@ -15,7 +15,7 @@ from hypothesis import strategies as hst
 from instantform import cli
 from instantform.errors import ConfigError
 
-from oracles import cellwise_csv
+from oracles import cellwise_csv, inertial_sync_closed_form
 
 
 def run_cli(tmp_path, sub, cfg, out_name="out", seed=None):
@@ -61,7 +61,7 @@ def test_manifest_contents(tmp_path):
     assert code == 0
     man = read_json(only_run_dir(out), "manifest.json")
     # resolved config includes every default, not just what was given
-    assert man["config"]["sgn"] == 1
+    assert "sgn" not in man["config"]  # the CLI has no signature key
     assert man["config"]["c"] == 1.0
     assert man["config"]["seed"] == 0
     assert "numpy" in man["versions"]
@@ -98,6 +98,41 @@ def test_radar_random_events(tmp_path):
     lines = Path(only_run_dir(out), "radar.csv").read_text().splitlines()
     assert len(lines) == 13
     assert all(line.split(",")[-1] == "ok" for line in lines[1:])
+
+
+def test_inertial_radar_matches_the_projection(tmp_path):
+    """The config's spatial origin sits at lab time zero: every radar time is
+    the projection of the event onto the observer's 4-velocity."""
+    origin, h = [0.5, -1.0, 2.0], [0.3, -0.2, 0.1]
+    events = [[0.0, 0.0, 0.0, 0.0], [1.5, 2.0, -1.0, 0.5], [-2.0, 0.3, 1.2, 3.0]]
+    cfg = {"worldline": {"kind": "inertial", "origin": origin, "h": h,
+                         "domain_min": -20.0, "domain_max": 30.0},
+           "events": events}
+    code, out = run_cli(tmp_path, "radar", cfg)
+    assert code == 0
+    lines = Path(only_run_dir(out), "radar.csv").read_text().splitlines()[1:]
+    assert len(lines) == len(events)
+    for line, event in zip(lines, events):
+        cells = line.split(",")
+        assert cells[-1] == "ok"
+        want = inertial_sync_closed_form([0.0, *origin], np.array(h), event)
+        assert float(cells[4]) == pytest.approx(want, abs=1e-10)
+
+
+def test_random_events_are_the_seeded_draws(tmp_path):
+    """random_events draws the n times, then the (n, 3) offsets, from
+    np.random.default_rng(seed)."""
+    rand = {"n": 5, "time_scale": 2.0, "space_scale": 3.0, "space_offset": [1.0, -2.0, 0.5]}
+    cfg = {"worldline": {"kind": "rindler", "accel": 0.5}, "random_events": rand, "seed": 11}
+    code, out = run_cli(tmp_path, "radar", cfg)
+    assert code == 0
+    rows = Path(only_run_dir(out), "radar.csv").read_text().splitlines()[1:]
+    got = np.array([[float(v) for v in row.split(",")[:4]] for row in rows])
+    rng = np.random.default_rng(11)
+    times = rand["time_scale"] * rng.uniform(-1.0, 1.0, rand["n"])
+    space = np.asarray(rand["space_offset"]) + rand["space_scale"] * rng.uniform(
+        -1.0, 1.0, (rand["n"], 3))
+    np.testing.assert_array_equal(got, np.column_stack((times, space)))
 
 
 TUBE_CFG = {
@@ -215,6 +250,14 @@ def test_reconstruct_outputs(tmp_path):
     assert len(lines) == 1 + 2 * 101  # both worldlines, every sample
 
 
+@pytest.mark.parametrize("kind", ["identity", "tilted"])
+def test_inertial_foliations_pass(tmp_path, kind):
+    emb = {"kind": kind, **({"velocity": [0.3, -0.2, 0.1]} if kind == "tilted" else {})}
+    code, out = run_cli(tmp_path, "validate-foliation", {"embedding": emb})
+    assert code == 0
+    assert read_json(only_run_dir(out), "report.json")["passed"] is True
+
+
 def test_validation_collects_every_problem():
     bad = {
         "particles": [
@@ -266,6 +309,41 @@ def test_bad_config_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("sub, cfg, message", [
+    pytest.param("validate-foliation",
+                 {"embedding": {"kind": "identity"}, "grid": {"tau_min": 1.0, "tau_max": 0.5}},
+                 "grid.tau_max: must be >= tau_min", id="tau-order"),
+    pytest.param("radar", {"worldline": {"kind": "rindler", "accel": 1.0}},
+                 "events: provide either events or random_events", id="no-events"),
+    pytest.param("evolve",
+                 {"m1": 1.0, "m2": 1.0, "rho0": [1.0, 0.0, 0.0], "dtau": 0.1, "n_steps": 10},
+                 "charge_product: must be nonzero for a coulomb potential", id="zero-charge"),
+    pytest.param("centers", "[]", "<document>: top level must be an object", id="top-level-array"),
+])
+def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys, sub, cfg, message):
+    code, out = run_cli(tmp_path, sub, cfg)
+    assert code == 2
+    assert not os.path.exists(out)
+    assert message in capsys.readouterr().err
+
+
+def test_sgn_is_an_unknown_key(tmp_path, capsys):
+    """No artifact depends on a metric signature, so the CLI takes none."""
+    cfg = {"particles": [{"m": 1.0, "x": [0.0, 0.0, 0.0]}], "sgn": 1}
+    code, out = run_cli(tmp_path, "centers", cfg)
+    assert code == 2
+    assert not os.path.exists(out)
+    assert "sgn: unknown key" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    missing = tmp_path / "missing.json"
+    assert cli.main(["centers", "--config", str(missing), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_malformed_json_exits_2(tmp_path):
     out = str(tmp_path / "out")
     cfg_path = tmp_path / "broken.json"
@@ -291,7 +369,7 @@ def test_minimal_config_fills_defaults():
         json.dumps({"particles": [{"m": 2.0, "x": [0.0, 0.0, 0.0]}]}),
         "centers",
     )
-    assert resolved["sgn"] == 1
+    assert "sgn" not in resolved
     assert resolved["c"] == 1.0
     assert resolved["seed"] == 0
     assert resolved["particles"][0]["p"] == [0.0, 0.0, 0.0]
@@ -511,13 +589,13 @@ def test_extreme_pair_configs_keep_their_exit_codes(tmp_path, sub, change, want)
 # run-directory names of the committed configs; a change to how configs
 # resolve moves them
 COMMITTED_DIGESTS = {
-    "centers": "3130599065c3",
-    "evolve": "60d02243ba70",
-    "radar": "0f938664a80b",
-    "reconstruct": "ec096f3ab5e4",
-    "spectrum": "1569e45c06a6",
-    "tube": "b40c0c30105b",
-    "validate-foliation": "07f90c7196e8",
+    "centers": "5ba9193dbdbe",
+    "evolve": "06a51826d1f4",
+    "radar": "772260790080",
+    "reconstruct": "cf1195c31dc6",
+    "spectrum": "bacffd98986e",
+    "tube": "81daa3471fbc",
+    "validate-foliation": "e879a6c13419",
 }
 
 

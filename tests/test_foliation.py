@@ -382,6 +382,28 @@ def test_non_finite_nodes_are_violations_with_nan_witnesses():
     np.testing.assert_array_equal(rep.asymptotic_normal, [1.0, 0.0, 0.0, 0.0])
 
 
+def test_shell_normals_that_spread_fail_condition_3():
+    """On the bowl z = (tau + 0.1 |sigma|^2, sigma) the shell normals tilt
+    away from their mean (1, 0, 0, 0) by up to 0.4 / sqrt(1 - 3 * 0.4^2) at
+    the box corners, far beyond the tolerance, while every node is
+    admissible."""
+
+    def z(tau, sigma):
+        return np.concatenate(((tau + 0.1 * np.sum(sigma * sigma, axis=-1))[..., None], sigma),
+                              axis=-1)
+
+    def jac(tau, sigma):
+        out = np.broadcast_to(np.eye(4), np.shape(tau) + (4, 4)).copy()
+        out[..., 0, 1:] = 0.2 * sigma
+        return out
+
+    rep = check_admissibility(Embedding(z, jacobian=jac, name="bowl"),
+                              GridSpec(0.0, 1.0, 2, 2.0, 5))
+    assert rep.conditions_passed == (True, True, False)
+    assert [v.condition for v in rep.violations] == [3]
+    assert rep.violations[0].witness == pytest.approx(0.4 / np.sqrt(0.52), rel=1e-9)
+
+
 def test_large_grid_memory_stays_bounded():
     """A 47^3-node sweep runs in fixed-size blocks, not all nodes at once."""
     emb = make_rotating_embedding("differential", omega=1.2, r0=0.8)

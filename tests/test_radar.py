@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from scipy.optimize import brentq
 
-from instantform.errors import NoSolutionError, NonTimelikeError
+from instantform.errors import InversionError, NoSolutionError, NonTimelikeError
 from instantform.radar import (
     _brent,
     einstein_sync,
@@ -143,6 +143,22 @@ def test_radar_coordinates_inverts_embedding():
             got_tau, got_sigma = radar_coordinates(emb, event)
             assert got_tau == pytest.approx(tau, abs=1e-8)
             np.testing.assert_allclose(got_sigma, sigma, atol=1e-8)
+
+
+@pytest.mark.parametrize("jacobian, message", [
+    pytest.param(np.zeros((4, 4)), "singular chart Jacobian", id="singular"),
+    pytest.param(np.full((4, 4), np.nan), "non-finite Newton step", id="non-finite"),
+    # each step goes uphill, so all 30 halvings fail
+    pytest.param(-np.eye(4), "damped Newton stalled", id="stalled"),
+])
+def test_radar_coordinates_refusals(jacobian, message):
+    from instantform.foliation import Embedding
+
+    emb = Embedding(lambda tau, sigma: np.concatenate((np.asarray(tau)[..., None], sigma),
+                                                      axis=-1) + 1.0,
+                    jacobian=lambda tau, sigma: jacobian, name="shifted")
+    with pytest.raises(InversionError, match=message):
+        radar_coordinates(emb, [0.5, 0.2, -0.3, 0.1])
 
 
 def test_static_observer_resolves_event_with_both_roots_in_one_cell():

@@ -205,6 +205,22 @@ def test_relative_state_validation():
         RelativeState(m1=1.0, m2=1.0, rho=np.ones(2), pi=np.zeros(3))
 
 
+@pytest.mark.parametrize("change", [
+    {"rho": [math.nan, 0.0, 0.0]},
+    {"pi": [0.0, math.inf, 0.0]},
+    {"charge_product": math.nan},
+    {"charge_product": -math.inf},
+    {"tau": math.nan},
+], ids=["rho-nan", "pi-inf", "charge-nan", "charge-inf", "tau-nan"])
+def test_relative_state_refuses_non_finite_values(change):
+    """A non-finite state is refused where it is made, before evolve can
+    misname it an overflow or a collision."""
+    args = {"m1": 1.0, "m2": 1.0, "rho": [1.0, 0.0, 0.0], "pi": [0.0, 0.1, 0.0],
+            "charge_product": -1.0, **change}
+    with pytest.raises(ValueError, match="finite"):
+        RelativeState(**args)
+
+
 # ------------------------------------------------------------------- evolve
 
 def test_free_evolution_is_exact_drift():
