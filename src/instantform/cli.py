@@ -184,7 +184,6 @@ SCHEMA = {
             "space_scale": _Key("number", 1.0, positive=True),
             "space_offset": _VEC3_ZERO,
         }),
-        "scan_points": _Key("integer", 512, minimum=16),
     },
     "centers": _PARTICLES,
     "tube": {
@@ -272,6 +271,13 @@ def _tau_order(cfg, problems):
         problems.append("grid.tau_max: must be >= tau_min")
 
 
+def _domain_order(cfg, problems):
+    wl = cfg["worldline"] or {}
+    lo, hi = wl.get("domain_min"), wl.get("domain_max")
+    if None not in (lo, hi) and not hi > lo:
+        problems.append("worldline.domain_max: must be > domain_min")
+
+
 def _subluminal_velocity(cfg, problems):
     emb = cfg["embedding"]
     if emb and emb["kind"] == "tilted" and emb["velocity"]:
@@ -315,7 +321,7 @@ def _default_softening(cfg, problems):
 
 _RULES = {
     "validate-foliation": (_tau_order, _subluminal_velocity),
-    "radar": (_events_given,),
+    "radar": (_events_given, _domain_order),
     "centers": (_charges_apart,),
     "tube": (_charges_apart,),
     "evolve": (_coulomb_charge,),
@@ -430,7 +436,7 @@ def _run_radar(cfg):
     rows = []
     for ev in events:
         try:
-            res = radar.einstein_sync(wline, ev, scan_points=cfg["scan_points"])
+            res = radar.einstein_sync(wline, ev)
             rows.append((*ev, res.tau, res.s_emit, res.s_absorb, *res.residuals, "ok"))
         except radar.NoSolutionError as exc:
             rows.append((*ev, *[np.nan] * 5, f"no_solution:{exc.missing}"))

@@ -364,8 +364,8 @@ def moller_tube_sample(sys, n_frames, rapidity_max, seed=0):
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    if rapidity_max < 0:
-        raise ValueError("rapidity_max must be >= 0")
+    if not 0 <= rapidity_max < np.inf:
+        raise ValueError(f"rapidity_max must be finite and >= 0, got {rapidity_max}")
     g = poincare_generators(sys)
     to_rest, x_rest = g._rest[3:]
 

@@ -7,14 +7,13 @@ echo at w(s_absorb), and set
 
     tau_P = (s_emit + s_absorb) / 2.
 
-Both legs are roots of the null condition f(s) = <P - w(s), P - w(s)> = 0,
-located by scanning f for sign changes on the world-line's domain and
-polishing each bracket with Brent's method (Brent, Algorithms for
-Minimization without Derivatives, 1973, ch. 4).  An event close to the
-observer can put both roots in one scan cell, so the scan sees no sign
-change; the minimum of f, where <P - w(s), u(s)> = 0, then splits them.
-Radar time is defined near the observer (Bini, Lusanna & Mashhoon, IJMP D
-14, 1413 (2005)), so such events resolve.
+With dt = P0 - w0(s) and r = |P - w(s)| (spatial part), the emission leg
+dt - r and the absorption leg dt + r both fall strictly with s on a timelike
+world-line, so each has one root on the domain or none.  einstein_sync
+brackets each root by a scan and polishes it with Brent's method (Brent,
+Algorithms for Minimization without Derivatives, 1973, ch. 4).  Radar time
+is defined right up to the observer (Bini, Lusanna & Mashhoon, IJMP D 14,
+1413 (2005)): an event on the world-line is its own radar time.
 
 radar_coordinates inverts a foliation chart: given an event x and an
 embedding z, it solves z(tau, sigma) = x with a damped Newton iteration on
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InversionError, NonTimelikeError, NoSolutionError
-from .minkowski import interval, minkowski_dot
+from .minkowski import interval
 
 __all__ = [
     "Worldline",
@@ -47,7 +46,8 @@ class Worldline:
     ``position`` and ``velocity`` accept a float or an array of parameter
     values s and return arrays of shape (..., 4).  The parameter is proper
     length, so the four-velocity must satisfy u0^2 - |u|^2 = 1 with u0 > 0;
-    ``validate`` spot-checks that on 64 points of the domain.
+    ``validate`` spot-checks that on 64 points of the domain, which must be
+    finite and increasing.
     """
 
     position: callable
@@ -56,7 +56,11 @@ class Worldline:
     name: str = "worldline"
 
     def validate(self):
-        s = np.linspace(self.domain[0], self.domain[1], 64)
+        lo, hi = self.domain
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"{self.name}: domain must be finite and increasing, "
+                             f"got {self.domain}")
+        s = np.linspace(lo, hi, 64)
         u = np.asarray(self.velocity(s), dtype=float)
         norms = interval(u)
         if not np.all(u[..., 0] > 0.0):
@@ -143,15 +147,19 @@ class RadarResult:
     s_absorb: float
     emit_event: np.ndarray
     absorb_event: np.ndarray
-    residuals: tuple      # null-condition residuals (emit, absorb), scaled
+    residuals: tuple      # |f| at (emit, absorb) over max(1, |P - w(s)|_inf)^2
 
 
-def _null_f(w, event):
-    def f(s):
-        d = event - w.position(s)
-        return float(interval(d))
+_SCAN_POINTS = 512   # samples of the domain in einstein_sync's one w.position scan
 
-    return f
+
+def _cone(d):
+    """Null condition f = dt^2 - r^2 and legs dt - r, dt + r of separations d = P - w(s);
+    f is interval(d) bit for bit, without numpy's slow sum over a length-3 axis."""
+    sq = d * d
+    r2 = sq[..., 1] + sq[..., 2] + sq[..., 3]
+    r = np.sqrt(r2)
+    return sq[..., 0] - r2, d[..., 0] - r, d[..., 0] + r
 
 
 # root tolerances of einstein_sync: |s - root| <= (xtol + rtol |s|) / 2
@@ -222,89 +230,44 @@ def _brent(f, a, b, xtol, rtol, maxiter=100):
 brentq = _brent
 
 
-def _one_cell_roots(w, event, f, s_grid, i):
-    """Both null roots around the scan sample s_grid[i] where f is least.
-
-    The minimum of f, where <P - w(s), u(s)> = -f'(s)/2 falls through zero,
-    lies within one cell of s_grid[i]; if f < 0 there, one root lies on each
-    side of it.  Empty when the minimum is not bracketed or f >= 0 there.
-    """
-    lo, hi = s_grid[max(i - 1, 0)], s_grid[min(i + 1, len(s_grid) - 1)]
-
-    def slope(s):
-        return float(minkowski_dot(event - w.position(s), w.velocity(s)))
-
-    if not slope(lo) > 0.0 > slope(hi):
-        return []
-    s_min = brentq(slope, lo, hi, _XTOL, _RTOL)
-    if not f(s_min) < 0.0:
-        return []
-    return [brentq(f, lo, s_min, _XTOL, _RTOL), brentq(f, s_min, hi, _XTOL, _RTOL)]
-
-
-def einstein_sync(w, event, scan_points=512):
+def einstein_sync(w, event):
     """Midpoint radar time of ``event`` as judged by world-line ``w``.
 
-    Scans the domain with ``scan_points`` samples for sign changes of the
-    null condition, refines each bracket by Brent's method, and classifies
-    roots into the emission leg (event on the future light cone of w(s))
-    and absorption leg (event on the past light cone).  When the scan finds
-    no sign change but f > 0 at its start, both roots may lie in one cell,
-    as for an event close to the observer: Brent's method on
-    <P - w(s), u(s)> then finds the minimum of f near the least sample, and
-    if f < 0 there, one root on each side.  Raises NoSolutionError when
-    either leg is missing on the domain, e.g. beyond a Rindler horizon.
+    Both legs fall strictly with s, so each has a root on the domain exactly
+    when it is >= 0 at the first scan sample and <= 0 at the last; otherwise
+    NoSolutionError names the missing leg ("emission", "absorption" or
+    "both"), e.g. beyond a Rindler horizon.  Each root is bracketed by the
+    scan cell where its leg changes sign.  Brent's method solves the null
+    condition f = dt^2 - r^2 = <P - w, P - w> there when the scan shows f
+    changing sign across the cell, and the leg itself otherwise: then both
+    legs change sign in one cell, as for an event on or near the world-line.
+    Raises ValueError for a non-finite event.
     """
     event = np.asarray(event, dtype=float)
-    s_grid = np.linspace(w.domain[0], w.domain[1], int(scan_points))
-    fvals = interval(event - np.asarray(w.position(s_grid), dtype=float))
+    s_grid = np.linspace(w.domain[0], w.domain[1], _SCAN_POINTS)
+    f, *legs = _cone(event - np.asarray(w.position(s_grid), dtype=float))
+    found = [leg[0] >= 0.0 >= leg[-1] for leg in legs]
+    if not all(found):
+        if not np.all(np.isfinite(event)):   # which fails a leg's test
+            raise ValueError(f"event must be finite, got {event}")
+        missing = "both" if not any(found) else ("emission" if found[1] else "absorption")
+        raise NoSolutionError(f"{w.name}: no radar solution for event {event} "
+                              f"(missing {missing} leg on s in {w.domain})",
+                              interval=w.domain, missing=missing)
 
-    f = _null_f(w, event)
     roots = []
-    sign_change = np.nonzero(np.diff(np.sign(fvals)) != 0)[0]
-    for i in sign_change:
-        a, b = s_grid[i], s_grid[i + 1]
-        fa, fb = fvals[i], fvals[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fb == 0.0:
-            continue  # picked up by the next interval's left edge
-        roots.append(brentq(f, a, b, _XTOL, _RTOL))
-    if fvals[-1] == 0.0:
-        roots.append(s_grid[-1])
-    if sign_change.size == 0 and fvals[0] > 0.0:
-        roots = _one_cell_roots(w, event, f, s_grid, int(np.argmin(fvals)))
-
-    emit = absorb = None
-    for s in roots:
-        dt = event[0] - float(np.asarray(w.position(s))[0])
-        if dt > 0.0 and (emit is None or s > emit):
-            emit = s          # latest emission before the event
-        if dt < 0.0 and (absorb is None or s < absorb):
-            absorb = s        # earliest absorption after the event
-    if emit is None or absorb is None:
-        missing = "both" if emit is None and absorb is None else (
-            "emission" if emit is None else "absorption")
-        raise NoSolutionError(
-            f"{w.name}: no radar solution for event {event} "
-            f"(missing {missing} leg on s in {w.domain})",
-            interval=w.domain,
-            missing=missing,
-        )
-
-    pe = np.asarray(w.position(emit), dtype=float)
-    pa = np.asarray(w.position(absorb), dtype=float)
-    scale_e = max(1.0, float(np.max(np.abs(event - pe)))) ** 2
-    scale_a = max(1.0, float(np.max(np.abs(event - pa)))) ** 2
-    return RadarResult(
-        tau=0.5 * (emit + absorb),
-        s_emit=float(emit),
-        s_absorb=float(absorb),
-        emit_event=pe,
-        absorb_event=pa,
-        residuals=(abs(f(emit)) / scale_e, abs(f(absorb)) / scale_a),
-    )
+    for k, leg in enumerate(legs, start=1):
+        i = max(int(np.argmax(leg <= 0.0)) - 1, 0)   # the cell where the leg changes sign
+        # f = (dt - r)(dt + r) changes sign there too unless the other leg
+        # does; solving f then gives the roots of a plain sign-change scan of f
+        g = 0 if np.sign(f[i]) != np.sign(f[i + 1]) else k
+        roots.append(brentq(lambda s, g=g: float(_cone(event - w.position(s))[g]),
+                            s_grid[i], s_grid[i + 1], _XTOL, _RTOL))
+    emit, absorb = roots
+    pe, pa = (np.asarray(w.position(s), dtype=float) for s in roots)
+    residuals = tuple(abs(float(_cone(d)[0])) / max(1.0, float(np.max(np.abs(d)))) ** 2
+                      for d in (event - pe, event - pa))
+    return RadarResult(0.5 * (emit + absorb), emit, absorb, pe, pa, residuals)
 
 
 def radar_coordinates(emb, event):

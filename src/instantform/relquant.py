@@ -29,7 +29,10 @@ is kept orthonormal as by Hetmaniuk & Lehoucq (J. Comput. Phys. 218, 324
 (2006)), so that Rayleigh-Ritz is a plain symmetric eigensolve.
 
 The Coulomb singularity is softened, V = -alpha*c/sqrt(r^2 + eps^2), with
-eps defaulting to a quarter grid spacing.
+eps defaulting to a quarter grid spacing.  For ell > 0 the centrifugal
+barrier ell(ell+1)/(2 mu r^2), softened alike, is added to V for both
+kinetic kinds.  With kinetic="salpeter" that is an approximation: the
+relativistic operator is T(|p|) with p^2 including ell(ell+1)/r^2.
 """
 
 import warnings

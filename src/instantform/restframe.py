@@ -317,8 +317,8 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
     """
     if potential not in POTENTIALS:
         raise ValueError(f"potential must be one of {POTENTIALS}")
-    if not dtau > 0:
-        raise ValueError("dtau must be positive")
+    if not 0 < dtau < math.inf:
+        raise ValueError(f"dtau must be positive and finite, got {dtau}")
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

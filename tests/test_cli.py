@@ -336,6 +336,28 @@ def test_sgn_is_an_unknown_key(tmp_path, capsys):
     assert "sgn: unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("worldline", [
+    {"kind": "inertial", "domain_min": 5.0, "domain_max": -5.0},
+    {"kind": "rindler", "accel": 1.0, "domain_min": 2.0, "domain_max": 2.0},
+], ids=["reversed", "equal"])
+def test_radar_domain_must_increase(tmp_path, capsys, worldline):
+    cfg = {"worldline": worldline, "events": [[0.0, 1.5, 0.0, 0.0]]}
+    code, out = run_cli(tmp_path, "radar", cfg)
+    assert code == 2
+    assert not os.path.exists(out)
+    assert "worldline.domain_max: must be > domain_min" in capsys.readouterr().err
+
+
+def test_scan_points_is_an_unknown_key(tmp_path, capsys):
+    """The radar legs need no scan resolution, so the CLI takes none."""
+    cfg = {"worldline": {"kind": "rindler", "accel": 1.0},
+           "events": [[0.0, 1.5, 0.0, 0.0]], "scan_points": 512}
+    code, out = run_cli(tmp_path, "radar", cfg)
+    assert code == 2
+    assert not os.path.exists(out)
+    assert "scan_points: unknown key" in capsys.readouterr().err
+
+
 def test_unreadable_config_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     missing = tmp_path / "missing.json"
@@ -591,7 +613,7 @@ def test_extreme_pair_configs_keep_their_exit_codes(tmp_path, sub, change, want)
 COMMITTED_DIGESTS = {
     "centers": "5ba9193dbdbe",
     "evolve": "06a51826d1f4",
-    "radar": "772260790080",
+    "radar": "feb101e505cb",
     "reconstruct": "cf1195c31dc6",
     "spectrum": "bacffd98986e",
     "tube": "81daa3471fbc",

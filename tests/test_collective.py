@@ -1,3 +1,4 @@
+import math
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -257,6 +258,13 @@ def test_tube_sample_is_reproducible():
     b = moller_tube_sample(sys, n_frames=50, rapidity_max=2.0, seed=9)
     np.testing.assert_array_equal(a.distances, b.distances)
     np.testing.assert_array_equal(a.events_lab, b.events_lab)
+
+
+@pytest.mark.parametrize("rapidity_max", [math.nan, math.inf])
+def test_tube_sample_refuses_a_non_finite_rapidity_range(rapidity_max):
+    sys = random_spinning_pair(np.random.default_rng(14))
+    with pytest.raises(ValueError, match="rapidity_max"):
+        moller_tube_sample(sys, n_frames=10, rapidity_max=rapidity_max)
 
 
 @pytest.mark.parametrize("rapidity_max", [0.0, 3.0])

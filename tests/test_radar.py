@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 from scipy.optimize import brentq
 
 from instantform.errors import InversionError, NoSolutionError, NonTimelikeError
+from instantform.minkowski import interval
 from instantform.radar import (
     _brent,
     einstein_sync,
@@ -169,6 +170,70 @@ def test_static_observer_resolves_event_with_both_roots_in_one_cell():
     assert res.tau == pytest.approx(0.0, abs=1e-12)
     assert res.s_emit == pytest.approx(-0.1, abs=1e-12)
     assert res.s_absorb == pytest.approx(0.1, abs=1e-12)
+
+
+def test_event_on_the_worldline_is_its_own_radar_time():
+    """An event on a static observer's world-line: both light legs have zero
+    length, so tau = s_emit = s_absorb = the event's time."""
+    w = inertial_worldline(np.zeros(4), np.zeros(3))
+    res = einstein_sync(w, np.array([0.3, 0.0, 0.0, 0.0]))
+    assert (res.tau, res.s_emit, res.s_absorb) == pytest.approx((0.3, 0.3, 0.3), abs=1e-14)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(hst.lists(hst.floats(-3.0, 3.0), min_size=4, max_size=4),
+       hst.lists(hst.floats(-2.0, 2.0), min_size=3, max_size=3).filter(
+           lambda h: math.hypot(*h) > 1e-3),
+       hst.floats(-100.0, 0.0), hst.sampled_from([1.0, 10.0, 200.0]),
+       hst.sampled_from(["far", "near", "on"]), hst.floats(0.05, 0.95),
+       hst.lists(hst.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_inertial_sync_matches_closed_form_legs(origin, h, lo, width, kind, frac, offset):
+    """Far events, events within 1e-3 of the world-line and events on it: the
+    radar time is the projection onto u, the legs are tau -/+ the rest-frame
+    distance, and a refusal names exactly the legs outside the domain."""
+    origin, h, offset = np.array(origin), np.array(h), np.array(offset)
+    domain = (lo, lo + width)
+    w = inertial_worldline(origin, h, domain=domain)
+    s0 = lo + frac * width
+    event = {"far": w.position(s0) + 8.0 * offset,
+             "near": w.position(s0) + 1e-3 * offset,
+             "on": w.position(s0)}[kind]
+    tau = inertial_sync_closed_form(origin, h, event)
+    u = w.velocity(0.0)
+    # P - origin - tau u is orthogonal to u: its length is the rest-frame distance
+    dist = math.sqrt(max(-float(interval(event - origin - tau * u)), 0.0))
+    legs = {"emission": tau - dist, "absorption": tau + dist}
+    assume(all(abs(s - end) > 1e-8 for s in legs.values() for end in domain))
+    outside = [name for name, s in legs.items() if not lo < s < lo + width]
+    if outside:
+        with pytest.raises(NoSolutionError) as err:
+            einstein_sync(w, event)
+        assert err.value.missing == ("both" if len(outside) == 2 else outside[0])
+        return
+    res = einstein_sync(w, event)
+    assert res.tau == pytest.approx(tau, abs=1e-10)
+    assert res.s_emit == pytest.approx(legs["emission"], abs=1e-10)
+    assert res.s_absorb == pytest.approx(legs["absorption"], abs=1e-10)
+
+
+@pytest.mark.parametrize("domain", [(math.nan, 1.0), (5.0, -5.0), (0.0, math.inf)],
+                         ids=["nan", "reversed", "infinite"])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda d: inertial_worldline(np.zeros(4), np.zeros(3), domain=d), id="inertial"),
+    pytest.param(lambda d: rindler_worldline(1.0, domain=d), id="rindler"),
+])
+def test_worldline_refuses_a_non_finite_or_non_increasing_domain(make, domain):
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError, match="domain must be finite and increasing"):
+            make(domain)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_event_is_an_error_not_a_refusal(bad):
+    w = inertial_worldline(np.zeros(4), np.zeros(3))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="event must be finite"):
+            einstein_sync(w, np.array([0.0, bad, 0.0, 0.0]))
 
 
 def _solve(solver, *args, **kwargs):

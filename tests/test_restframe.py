@@ -322,6 +322,16 @@ def test_evolve_argument_validation():
         evolve(rel, "hooke", 0.1, 10)
 
 
+@pytest.mark.parametrize("dtau", [math.inf, math.nan])
+def test_evolve_refuses_a_non_finite_step(dtau):
+    """An infinite step is a bad argument, not coinciding particles."""
+    rel = RelativeState(m1=1.0, m2=1.0, rho=np.array([1.0, 0.0, 0.0]),
+                        pi=np.array([0.0, 0.5, 0.0]), charge_product=-1.0)
+    for potential in POTENTIALS:
+        with pytest.raises(ValueError, match="dtau"):
+            evolve(rel, potential, dtau, 10)
+
+
 # ----------------------------------------------------------- reconstruction
 
 def test_reconstruction_free_case():
