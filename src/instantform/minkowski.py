@@ -60,7 +60,9 @@ def minkowski_dot(a, b, sgn=1):
 def interval(v):
     """Convention-independent interval v0^2 - |v|^2 (positive for timelike)."""
     v = np.asarray(v, dtype=float)
-    return v[..., 0] ** 2 - np.sum(v[..., 1:] ** 2, axis=-1)
+    # the same sum, left to right, as np.sum over the spatial axis, without
+    # the cost of a reduction over a length-3 axis
+    return v[..., 0] ** 2 - (v[..., 1] ** 2 + v[..., 2] ** 2 + v[..., 3] ** 2)
 
 
 def is_timelike_future(v):

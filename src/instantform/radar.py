@@ -153,13 +153,10 @@ class RadarResult:
 _SCAN_POINTS = 512   # samples of the domain in einstein_sync's one w.position scan
 
 
-def _cone(d):
-    """Null condition f = dt^2 - r^2 and legs dt - r, dt + r of separations d = P - w(s);
-    f is interval(d) bit for bit, without numpy's slow sum over a length-3 axis."""
-    sq = d * d
-    r2 = sq[..., 1] + sq[..., 2] + sq[..., 3]
-    r = np.sqrt(r2)
-    return sq[..., 0] - r2, d[..., 0] - r, d[..., 0] + r
+def _legs(d):
+    """Emission and absorption legs dt - r, dt + r of separations d = P - w(s)."""
+    r = np.sqrt(d[..., 1] ** 2 + d[..., 2] ** 2 + d[..., 3] ** 2)
+    return d[..., 0] - r, d[..., 0] + r
 
 
 # root tolerances of einstein_sync: |s - root| <= (xtol + rtol |s|) / 2
@@ -239,13 +236,15 @@ def einstein_sync(w, event):
     "both"), e.g. beyond a Rindler horizon.  Each root is bracketed by the
     scan cell where its leg changes sign.  Brent's method solves the null
     condition f = dt^2 - r^2 = <P - w, P - w> there when the scan shows f
-    changing sign across the cell, and the leg itself otherwise: then both
-    legs change sign in one cell, as for an event on or near the world-line.
+    strictly changing sign across the cell, and the leg itself otherwise:
+    then both legs change sign in one cell, as for an event on or near the
+    world-line, or f is 0 at a cell end.
     Raises ValueError for a non-finite event.
     """
     event = np.asarray(event, dtype=float)
     s_grid = np.linspace(w.domain[0], w.domain[1], _SCAN_POINTS)
-    f, *legs = _cone(event - np.asarray(w.position(s_grid), dtype=float))
+    d = event - np.asarray(w.position(s_grid), dtype=float)
+    f, legs = interval(d), _legs(d)
     found = [leg[0] >= 0.0 >= leg[-1] for leg in legs]
     if not all(found):
         if not np.all(np.isfinite(event)):   # which fails a leg's test
@@ -256,16 +255,22 @@ def einstein_sync(w, event):
                               interval=w.domain, missing=missing)
 
     roots = []
-    for k, leg in enumerate(legs, start=1):
+    for k, leg in enumerate(legs):
         i = max(int(np.argmax(leg <= 0.0)) - 1, 0)   # the cell where the leg changes sign
-        # f = (dt - r)(dt + r) changes sign there too unless the other leg
-        # does; solving f then gives the roots of a plain sign-change scan of f
-        g = 0 if np.sign(f[i]) != np.sign(f[i + 1]) else k
-        roots.append(brentq(lambda s, g=g: float(_cone(event - w.position(s))[g]),
-                            s_grid[i], s_grid[i + 1], _XTOL, _RTOL))
+        if f[i] * f[i + 1] < 0.0:
+            # f = (dt - r)(dt + r) changes sign strictly, so the other leg keeps
+            # its sign here.  Solving f keeps the former f-scan's roots bit for
+            # bit, which perfbench's cli-batch reference needs while it compares
+            # the round-off-sized radar residuals at 2e-8 relative.
+            def g(s):
+                return float(interval(event - w.position(s)))
+        else:
+            def g(s, k=k):
+                return float(_legs(event - w.position(s))[k])
+        roots.append(brentq(g, s_grid[i], s_grid[i + 1], _XTOL, _RTOL))
     emit, absorb = roots
     pe, pa = (np.asarray(w.position(s), dtype=float) for s in roots)
-    residuals = tuple(abs(float(_cone(d)[0])) / max(1.0, float(np.max(np.abs(d)))) ** 2
+    residuals = tuple(abs(float(interval(d))) / max(1.0, float(np.max(np.abs(d)))) ** 2
                       for d in (event - pe, event - pa))
     return RadarResult(0.5 * (emit + absorb), emit, absorb, pe, pa, residuals)
 

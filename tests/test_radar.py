@@ -180,6 +180,21 @@ def test_event_on_the_worldline_is_its_own_radar_time():
     assert (res.tau, res.s_emit, res.s_absorb) == pytest.approx((0.3, 0.3, 0.3), abs=1e-14)
 
 
+@pytest.mark.parametrize("i, side", [(0, 1.0), (7, 1.0), (300, 1.0), (300, -1.0), (511, -1.0)])
+def test_leg_root_exactly_on_a_scan_sample(i, side):
+    """One leg's root falls exactly on scan sample s_i (f = 0 there) and the
+    other's 0.125 away, inside a neighbouring cell; each leg keeps its own
+    root rather than both taking the sample."""
+    w = inertial_worldline(np.zeros(4), np.zeros(3))
+    s_i = np.linspace(-100.0, 100.0, 512)[i]
+    event = w.position(s_i) + np.array([side * 0.0625, 0.0625, 0.0, 0.0])
+    res = einstein_sync(w, event)
+    tau = inertial_sync_closed_form(np.zeros(4), np.zeros(3), event)
+    assert res.tau == pytest.approx(tau, abs=1e-12)
+    assert res.s_emit == pytest.approx(s_i + min(0.0, side * 0.125), abs=1e-12)
+    assert res.s_absorb == pytest.approx(s_i + max(0.0, side * 0.125), abs=1e-12)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(hst.lists(hst.floats(-3.0, 3.0), min_size=4, max_size=4),
        hst.lists(hst.floats(-2.0, 2.0), min_size=3, max_size=3).filter(
