@@ -400,7 +400,7 @@ def _run_validate_foliation(cfg):
     return {
         "violations.csv": (
             ("condition", "tau", "s1", "s2", "s3", "witness"),
-            [(v.condition, v.tau, *v.sigma, v.witness) for v in report.violations],
+            [(v.condition, v.tau, *v.sigma.tolist(), v.witness) for v in report.violations],
         ),
         "report.json": {
             "passed": bool(report.passed),

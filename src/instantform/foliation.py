@@ -139,12 +139,15 @@ class GridSpec:
     n_sigma: int
 
     def __post_init__(self):
-        if self.n_tau < 1 or self.n_sigma < 2:
-            raise ValueError("grid needs n_tau >= 1 and n_sigma >= 2")
-        if not self.tau_max >= self.tau_min:
-            raise ValueError("tau_max must be >= tau_min")
-        if not self.sigma_extent > 0:
-            raise ValueError("sigma_extent must be positive")
+        for name, least in (("n_tau", 1), ("n_sigma", 2)):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+        if not -np.inf < self.tau_min <= self.tau_max < np.inf:
+            raise ValueError(f"tau_min <= tau_max must both be finite, got {self.tau_min!r} "
+                             f"and {self.tau_max!r}")
+        if not 0.0 < self.sigma_extent < np.inf:
+            raise ValueError(f"sigma_extent must be finite and positive, got {self.sigma_extent!r}")
 
     def tau_values(self):
         if self.n_tau == 1:
@@ -170,42 +173,56 @@ class GeometryAtPoint:
     shift_con: np.ndarray  # N^r = g3^{rs} N_s
 
 
-# rows of the 3x3 minors of the tangent block and their cofactor signs
-_MINORS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-_MINOR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+_ETA = metric()
+#: eta's diagonal: multiplying by it raises or lowers an index
+_ETA_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _dot(a, b):
-    """a . b over the last axis, one BLAS dot per point like a 1-D ``@``."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+def _cofactors(jac):
+    """Covariant normals n_mu = eps_{mu nu rho si} z1^nu z2^rho z3^si of Jacobians (..., 4, 4).
+
+    n_mu is the signed 3x3 minor of the tangents without row mu, each minor
+    expanded along one row into the 2x2 minors of tangent rows (0, 1) or (2, 3).
+    """
+    lead = jac.ndim - 2
+    t = jac[..., 1:].transpose(lead, lead + 1, *range(lead))  # t[mu, r] = dz^mu / dsigma^r
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = t
+    # 2x2 minors of rows (0, 1) and (2, 3) on tangent columns (1, 2), (0, 2), (0, 1)
+    ab12, ab02, ab01 = a1 * b2 - a2 * b1, a0 * b2 - a2 * b0, a0 * b1 - a1 * b0
+    cd12, cd02, cd01 = c1 * d2 - c2 * d1, c0 * d2 - c2 * d0, c0 * d1 - c1 * d0
+    n_cov = np.empty(jac.shape[:-1])
+    n_cov[..., 0] = b0 * cd12 - b1 * cd02 + b2 * cd01
+    n_cov[..., 1] = -(a0 * cd12 - a1 * cd02 + a2 * cd01)
+    n_cov[..., 2] = d0 * ab12 - d1 * ab02 + d2 * ab01
+    n_cov[..., 3] = -(c0 * ab12 - c1 * ab02 + c2 * ab01)
+    return n_cov
 
 
 def _frames(jac):
     """Induced metric, future unit normal and lapse of Jacobians (..., 4, 4).
 
-    Returns (g4, normal, lapse, flat, tipped), g4 mostly-minus.  The
-    covariant normal n_mu = eps_{mu nu rho si} z1^nu z2^rho z3^si comes from
-    the cofactors of the tangents; ``flat`` marks dependent tangents and ``tipped`` a normal
-    that is not timelike, and normal and lapse are NaN at either.  Products
-    are stacked ``@`` in the one-point shapes, so every point sees the BLAS
-    calls it would see alone.
+    Returns (g4, normal, lapse, flat, tipped), g4 mostly-minus.  The normal
+    comes from the cofactors of the tangents; ``flat`` marks dependent
+    tangents and ``tipped`` a normal that is not timelike, and normal and
+    lapse are NaN at either.  Past the metric every step is elementwise over
+    the leading axes or a reduction over a trailing one, so a point's result
+    does not depend on the batch it is evaluated in.
     """
-    eta = metric()
-    g4 = np.swapaxes(jac, -1, -2) @ eta @ jac
+    g4 = np.swapaxes(jac, -1, -2) @ _ETA @ jac
     g4 = 0.5 * (g4 + np.swapaxes(g4, -1, -2))
 
-    tangents = jac[..., 1:]
-    n_cov = np.linalg.det(tangents[..., _MINORS, :]) * _MINOR_SIGNS
-    scale = np.prod(np.linalg.norm(tangents, axis=-2), axis=-1)
-    flat = np.sqrt(_dot(n_cov, n_cov)) <= 1e-12 * np.maximum(scale, 1e-300)
-    n_up = (eta @ n_cov[..., None])[..., 0]  # raise the index; eta^-1 = eta
-    q = n_up[..., 0] ** 2 - _dot(n_up[..., 1:], n_up[..., 1:])
+    n_cov = _cofactors(jac)
+    norms = np.sqrt(np.add.reduce(jac[..., 1:] ** 2, -2))
+    scale = norms[..., 0] * norms[..., 1] * norms[..., 2]
+    flat = np.sqrt(np.add.reduce(n_cov * n_cov, -1)) <= 1e-12 * np.maximum(scale, 1e-300)
+    n_up = n_cov * _ETA_DIAG  # eta^-1 = eta
+    q = n_up[..., 0] ** 2 - np.add.reduce(n_up[..., 1:] ** 2, -1)
     tipped = ~flat & (q <= 0.0)
     bad = flat | tipped
     ell = n_up / np.sqrt(np.where(bad, 1.0, q))[..., None]
     ell = np.where(ell[..., :1] < 0.0, -ell, ell)
     ell[bad] = np.nan
-    lapse = _dot((jac[..., None, :, 0] @ eta)[..., 0, :], ell)
+    lapse = np.add.reduce(jac[..., 0] * _ETA_DIAG * ell, -1)
     return g4, ell, lapse, flat, tipped
 
 
@@ -427,6 +444,8 @@ def check_admissibility(emb, grid, asym_tol=1e-3):
     samples, against their common mean direction with tolerance ``asym_tol``
     per component.
     """
+    if not 0.0 <= asym_tol < np.inf:
+        raise ValueError(f"asym_tol must be finite and >= 0, got {asym_tol!r}")
     taus, axis = grid.tau_values(), grid.sigma_axis()
     dims = (taus.size,) + 3 * (axis.size,)
     n_nodes = int(np.prod(dims))
@@ -438,24 +457,34 @@ def check_admissibility(emb, grid, asym_tol=1e-3):
         sigma = np.stack((axis[i], axis[j], axis[k]), axis=-1)
         g4, ell, lapse, flat, tipped = _frames(emb.jacobian(tau, sigma))
 
-        # condition 2: spacelike surfaces; witness min(g_tautau, smallest eigenvalue),
-        # NaN at non-finite nodes (eigvalsh cannot take them)
+        # condition 2: spacelike surfaces; witness min(g_tautau, smallest eigenvalue).
+        # Where Gershgorin's discs clear zero g3 is positive definite, so the
+        # witness of a violation there is g_tautau and eigvalsh is not needed.
         gtt = g4[:, 0, 0]
         g3 = -g4[:, 1:, 1:]
         finite = np.isfinite(g4).all(axis=(-2, -1))
-        eig0 = np.full(finite.shape, np.nan)
-        eig0[finite] = np.linalg.eigvalsh(g3[finite])[:, 0]
+        a01, a02, a12 = np.abs(g3[:, 0, 1]), np.abs(g3[:, 0, 2]), np.abs(g3[:, 1, 2])
+        d0, d1, d2 = g3[:, 0, 0], g3[:, 1, 1], g3[:, 2, 2]
+        disc = np.minimum(np.minimum(d0 - a01 - a02, d1 - a01 - a12), d2 - a02 - a12)
+        clear = disc > 1e-12 * np.maximum(np.maximum(np.abs(d0), np.abs(d1)), np.abs(d2))
+        eig0 = np.where(clear, np.inf, np.nan)  # +inf: proven positive; NaN: non-finite
+        need = finite & ~clear
+        if need.any():
+            eig0[need] = np.linalg.eigvalsh(g3[need])[:, 0]
         bad2 = ~((gtt > 0.0) & (eig0 > 0.0))
         witness2 = np.where(finite, np.where(eig0 < gtt, eig0, gtt), np.nan)
         # condition 1: positive lapse (NaN where the normal is undefined)
         bad1 = ~(lapse > 0.0)
         ok[0] &= not bad1.any()
         ok[1] &= not bad2.any()
-        for n in np.flatnonzero(bad2 | bad1):
-            if bad2[n]:
-                violations.append(Violation(2, float(tau[n]), sigma[n].copy(), float(witness2[n])))
-            if bad1[n]:
-                violations.append(Violation(1, float(tau[n]), sigma[n].copy(), float(lapse[n])))
+        hit = np.flatnonzero(bad2 | bad1)
+        for t_n, s_n, b2, w2, b1, w1 in zip(tau[hit].tolist(), sigma[hit], bad2[hit].tolist(),
+                                            witness2[hit].tolist(), bad1[hit].tolist(),
+                                            lapse[hit].tolist()):
+            if b2:
+                violations.append(Violation(2, t_n, s_n, w2))
+            if b1:
+                violations.append(Violation(1, t_n, s_n, w1))
 
         on_shell = np.max(np.abs(sigma), axis=-1) >= grid.sigma_extent * (1.0 - 1e-12)
         shell_normals.append(ell[on_shell & finite & ~(flat | tipped)])

@@ -22,7 +22,7 @@ from instantform.foliation import (
     rotation_from_euler_zyz,
     tilted_embedding,
 )
-from oracles import ETA, pointwise_admissibility, stencil_extrinsic_curvature
+from oracles import ETA, _cofactor_normal, pointwise_admissibility, stencil_extrinsic_curvature
 
 
 def all_families():
@@ -382,11 +382,8 @@ def test_non_finite_nodes_are_violations_with_nan_witnesses():
     np.testing.assert_array_equal(rep.asymptotic_normal, [1.0, 0.0, 0.0, 0.0])
 
 
-def test_shell_normals_that_spread_fail_condition_3():
-    """On the bowl z = (tau + 0.1 |sigma|^2, sigma) the shell normals tilt
-    away from their mean (1, 0, 0, 0) by up to 0.4 / sqrt(1 - 3 * 0.4^2) at
-    the box corners, far beyond the tolerance, while every node is
-    admissible."""
+def _bowl():
+    """z = (tau + 0.1 |sigma|^2, sigma): every node admissible, shell normals spread."""
 
     def z(tau, sigma):
         return np.concatenate(((tau + 0.1 * np.sum(sigma * sigma, axis=-1))[..., None], sigma),
@@ -397,8 +394,15 @@ def test_shell_normals_that_spread_fail_condition_3():
         out[..., 0, 1:] = 0.2 * sigma
         return out
 
-    rep = check_admissibility(Embedding(z, jacobian=jac, name="bowl"),
-                              GridSpec(0.0, 1.0, 2, 2.0, 5))
+    return Embedding(z, jacobian=jac, name="bowl")
+
+
+def test_shell_normals_that_spread_fail_condition_3():
+    """On the bowl z = (tau + 0.1 |sigma|^2, sigma) the shell normals tilt
+    away from their mean (1, 0, 0, 0) by up to 0.4 / sqrt(1 - 3 * 0.4^2) at
+    the box corners, far beyond the tolerance, while every node is
+    admissible."""
+    rep = check_admissibility(_bowl(), GridSpec(0.0, 1.0, 2, 2.0, 5))
     assert rep.conditions_passed == (True, True, False)
     assert [v.condition for v in rep.violations] == [3]
     assert rep.violations[0].witness == pytest.approx(0.4 / np.sqrt(0.52), rel=1e-9)
@@ -417,3 +421,131 @@ def test_large_grid_memory_stays_bounded():
     assert rep.n_nodes == 47**3
     assert rep.conditions_passed[:2] == (True, True)
     assert peak < 32 * 2**20
+
+
+# ------------------------------------------------------------- edge refusals
+
+@pytest.mark.parametrize("asym_tol", [np.nan, -1e-3, np.inf])
+def test_asymptotic_tolerance_must_be_finite_and_non_negative(asym_tol):
+    """A NaN or infinite tolerance would turn condition 3 off (dev > nan is
+    never true) and a negative one would fail it on every grid."""
+    with pytest.raises(ValueError, match="asym_tol"):
+        check_admissibility(_bowl(), GridSpec(0.0, 1.0, 2, 2.0, 5), asym_tol=asym_tol)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"sigma_extent": np.inf}, "sigma_extent"),
+    ({"tau_min": -np.inf, "tau_max": np.inf}, "tau_min"),
+    ({"tau_max": np.inf}, "tau_max"),
+    ({"n_tau": 2.5}, "n_tau"),
+    ({"n_sigma": 4.0}, "n_sigma"),
+])
+def test_grid_refuses_non_finite_bounds_and_non_integer_counts(kwargs, name):
+    spec = dict(tau_min=0.0, tau_max=1.0, n_tau=3, sigma_extent=2.0, n_sigma=5) | kwargs
+    with pytest.raises(ValueError, match=name):
+        GridSpec(**spec)
+
+
+# ---------------------------------------------- cofactor normal and eigen screen
+
+def linear_embedding(m):
+    """z = m (tau, sigma): the constant Jacobian m."""
+    m = np.asarray(m, dtype=float)
+
+    def z(tau, sigma):
+        x = np.concatenate((np.asarray(tau)[..., None], sigma), axis=-1)
+        return (m @ x[..., None])[..., 0]
+
+    return Embedding(z, jacobian=lambda tau, sigma: m, name="linear")
+
+
+@hst.composite
+def jacobians(draw):
+    entry = hst.floats(-3.0, 3.0)
+    kind = draw(hst.sampled_from(["random", "flat", "folded"]))
+    if kind == "folded":
+        emb = folded_embedding(draw(hst.floats(0.0, 2.0)), draw(hst.floats(-1.5, 1.5)))
+        return emb.jacobian(draw(entry), np.array([draw(entry) for _ in range(3)]))
+    jac = draw(arrays(float, (4, 4), elements=entry))
+    if kind == "flat":  # the third tangent in the plane of the first two
+        jac[:, 3] = draw(entry) * jac[:, 1] + draw(entry) * jac[:, 2]
+    return jac
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(jacobians())
+def test_cofactors_match_the_minor_oracle(jac):
+    """The closed-form cofactors equal the oracle's 3x3 determinants within
+    1e-12 of the product of the tangents' largest entries: up to a factor
+    3^(3/2), that product is Hadamard's bound on every minor, and it has no
+    squares that underflow."""
+    scale = np.prod(np.max(np.abs(jac[:, 1:]), axis=0))
+    np.testing.assert_allclose(foliation._cofactors(jac), _cofactor_normal(jac),
+                               rtol=0, atol=1e-12 * scale)
+
+
+def test_frames_of_a_batch_are_the_per_point_frames():
+    """Every output of _frames at a point is bitwise what the point alone
+    gives, at flat, tipped and non-finite points too."""
+    rng = np.random.default_rng(47)
+    jac = rng.uniform(-2.0, 2.0, size=(4, 5, 4, 4))          # many tipped normals
+    jac[0] = make_rotating_embedding("differential", omega=1.1, r0=0.9).jacobian(
+        rng.uniform(-1, 1, 5), rng.uniform(-2, 2, (5, 3)))
+    jac[1] = tilted_embedding(np.array([0.2, -0.5, 0.1])).jacobian(np.zeros(5), np.zeros((5, 3)))
+    jac[2, 1, :, 3] = 0.5 * jac[2, 1, :, 1] - jac[2, 1, :, 2]  # flat
+    jac[2, 2, 2, 2] = np.nan
+    jac[2, 3, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        batch = foliation._frames(jac)
+        for idx in np.ndindex(jac.shape[:2]):
+            for got, want in zip(batch, foliation._frames(jac[idx])):
+                assert _bits(got[idx]) == _bits(want), idx
+
+
+def test_eigvalsh_runs_only_where_gershgorin_cannot_decide(monkeypatch):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        seen.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    grid = GridSpec(-1.0, 1.0, 2, 2.0, 4)
+    for emb in (make_rotating_embedding("rigid", omega=0.8),
+                tilted_embedding(np.array([0.2, -0.5, 0.1]))):
+        check_admissibility(emb, grid)
+    assert sum(seen) == 0
+    # g3 = [[1, 1, 0], [1, 2, 0], [0, 0, 1]]: positive definite, row 0 not dominant
+    sheared = np.eye(4)
+    sheared[1, 2] = 1.0
+    rep = check_admissibility(linear_embedding(sheared), grid)
+    assert rep.passed and sum(seen) == rep.n_nodes
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("lowest", [1e-14, -1e-14, 2e-12, 0.4])
+@pytest.mark.parametrize("tau_column", [(1.0, 0.0, 0.0, 0.0), (0.5, 0.0, 1.0, 0.0)])
+def test_screen_keeps_verdict_and_witness(rotated, lowest, tau_column):
+    """With g3 = scale * V diag(1, 0.6, lowest) V^T, condition 2 reports what
+    eigvalsh at every node gives: the verdict gtt > 0 and lambda_min > 0 and
+    the witness min(gtt, lambda_min), bit for bit.  The tangents carry time
+    components along V's last column, so lambda_min can be negative."""
+    scale = 3.7
+    rot = rotation_from_euler_zyz([0.3, 1.1, -0.7]) if rotated else np.eye(3)
+    lam = scale * np.array([1.0, 0.6, lowest])
+    jac = np.zeros((4, 4))
+    jac[:, 0] = tau_column
+    jac[0, 1:] = rot[:, 2]                        # -a a^T with a = V e3 ...
+    jac[1:, 1:] = np.sqrt(lam + [0.0, 0.0, 1.0])[:, None] * rot.T  # ... + V diag(lam + e3) V^T
+    rep = check_admissibility(linear_embedding(jac), GridSpec(0.0, 0.0, 1, 1.0, 2))
+
+    g4 = foliation._frames(jac)[0]
+    gtt, eig0 = g4[0, 0], np.linalg.eigvalsh(-g4[1:, 1:])[0]
+    assert abs(eig0 - scale * lowest) <= 1e-14 * scale
+    flagged = [v.witness for v in rep.violations if v.condition == 2]
+    if gtt > 0.0 and eig0 > 0.0:
+        assert flagged == []
+    else:
+        assert len(flagged) == rep.n_nodes
+        assert {_bits(w) for w in flagged} == {_bits(eig0 if eig0 < gtt else gtt)}
