@@ -393,12 +393,20 @@ def rotation_from_euler_zyz(theta):
 
 
 def euler_zyz_from_rotation(v, tol=1e-12):
-    """Z-Y-Z Euler angles of a proper rotation; third angle 0 at gimbal lock."""
-    c2 = float(np.clip(v[2, 2], -1.0, 1.0))
-    t2 = np.arccos(c2)
+    """Z-Y-Z Euler angles of a proper rotation; third angle 0 at gimbal lock.
+
+    theta_2 comes from atan2(sin, cos) rather than arccos(v[2, 2]): cos rounds
+    to 1 below about 1e-8, which would send small middle angles to the gimbal
+    branch.  theta_3 comes from the middle row (sin theta_3, cos theta_3, 0) of
+    Rz(-theta_1) v = Ry(theta_2) Rz(theta_3), whose entries are of order 1, so
+    theta_1 + theta_3 stays accurate however small sin(theta_2) is.
+    """
+    c2 = float(v[2, 2])
+    t2 = np.arctan2(np.hypot(v[0, 2], v[1, 2]), c2)
     if np.sin(t2) > tol:
         t1 = np.arctan2(v[1, 2], v[0, 2])
-        t3 = np.arctan2(v[2, 1], -v[2, 0])
+        c1, s1 = np.cos(t1), np.sin(t1)
+        t3 = np.arctan2(c1 * v[1, 0] - s1 * v[0, 0], c1 * v[1, 1] - s1 * v[0, 1])
     elif c2 > 0.0:   # Ry(0): only t1 + t3 matters
         t2 = 0.0
         t1 = np.arctan2(v[1, 0], v[0, 0])

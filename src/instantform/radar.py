@@ -11,7 +11,10 @@ With dt = P0 - w0(s) and r = |P - w(s)| (spatial part), the emission leg
 dt - r and the absorption leg dt + r both fall strictly with s on a timelike
 world-line, so each has one root on the domain or none.  einstein_sync
 brackets each root by a scan and polishes it with Brent's method (Brent,
-Algorithms for Minimization without Derivatives, 1973, ch. 4).  Radar time
+Algorithms for Minimization without Derivatives, 1973, ch. 4).  Brent
+evaluates on Python floats: one w.position call per evaluation, then the
+separation, f and the legs with the bits of ``interval`` and ``_legs``,
+without numpy's per-call cost on 0-d arrays.  Radar time
 is defined right up to the observer (Bini, Lusanna & Mashhoon, IJMP D 14,
 1413 (2005)): an event on the world-line is its own radar time.
 
@@ -159,6 +162,17 @@ def _legs(d):
     return d[..., 0] - r, d[..., 0] + r
 
 
+# interval and _legs of one separation on Python floats, bit for bit: numpy
+# squares an array for ** 2 as x * x (Python's ** on a float calls libm pow)
+def _float_interval(d0, d1, d2, d3):
+    return d0 * d0 - ((d1 * d1 + d2 * d2) + d3 * d3)
+
+
+def _float_legs(d0, d1, d2, d3):
+    r = math.sqrt((d1 * d1 + d2 * d2) + d3 * d3)
+    return d0 - r, d0 + r
+
+
 # root tolerances of einstein_sync: |s - root| <= (xtol + rtol |s|) / 2
 _XTOL = 1e-14
 _RTOL = 8.9e-16
@@ -250,9 +264,15 @@ def einstein_sync(w, event):
         if not np.all(np.isfinite(event)):   # which fails a leg's test
             raise ValueError(f"event must be finite, got {event}")
         missing = "both" if not any(found) else ("emission" if found[1] else "absorption")
-        raise NoSolutionError(f"{w.name}: no radar solution for event {event} "
+        raise NoSolutionError(f"{w.name}: no radar solution for event {event.tolist()} "
                               f"(missing {missing} leg on s in {w.domain})",
                               interval=w.domain, missing=missing)
+
+    e0, e1, e2, e3 = event.tolist()
+
+    def separation(p):   # P - p on Python floats
+        p0, p1, p2, p3 = np.asarray(p, dtype=float).tolist()
+        return e0 - p0, e1 - p1, e2 - p2, e3 - p3
 
     roots = []
     for k, leg in enumerate(legs):
@@ -263,15 +283,18 @@ def einstein_sync(w, event):
             # bit, which perfbench's cli-batch reference needs while it compares
             # the round-off-sized radar residuals at 2e-8 relative.
             def g(s):
-                return float(interval(event - w.position(s)))
+                return _float_interval(*separation(w.position(s)))
         else:
             def g(s, k=k):
-                return float(_legs(event - w.position(s))[k])
+                return _float_legs(*separation(w.position(s)))[k]
         roots.append(brentq(g, s_grid[i], s_grid[i + 1], _XTOL, _RTOL))
     emit, absorb = roots
     pe, pa = (np.asarray(w.position(s), dtype=float) for s in roots)
-    residuals = tuple(abs(float(interval(d))) / max(1.0, float(np.max(np.abs(d)))) ** 2
-                      for d in (event - pe, event - pa))
+    # the scale max(1, |P - w|_inf) is squared by Python's ** (libm pow), which
+    # is how the residuals are defined; x * x differs in the last bit about
+    # once in 1,000
+    residuals = tuple(abs(_float_interval(*d)) / max(1.0, *map(abs, d)) ** 2
+                      for d in (separation(pe), separation(pa)))
     return RadarResult(0.5 * (emit + absorb), emit, absorb, pe, pa, residuals)
 
 
@@ -294,7 +317,7 @@ def radar_coordinates(emb, event):
         return emb(c[0], c[1:]) - event
 
     r = residual(coords)
-    rnorm = np.linalg.norm(r)
+    rnorm = math.sqrt(r.dot(r))   # np.linalg.norm's own arithmetic on a real 1-D array
     n_steps = 0
     while not rnorm <= 1e-9 * scale:   # a NaN residual is not converged
         if n_steps == 100:
@@ -322,8 +345,9 @@ def radar_coordinates(emb, event):
         for _ in range(30):
             trial = coords - lam * step
             rt = residual(trial)
-            if np.linalg.norm(rt) < rnorm:
-                coords, r, rnorm = trial, rt, np.linalg.norm(rt)
+            rtnorm = math.sqrt(rt.dot(rt))
+            if rtnorm < rnorm:
+                coords, r, rnorm = trial, rt, rtnorm
                 break
             lam *= 0.5
         else:

@@ -16,10 +16,11 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.optimize import brentq
 
 from instantform import collective
-from instantform.errors import CollisionError, NonConvergenceError
+from instantform.errors import CollisionError, NonConvergenceError, NoSolutionError
 from instantform.foliation import AdmissibilityReport, Violation
-from instantform.minkowski import boost_from_h, metric
+from instantform.minkowski import boost_from_h, interval, metric
 from instantform.potentials import POTENTIALS, relative_potential_gradients
+from instantform.radar import _RTOL, _SCAN_POINTS, _XTOL, RadarResult, _brent, _legs
 from instantform.relquant import (
     _MAXITER,
     _energy_scale,
@@ -182,6 +183,44 @@ def inertial_sync_closed_form(origin, h, event):
     u = np.concatenate(([np.sqrt(1.0 + h @ h)], h))
     d = np.asarray(event, dtype=float) - np.asarray(origin, dtype=float)
     return float(u @ ETA @ d)
+
+
+def numpy_einstein_sync(w, event):
+    """radar.einstein_sync with Brent's objective on 0-d numpy stacks.
+
+    The same scan, cell rule and Brent port as the library, but each Brent
+    evaluation is ``interval``/``_legs`` of ``event - w.position(s)`` in numpy
+    and the residuals are numpy reductions: the reference for the library's
+    Python-float objective, which must return the same bits.
+    """
+    event = np.asarray(event, dtype=float)
+    s_grid = np.linspace(w.domain[0], w.domain[1], _SCAN_POINTS)
+    d = event - np.asarray(w.position(s_grid), dtype=float)
+    f, legs = interval(d), _legs(d)
+    found = [leg[0] >= 0.0 >= leg[-1] for leg in legs]
+    if not all(found):
+        if not np.all(np.isfinite(event)):   # which fails a leg's test
+            raise ValueError(f"event must be finite, got {event}")
+        missing = "both" if not any(found) else ("emission" if found[1] else "absorption")
+        raise NoSolutionError(f"{w.name}: no radar solution for event {event} "
+                              f"(missing {missing} leg on s in {w.domain})",
+                              interval=w.domain, missing=missing)
+
+    roots = []
+    for k, leg in enumerate(legs):
+        i = max(int(np.argmax(leg <= 0.0)) - 1, 0)   # the cell where the leg changes sign
+        if f[i] * f[i + 1] < 0.0:
+            def g(s):
+                return float(interval(event - w.position(s)))
+        else:
+            def g(s, k=k):
+                return float(_legs(event - w.position(s))[k])
+        roots.append(_brent(g, s_grid[i], s_grid[i + 1], _XTOL, _RTOL))
+    emit, absorb = roots
+    pe, pa = (np.asarray(w.position(s), dtype=float) for s in roots)
+    residuals = tuple(abs(float(interval(d))) / max(1.0, float(np.max(np.abs(d)))) ** 2
+                      for d in (event - pe, event - pa))
+    return RadarResult(0.5 * (emit + absorb), emit, absorb, pe, pa, residuals)
 
 
 def circular_orbit_momentum(m1, m2, q1q2, radius, c=1.0):

@@ -224,6 +224,17 @@ def test_metric_eigendata_round_trip_property(a, phi_tilde, r_shape, theta):
     np.testing.assert_allclose(data.reconstruct(), g3, rtol=0, atol=1e-12 * np.max(np.abs(g3)))
 
 
+def test_metric_eigendata_round_trip_keeps_small_euler_angles():
+    """Angles of 1e-10 put cos(theta_2) within an ulp of 1; the middle angle
+    must survive the decomposition rather than fall into the gimbal branch."""
+    g3 = metric_from_eigendata(1.0, [1.0, 1.0], [1e-10] * 3)
+    data = metric_eigendecomposition(g3)
+    np.testing.assert_allclose(data.reconstruct(), g3, rtol=0, atol=1e-12 * np.max(np.abs(g3)))
+    angles = np.array([0.4, 1e-10, -0.3])
+    np.testing.assert_allclose(euler_zyz_from_rotation(rotation_from_euler_zyz(angles)),
+                               angles, rtol=1e-6, atol=0)
+
+
 def test_gamma_basis_columns():
     gamma = GAMMA_DEFAULT
     np.testing.assert_allclose(gamma.T @ gamma, np.eye(2), atol=1e-14)

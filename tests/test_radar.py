@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from instantform.errors import InversionError, NoSolutionError, NonTimelikeError
 from instantform.minkowski import interval
 from instantform.radar import (
     _brent,
+    _float_interval,
+    _float_legs,
+    _legs,
     einstein_sync,
     inertial_worldline,
     radar_coordinates,
     rindler_worldline,
     worldline_from_callable,
 )
-from oracles import inertial_sync_closed_form
+from oracles import inertial_sync_closed_form, numpy_einstein_sync
 
 
 def test_inertial_sync_matches_projection():
@@ -249,6 +253,101 @@ def test_non_finite_event_is_an_error_not_a_refusal(bad):
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="event must be finite"):
             einstein_sync(w, np.array([0.0, bad, 0.0, 0.0]))
+
+
+def _circular_observer(radius, speed):
+    """Observer on a circle in the (x, y) plane, parameterized by proper
+    length, whose position callable returns Python lists."""
+    gamma = 1.0 / math.sqrt(1.0 - speed * speed)
+    omega = speed / radius
+
+    def position(s):
+        t = gamma * np.asarray(s, dtype=float)
+        return np.stack([t, radius * np.cos(omega * t), radius * np.sin(omega * t), 0.0 * t],
+                        axis=-1).tolist()
+
+    return worldline_from_callable(position, (-20.0, 20.0))
+
+
+def _sync_bits(sync, w, event):
+    """Every number of a radar result as bytes, or the refusal's missing leg."""
+    try:
+        res = sync(w, event)
+    except NoSolutionError as exc:
+        return exc.missing
+    return [np.asarray(x, dtype=float).tobytes()
+            for x in (res.tau, res.s_emit, res.s_absorb, res.residuals,
+                      res.emit_event, res.absorb_event)]
+
+
+@pytest.mark.parametrize("kind", ["far", "near", "on", "rindler-inside", "rindler-beyond",
+                                  "circle"])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(hst.lists(hst.floats(-3.0, 3.0), min_size=4, max_size=4),
+       hst.lists(hst.floats(-2.0, 2.0), min_size=3, max_size=3),
+       hst.floats(0.05, 0.95), hst.floats(0.2, 2.0), hst.floats(0.1, 0.9),
+       hst.lists(hst.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_float_objective_is_the_numpy_objective_bit_for_bit(kind, origin, h, frac, a, speed,
+                                                           offset):
+    """einstein_sync's Brent objective and residuals on Python floats give
+    the bits of the numpy objective: tau, both roots, both residuals, both
+    events, and the same refusals.  Inertial observers with far events, events
+    within 1e-3 of the world-line and on it; Rindler observers inside and
+    beyond the horizon; a circling observer whose position returns lists."""
+    origin, offset = np.array(origin), np.array(offset)
+    if kind in ("far", "near", "on"):
+        w = inertial_worldline(origin, np.array(h), domain=(-30.0, 30.0))
+        s0 = w.position(-30.0 + 60.0 * frac)
+        event = {"far": s0 + 8.0 * offset, "near": s0 + 1e-3 * offset, "on": s0}[kind]
+    elif kind == "rindler-inside":
+        w = rindler_worldline(a)
+        x1 = 0.2 + 6.0 * abs(offset[1])
+        event = np.array([0.95 * (2.0 * frac - 1.0) * x1, x1, *(2.0 * offset[2:])])
+    elif kind == "rindler-beyond":
+        w = rindler_worldline(a)
+        t = 4.0 * offset[0]
+        event = np.array([t, abs(t) - 3.0 * frac, *(2.0 * offset[2:])])
+    else:
+        w = _circular_observer(a, speed)
+        event = np.asarray(w.position(-20.0 + 40.0 * frac)) + 5.0 * offset
+    assert _sync_bits(einstein_sync, w, event) == _sync_bits(numpy_einstein_sync, w, event)
+
+
+@pytest.mark.parametrize("origin, h, event", [
+    ([-0.15, 1.98, -1.8, -2.75], [-0.05, -0.82, 0.27], [16.86, 7.9, -12.66, 4.07]),
+    ([-2.06, -1.77, -0.52, 2.84], [-1.69, 0.37, -1.47], [38.08, -30.09, 10.74, -23.08]),
+    ([1.15, 2.16, -1.3, 2.36], [1.94, -0.08, 0.4], [13.21, 17.27, 1.81, 10.43]),
+])
+def test_residual_scale_is_squared_as_the_numpy_objective_squares_it(origin, h, event):
+    """Events whose residual scale max(1, |P - w|_inf) squares to another
+    last bit under x * x than under Python's **: the residuals still match."""
+    w = inertial_worldline(np.array(origin), np.array(h), domain=(-30.0, 30.0))
+    assert _sync_bits(einstein_sync, w, event) == _sync_bits(numpy_einstein_sync, w, event)
+
+
+_SEPARATION_ENTRIES = hst.one_of(
+    hst.floats(-1e3, 1e3), hst.sampled_from([0.0, -0.0]),
+    # x * x and libm's pow(x, 2) round these squares differently
+    hst.sampled_from([1.2399686513884438, -2.3367237832535963, 5.542406145046744]),
+    hst.tuples(hst.floats(-10.0, 10.0), hst.sampled_from([1e-150, 1e150])).map(
+        lambda t: t[0] * t[1]))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(arrays(float, hst.tuples(hst.integers(1, 6), hst.just(4)), elements=_SEPARATION_ENTRIES))
+def test_float_helpers_equal_interval_and_legs(d):
+    """_float_interval and _float_legs of each row equal interval and _legs of
+    the (n, 4) stack, C- or F-ordered, and of the row alone, bit for bit;
+    signed zeros and entries near 1e+-150 included."""
+    rows = d.tolist()
+    want_f = np.array([_float_interval(*row) for row in rows])
+    want_legs = np.array([_float_legs(*row) for row in rows]).T
+    for stack in (d, np.asfortranarray(d)):
+        assert interval(stack).tobytes() == want_f.tobytes()
+        assert np.array(_legs(stack)).tobytes() == want_legs.tobytes()
+    for row, f, legs in zip(d, want_f, want_legs.T):
+        assert interval(row).tobytes() == f.tobytes()
+        assert np.array(_legs(row)).tobytes() == legs.tobytes()
 
 
 def _solve(solver, *args, **kwargs):
