@@ -35,6 +35,7 @@ kinetic kinds.  With kinetic="salpeter" that is an approximation: the
 relativistic operator is T(|p|) with p^2 including ell(ell+1)/r^2.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -47,7 +48,7 @@ __all__ = ["KINETIC_KINDS", "kinetic_dispersion", "radial_grid",
            "radial_levels"]
 
 # radial_levels: residual tolerance as a fraction of the energy scale
-# (see _energy_scale); LOBPCG iterations, restarts included
+# (see _energy_scale); LOBPCG iterations per restart
 _RADIAL_TOL = 1e-8
 _MAXITER = 200
 
@@ -184,17 +185,38 @@ def _start_block(rows):
     return np.linalg.qr((x + 1e-3 / np.sqrt(x.shape[1]) * noise).T)[0].T
 
 
+def _row_norms(a):
+    """Norms of the rows, the bits of np.linalg.norm(a, axis=1)."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
+def _orthonormal_rows(v, sizes):
+    """Gram-Schmidt on the rows of ``v``, each row projected out twice; one
+    left with at most 1e-10 of its ``size`` is dropped, not normalized."""
+    q, j = np.empty_like(v), 0
+    for row, size in zip(v, sizes):
+        for _ in range(2 if j else 0):
+            row = row - q[:j].dot(row).dot(q[:j])
+        norm = math.sqrt(row.dot(row))
+        if norm > 1e-10 * size:
+            np.multiply(row, 1.0 / norm, out=q[j])
+            j += 1
+    return q[:j]
+
+
 def _orthonormal_directions(basis, w):
-    """Orthonormal rows spanning the part of the rows ``w`` orthogonal to the
-    orthonormal rows ``basis``: two block Gram-Schmidt passes, then a QR.  A
-    row left with under 1e-10 of its norm is dropped and the rest redone, so
-    a near-dependent row cannot carry noise into the basis."""
-    v = w
-    for _ in range(2):
-        v = v - (v @ basis.T) @ basis
-    q, r = np.linalg.qr(v.T)
-    keep = np.abs(np.diagonal(r)) > 1e-10 * np.linalg.norm(w, axis=1)
-    return q.T if keep.all() else _orthonormal_directions(basis, w[keep])
+    """The rows ``w`` made orthogonal to the orthonormal rows ``basis`` by
+    two block Gram-Schmidt passes, then orthonormal by _orthonormal_rows."""
+    v = w - (w @ basis.T) @ basis
+    v = v - (v @ basis.T) @ basis
+    return _orthonormal_rows(v, _row_norms(w))
+
+
+def _ritz_steps(y, k, active):
+    """P in the small space: the active Ritz vectors' steps out of X, at
+    most len(y) - k, orthonormal in the span of the eigenvectors y[:, k:]."""
+    z = y[k:, :k].T[active][:len(y) - k]
+    return _orthonormal_rows(z @ y[k:, k:], _row_norms(z)) @ y[:, k:].T
 
 
 def _lowest_eigenpairs(apply_h, apply_m, x, tol, maxiter, where):
@@ -206,11 +228,11 @@ def _lowest_eigenpairs(apply_h, apply_m, x, tol, maxiter, where):
     Ritz vectors inside the span of [W, P], so Rayleigh-Ritz on [X, W, P]
     is a plain eigh.  Each iteration applies H to W only; H X and H P are
     carried by the small-space combinations that give X and P.  When the
-    carried residuals all meet ``tol``, or ``maxiter`` iterations in all
-    have run, H X is computed afresh and every level's true residual
-    |H x - lambda x| checked against ``tol``.  The block restarts from
-    there while the worst residual at least halves, else raises
-    NonConvergenceError.  Returns (ascending values, orthonormal rows).
+    carried residuals all meet ``tol``, or after _MAXITER iterations, H X
+    is computed afresh and every level's true residual |H x - lambda x|
+    checked against ``tol``.  The block restarts from there while the worst
+    residual at least halves within ``maxiter`` iterations in all, else
+    raises NonConvergenceError.  Returns (ascending values, orthonormal rows).
     """
     k = x.shape[0]
     worst, iterations, restarts = np.inf, 0, -1
@@ -220,7 +242,7 @@ def _lowest_eigenpairs(apply_h, apply_m, x, tol, maxiter, where):
         hx = apply_h(x)
         vals, c = np.linalg.eigh(hx @ x.T)
         x, hx = c.T @ x, c.T @ hx
-        res = np.linalg.norm(hx - vals[:, None] * x, axis=1).max()
+        res = _row_norms(hx - vals[:, None] * x).max()
         if res <= tol:
             return vals, x
         if not (res <= 0.5 * worst and iterations < maxiter):
@@ -230,32 +252,18 @@ def _lowest_eigenpairs(apply_h, apply_m, x, tol, maxiter, where):
                 f"iterations and {restarts} restarts")
         worst = res
         xp, hxp = x, hx  # [X, P] and H [X, P]; P is empty at a restart
-        while iterations < maxiter:
-            r = hxp[:k] - vals[:, None] * xp[:k]
-            active = np.linalg.norm(r, axis=1) > tol
+        for _ in range(min(_MAXITER, maxiter - iterations)):
+            r = hxp[:k] - vals[:k, None] * xp[:k]
+            active = _row_norms(r) > tol
             if not active.any():
                 break
             iterations += 1
             w = _orthonormal_directions(xp, apply_m(r[active]))
-            # H acts on W as the contiguous rows it takes in S
-            s = np.vstack((xp, w))
-            hs = np.vstack((hxp, apply_h(s[len(xp):])))
-            theta, y = np.linalg.eigh(hs @ s.T)
-            vals, y = theta[:k], y[:, :k]
-            # P: the active Ritz vectors' steps out of X, made orthogonal to
-            # them by one QR of [Y, Z] in the small space (room for len(y) - k
-            # steps); one left under 1e-10 of its norm is dropped, QR redone
-            z = y[:, active][:, :len(y) - k]
-            z[:k] = 0.0
-            while True:
-                q, rz = np.linalg.qr(np.hstack((y, z)))
-                keep = (np.abs(np.diagonal(rz)[k:])
-                        > 1e-10 * np.linalg.norm(z, axis=0))
-                if keep.all():
-                    break
-                z = z[:, keep]
-            yz = np.hstack((y, q[:, k:]))
-            xp, hxp = yz.T @ s, yz.T @ hs
+            s = np.concatenate((xp, w))
+            hs = np.concatenate((hxp, apply_h(w)))
+            vals, y = np.linalg.eigh(hs @ s.T)
+            coef = np.concatenate((y[:, :k].T, _ritz_steps(y, k, active)))
+            xp, hxp = coef @ s, coef @ hs
         x = xp[:k]
 
 
@@ -267,11 +275,13 @@ def radial_levels(n_points, length, m1, m2, alpha, c=1.0, kinetic="salpeter",
     V, solved by LOBPCG with the diagonal preconditioner 1/(T(k) + shift).
     The shift is the Bohr binding of the highest requested level,
     E / (2 (ell + n_levels)^2), with the energy scale E = mu (c alpha)^2,
-    or max|V| if that is smaller.  The start block is
-    hydrogen-like, r^(ell+j) exp(-r/((ell+j) a)) for j = 1..n_levels with
-    the Bohr radius a = 1/(mu c alpha) kept inside [dr, length].  Every
-    level's residual is brought below 1e-8 of E, or below the round-off of
-    one product where that is larger; NonConvergenceError otherwise.
+    or max|V| if that is smaller.  The start block is hydrogen-like,
+    r^(ell+j) exp(-r/((ell+j) a)) for j = 1..n_levels with the Bohr radius
+    a = 1/(mu c alpha) kept inside [dr, length].  Every level's residual is
+    brought below 1e-8 of E, or the round-off of one product if larger, by
+    restarts of up to 200 iterations each (4000 in all) while the worst
+    residual halves; NonConvergenceError otherwise, as for ell = 200 on the
+    committed 1024-point grid, whose barrier leaves no level bound.
     Raises ValueError unless 1 <= n_levels <= n_points.  With
     ``return_states`` returns (values, orthonormal vectors as columns, r).
     """
@@ -296,7 +306,7 @@ def radial_levels(n_points, length, m1, m2, alpha, c=1.0, kinetic="salpeter",
     apply_v = _potential_product(v)
     vals, coef = _lowest_eigenpairs(
         lambda coef: tk * coef + apply_v(coef), lambda coef: inverse * coef,
-        start, tol, _MAXITER,
+        start, tol, 20 * _MAXITER,
         f"the {n_points}-point radial grid (length={length}, ell={ell})")
     if return_states:
         return vals, _sine(coef).T, r

@@ -413,6 +413,27 @@ def dense_radial_levels(n_points, length, m1, m2, alpha, c=1.0,
     return (vals, vecs) if return_states else vals
 
 
+def qr_ritz_steps(y, k, active):
+    """P's coefficients in the small space by one QR of [Y, Z].
+
+    ``y`` holds the eigenvectors of a Rayleigh-Ritz step as columns, the
+    first ``k`` of them the Ritz vectors Y.  Z holds the ``active`` Ritz
+    vectors with their first k (X) entries zeroed, at most len(y) - k of
+    them; the QR of [Y, Z] makes them orthonormal to Y and to each other.
+    A column left with at most 1e-10 of its norm is dropped and the QR
+    redone.  Returns the steps as rows, like relquant._ritz_steps, which
+    takes them from the eigenvectors y[:, k:] with no QR.
+    """
+    z = y[:, :k][:, active][:, :len(y) - k]
+    z[:k] = 0.0
+    while True:
+        q, rz = np.linalg.qr(np.hstack((y[:, :k], z)))
+        keep = np.abs(np.diagonal(rz)[k:]) > 1e-10 * np.linalg.norm(z, axis=0)
+        if keep.all():
+            return q[:, k:].T
+        z = z[:, keep]
+
+
 def cartesian_ground_state(n_points, length, m1, m2, alpha, c=1.0,
                            kinetic="salpeter", softening=None, n_levels=1,
                            maxiter=None, tol=1e-8):

@@ -225,6 +225,17 @@ def test_spectrum_levels_and_convergence(tmp_path):
     assert conv["n_points"] == 512
 
 
+def test_spectrum_committed_config_at_ell_6_exits_0(tmp_path):
+    """The committed grid's ell = 6 barrier dominates the potential; the
+    solve converges by restarts instead of refusing with exit 3."""
+    cfg = json.loads((ROOT / "configs" / "spectrum.json").read_text())
+    code, out = run_cli(tmp_path, "spectrum", dict(cfg, ell=6))
+    assert code == 0
+    rows = Path(only_run_dir(out), "levels.csv").read_text().strip().splitlines()
+    assert rows[0] == "n,E_n,binding,bohr_ratio"
+    assert len(rows) == 1 + cfg["n_levels"]
+
+
 def test_spectrum_more_levels_than_points_exits_2(tmp_path, capsys):
     cfg = {"n_points": 16, "length": 100.0, "m1": 1.0, "m2": 1.0, "alpha": 0.1,
            "n_levels": 20}

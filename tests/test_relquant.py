@@ -12,6 +12,7 @@ from instantform.relquant import (
     _orthonormal_directions,
     _potential_product,
     _radial_terms,
+    _ritz_steps,
     _sine,
     _start_block,
     kinetic_dispersion,
@@ -23,6 +24,7 @@ from oracles import (
     cartesian_ground_state,
     dense_radial_levels,
     nonrel_fd_levels,
+    qr_ritz_steps,
 )
 
 # weak-coupling hydrogen-like setup shared by several tests
@@ -144,6 +146,33 @@ def test_matrix_free_levels_match_dense_oracle(n_points, length, alpha, kw):
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
+def _solver_tol(n_points, length, m1, m2, alpha, kinetic="salpeter", ell=0):
+    """The residual tolerance radial_levels brings every level below."""
+    _, tk, v = _radial_terms(n_points, length, m1, m2, alpha, 1.0, kinetic, ell, None)
+    return (_RADIAL_TOL * (_energy_scale(m1 * m2 / (m1 + m2), 1.0, alpha, v) + tk[0])
+            + 64 * np.finfo(float).eps * (tk[-1] + np.abs(v).max()))
+
+
+# grids where the ell barrier dominates the potential: the committed spectrum
+# grid, a strong-coupling grid, a heavy grid and the box of the README; their
+# lowest levels can be a few 1e-8, where rtol 1e-9 is finer than round-off, so
+# each level is held to the solver's own residual tolerance, absolute
+# (Bauer-Fike bounds a Ritz value's distance to the spectrum by its residual)
+@pytest.mark.parametrize("n_points, length, alpha, ell", [
+    (1024, LENGTH, ALPHA, 6),
+    (1024, LENGTH, ALPHA, 10),
+    (512, 60.0, 0.3, 4),
+    (512, 60.0, 0.3, 10),
+    (2048, 2000.0, 0.05, 6),
+    (300, LENGTH, ALPHA, 60),
+])
+def test_barrier_dominated_partial_waves_match_dense_oracle(n_points, length, alpha, ell):
+    want = dense_radial_levels(n_points, length, M1, M2, alpha, ell=ell, n_levels=4)
+    got = radial_levels(n_points, length, M1, M2, alpha, ell=ell, n_levels=4)
+    tol = _solver_tol(n_points, length, M1, M2, alpha, ell=ell)
+    assert np.max(np.abs(got - want)) <= tol
+
+
 @pytest.mark.parametrize("n", [2, 3, 16, 128, 255, 256, 340, 384, 511, 512,
                                1000, 2048])
 def test_potential_product_matches_two_sine_transforms(n):
@@ -229,12 +258,83 @@ def test_orthonormal_directions_complement_the_basis():
     assert q.shape == (4, 200)
     assert np.max(np.abs(q @ q.T - np.eye(4))) < 1e-12
     assert np.max(np.abs(q @ basis.T)) < 1e-12
+    # one active row is normalized
+    q = _orthonormal_directions(basis, w[1:2])
+    assert q.shape == (1, 200)
+    assert abs(q[0] @ q[0] - 1.0) < 1e-15
+    assert np.max(np.abs(q @ basis.T)) < 1e-12
     # a row inside span(basis, other rows) is dropped, not normalized noise
     w[2] = 2.0 * w[0] - w[3] + rng.standard_normal(5) @ basis
     q = _orthonormal_directions(basis, w)
     assert q.shape == (3, 200)
     assert np.max(np.abs(q @ q.T - np.eye(3))) < 1e-12
     assert np.max(np.abs(q @ basis.T)) < 1e-12
+    # a row left with 1e-11 of its norm is dropped, one left with 1e-9 kept
+    seen = np.concatenate((basis, w[:2]))
+    u = rng.standard_normal(200)
+    for _ in range(2):
+        u = u - np.linalg.lstsq(seen.T, u, rcond=None)[0] @ seen
+    u /= np.linalg.norm(u)
+    for left, rows in ((1e-11, 2), (1e-9, 3)):
+        row = 2.0 * w[0] - w[1] + rng.standard_normal(5) @ basis
+        q = _orthonormal_directions(
+            basis, np.stack((w[0], w[1], row + left * np.linalg.norm(row) * u)))
+        assert q.shape == (rows, 200)
+        assert np.max(np.abs(q @ q.T - np.eye(rows))) < 1e-12
+        # the basis passes come first, so a kept row's overlap with the basis
+        # is round-off over what is left of it: about 1e-16 / 1e-9
+        assert np.max(np.abs(q @ basis.T)) < 1e-6
+
+
+def test_ritz_steps_span_what_the_qr_route_spans():
+    """P from the other eigenvectors y[:, k:] spans what the QR of [Y, Z]
+    spans, compared by projectors on random Rayleigh-Ritz eigenvectors."""
+    rng = np.random.default_rng(11)
+    cases = [(k, m, rng.random(k) < 0.7)
+             for k, m in [(1, 2), (3, 4), (3, 6), (3, 9), (4, 12), (6, 18)]
+             for _ in range(25)]
+    for k, m, active in cases:
+        a = rng.standard_normal((m, m))
+        y = np.linalg.eigh(a + a.T)[1]
+        got, want = _ritz_steps(y, k, active), qr_ritz_steps(y, k, active)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got @ got.T - np.eye(len(got))), initial=0) < 1e-13
+        assert np.max(np.abs(got @ y[:, :k]), initial=0) < 1e-13
+        assert np.max(np.abs(got.T @ got - want.T @ want)) < 1e-12
+    # a Ritz vector inside X takes no step: dropped on both routes
+    y = np.eye(6)
+    y[1:, 1:] = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    active = np.ones(3, dtype=bool)
+    got, want = _ritz_steps(y, 3, active), qr_ritz_steps(y, 3, active)
+    assert got.shape == want.shape == (2, 6)
+    assert np.max(np.abs(got.T @ got - want.T @ want)) < 1e-12
+
+
+def test_qr_runs_only_at_restarts(monkeypatch):
+    """One QR for the start block and one for each restart's block; the
+    iterations between restarts take none."""
+    qr, eigh = np.linalg.qr, np.linalg.eigh
+    qr_shapes, eigh_sizes = [], []
+
+    def counted_qr(a, *args, **kwargs):
+        qr_shapes.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    def counted_eigh(a, *args, **kwargs):
+        eigh_sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    # a light benchmark grid, and the committed grid at ell 6 that restarts
+    for n, length, alpha, ell, k in ((256, 15.0 / (0.5 * 0.012), 0.012, 0, 3),
+                                     (NPTS, LENGTH, ALPHA, 6, 4)):
+        qr_shapes.clear()
+        eigh_sizes.clear()
+        radial_levels(n, length, M1, M2, alpha, ell=ell, n_levels=k)
+        restarts = eigh_sizes.count(k)
+        assert len(eigh_sizes) - restarts >= 10  # iterations
+        assert qr_shapes == [(n, k)] * (1 + restarts)
 
 
 def _out_of_place_product(v):
@@ -327,8 +427,7 @@ def test_hydrogen_like_levels_converge_at_n4096():
     vals, vecs, _ = radial_levels(*args, kinetic="nonrelativistic", n_levels=3,
                                   return_states=True)
     _, tk, v = _radial_terms(*args, 1.0, "nonrelativistic", 0, None)
-    tol = (_RADIAL_TOL * (_energy_scale(mu, 1.0, ALPHA, v) + tk[0])
-           + 64 * np.finfo(float).eps * (tk[-1] + np.abs(v).max()))
+    tol = _solver_tol(*args, kinetic="nonrelativistic")
     coef = _sine(vecs.T)
     res = tk * coef + _sine(v * _sine(coef)) - vals[:, None] * coef
     assert np.all(np.linalg.norm(res, axis=1) <= tol)
