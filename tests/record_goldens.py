@@ -18,7 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "tests" / "golden"
-GOLDEN = ("validate_foliation",)
+GOLDEN = ("evolve", "reconstruct", "tube", "validate_foliation")
 
 
 def run_config(name, out):
