@@ -475,8 +475,7 @@ def _run_tube(cfg):
         rapidity_max=cfg["rapidity_max"],
         seed=cfg["seed"],
     )
-    rows = [(xi, *n, d) for xi, n, d in
-            zip(sample.rapidities, sample.directions, sample.distances)]
+    rows = np.column_stack((sample.rapidities, sample.directions, sample.distances)).tolist()
     return {
         "tube.csv": (("rapidity", "nx", "ny", "nz", "distance"), rows),
         "tube.json": {
@@ -503,10 +502,11 @@ def _evolve(cfg):
         charge_product=cfg["charge_product"], c=cfg["c"],
     )
     traj = restframe.evolve(rel, cfg["potential"], cfg["dtau"], cfg["n_steps"])
-    rows = [
-        (traj.tau[k], *traj.rho[k], *traj.pi[k], traj.H[k], np.linalg.norm(traj.L[k]))
-        for k in _sampled_rows(traj.tau.shape[0], cfg["sample_every"])
-    ]
+    idx = _sampled_rows(traj.tau.shape[0], cfg["sample_every"])
+    # |L| by vecdot, which sums as np.linalg.norm's BLAS dot does
+    L = traj.L[idx]
+    rows = np.column_stack((traj.tau[idx], traj.rho[idx], traj.pi[idx], traj.H[idx],
+                            np.sqrt(np.vecdot(L, L)))).tolist()
     header = ("tau", "rho_x", "rho_y", "rho_z", "pi_x", "pi_y", "pi_z", "H", "L")
     artifacts = {
         "trajectory.csv": (header, rows),
@@ -526,7 +526,8 @@ def _run_reconstruct(cfg):
     artifacts, traj = _evolve(cfg)
     rec = restframe.reconstruct_worldlines(traj, np.asarray(cfg["z"]), np.asarray(cfg["h"]))
     idx = _sampled_rows(rec.tau.shape[0], cfg["sample_every"])
-    rows = [(i + 1, rec.tau[k], *rec.events[i, k]) for i in range(2) for k in idx]
+    rows = np.column_stack((np.repeat([1.0, 2.0], len(idx)), np.tile(rec.tau[idx], 2),
+                            rec.events[:, idx].reshape(-1, 4))).tolist()
     return {
         **artifacts,
         "worldlines.csv": (("particle", "tau", "t", "x", "y", "z"), rows),

@@ -619,6 +619,55 @@ def test_extreme_pair_configs_keep_their_exit_codes(tmp_path, sub, change, want)
         assert "manifest.json" in os.listdir(rd)
 
 
+@pytest.mark.parametrize("sub", ["evolve", "reconstruct"])
+@pytest.mark.parametrize("change", [{"m1": 1e300}, {"c": 1e300}], ids=["m1-1e300", "c-1e300"])
+def test_overflowing_rest_energy_exits_3_naming_it(tmp_path, sub, change):
+    cfg = {**PAIR_CFG, **change}
+    if sub == "reconstruct":
+        cfg.update(z=[0.0, 0.0, 0.0], h=[0.6, 0.0, 0.2])
+    code, out = run_cli(tmp_path, sub, cfg)
+    assert code == 3
+    failure = strict_json(os.path.join(only_run_dir(out), "failure.json"))
+    assert failure["error"] == "OverflowError"
+    assert "m c = " in failure["message"] and "Mc = inf" in failure["message"]
+
+
+_MAGNITUDES = hst.sampled_from([0.0, 1e-150, 1e-75, 1e-20, 1.0, 1e20, 1e75, 1e150])
+_L_ROWS = hst.lists(hst.tuples(*[hst.builds(lambda m, u: m * u, _MAGNITUDES,
+                                            hst.floats(-1.0, 1.0))] * 3),
+                    min_size=1, max_size=40)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_L_ROWS, hst.integers(1, 4))
+def test_l_column_is_np_linalg_norm_bitwise(rows, every):
+    """The L column, np.sqrt(np.vecdot(L, L)) over the sampled rows, has the
+    bits of np.linalg.norm row by row: zero rows, rows picked by a strided
+    index, and magnitudes from 1e-150 to 1e150 included."""
+    L = np.array(rows)
+    for picked in (L, L[::every], L[cli._sampled_rows(len(L), every)]):
+        want = np.array([np.linalg.norm(row) for row in picked])
+        assert np.sqrt(np.vecdot(picked, picked)).tobytes() == want.tobytes()
+
+
+def test_one_step_with_a_sample_stride_past_it_matches_the_stepwise_oracle():
+    """n_steps = 1 and sample_every > n_steps: the two samples, as the rows
+    of the oracle's trajectory with the per-row norm of L."""
+    from instantform.restframe import RelativeState
+    from oracles import stepwise_evolve
+
+    cfg = cli.parse_config(json.dumps({**PAIR_CFG, "n_steps": 1, "sample_every": 7}), "evolve")
+    artifacts, _ = cli._evolve(cfg)
+    rel = RelativeState(m1=1.0, m2=1.5, rho=np.array(PAIR_CFG["rho0"]),
+                        pi=np.array(PAIR_CFG["pi0"]), charge_product=-2.0)
+    want = stepwise_evolve(rel, "coulomb", 0.01, 1)
+    rows = [(want.tau[k], *want.rho[k], *want.pi[k], want.H[k], np.linalg.norm(want.L[k]))
+            for k in (0, 1)]
+    got = artifacts["trajectory.csv"][1]
+    assert np.array(got).tobytes() == np.array(rows).tobytes()
+    assert cli._render("t.csv", (("h",), got)) == cli._render("t.csv", (("h",), rows))
+
+
 # run-directory names of the committed configs; a change to how configs
 # resolve moves them
 COMMITTED_DIGESTS = {

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -312,6 +313,17 @@ def test_overflowing_initial_separation_is_refused_not_a_collision():
             evolve(rel, potential, 0.1, 10)
 
 
+@pytest.mark.parametrize("m1, c", [(1e300, 1.0), (1.0, 1e300), (1e160, 1.0)])
+def test_overflowing_rest_energy_is_refused_by_name(m1, c):
+    """(m c)^2 past the largest double is refused up front, by m c and Mc,
+    not left to Python's bare ``(34, 'Numerical result out of range')``."""
+    rel = RelativeState(m1=m1, m2=1.0, rho=np.array([1.0, 0.0, 0.0]),
+                        pi=np.array([0.0, 0.1, 0.0]), charge_product=-1.0, c=c)
+    for potential in POTENTIALS:
+        with pytest.raises(OverflowError, match=r"m c = .*, Mc = inf"):
+            evolve(rel, potential, 0.1, 10)
+
+
 def test_evolve_argument_validation():
     rel = RelativeState(m1=1.0, m2=1.0, rho=np.ones(3), pi=np.zeros(3))
     with pytest.raises(ValueError):
@@ -499,6 +511,30 @@ def test_evolve_and_reconstruct_match_stepwise_oracle_bitwise(potential):
         assert collisions >= 2
 
 
+@pytest.mark.parametrize("potential", ["none", "coulomb"])
+def test_explicit_collision_at_the_first_and_last_step_matches_stepwise_oracle(potential):
+    """A head-on pass collides at step 1, where the last good sample is the
+    initial one, and with n_steps cut to its collision step, at the last
+    step; message and last state equal the oracle's bit for bit, and one
+    step fewer finishes as the oracle does."""
+    rel = RelativeState(m1=1.0, m2=1.5, rho=np.array([1.0, 0.2, 0.0]),
+                        pi=np.array([-1.0, -0.2, 0.0]), charge_product=-2.0, c=2.5, tau=0.5)
+    _, first = _evolve_or_error(stepwise_evolve, rel, potential, 3.0, 10)
+    assert "during step 1" in str(first)
+    assert _bits(*first.last_state) == _bits(rel.tau, rel.rho, rel.pi)
+    _, at = _evolve_or_error(stepwise_evolve, rel, potential, 0.02, 1000)
+    last = int(re.search(r"during step (\d+)", str(at)).group(1))
+    assert last > 10
+    for dtau, n_steps, want_err in ((3.0, 10, first), (0.02, last, at)):
+        _, err = _evolve_or_error(evolve, rel, potential, dtau, n_steps)
+        assert type(err) is CollisionError and str(err) == str(want_err)
+        assert _bits(*err.last_state) == _bits(*want_err.last_state)
+    got = evolve(rel, potential, 0.02, last - 1)
+    want = stepwise_evolve(rel, potential, 0.02, last - 1)
+    assert _bits(got.tau, got.rho, got.pi, got.H, got.L) == _bits(
+        want.tau, want.rho, want.pi, want.H, want.L)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(arrays(float, 3, elements=hst.floats(-1e3, 1e3)),
        arrays(float, 3, elements=hst.floats(-1e3, 1e3)),
@@ -541,7 +577,30 @@ def test_numpy_helpers_equal_the_explicit_loops_float_arithmetic(
     t = 0.0 if dd == 0.0 else min(max(-potentials._dot3(rho, d) / dd, 0.0), 1.0)
     closest = rho + t * d
     want = np.sqrt(potentials._dot3(closest, closest))
-    got = restframe._swept_distance(rho.tolist(), rho_next.tolist())
+    got = restframe._swept_distance(*rho.tolist(), *rho_next.tolist())
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("a, b", [
+    ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)),        # no motion: t = 0
+    ((0.0, 0.0, 0.0), (-0.0, 1.0, 0.0)),       # t = -0.0
+    ((1.0, 0.0, 0.0), (-1.0, 0.5, 0.0)),       # closest point inside
+    ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)),        # t < 0
+    ((-4.0, -5.0, -6.0), (-1.0, -2.0, -3.0)),  # t > 1
+    ((1e300, 0.0, 0.0), (-1e300, 0.0, 0.0)),   # d.d overflows: t is NaN
+])
+def test_swept_distance_clips_as_the_oracles_min_max(a, b):
+    """The swept segment's t is clipped to [0, 1] as min(max(t, 0.0), 1.0)
+    clips it, -0.0 and NaN included, so the distance has the bits of the
+    numpy arithmetic the stepwise oracle uses."""
+    a, b = np.array(a), np.array(b)
+    with np.errstate(all="ignore"):
+        d = b - a
+        dd = potentials._dot3(d, d)
+        t = 0.0 if dd == 0.0 else min(max(-potentials._dot3(a, d) / dd, 0.0), 1.0)
+        closest = a + t * d
+        want = np.sqrt(potentials._dot3(closest, closest))
+    got = restframe._swept_distance(*a.tolist(), *b.tolist())
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
