@@ -18,7 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "tests" / "golden"
-GOLDEN = ("evolve", "reconstruct", "tube", "validate_foliation")
+GOLDEN = ("centers", "evolve", "reconstruct", "tube", "validate_foliation")
 
 
 def run_config(name, out):
