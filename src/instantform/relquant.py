@@ -190,10 +190,12 @@ def _row_norms(a):
     return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
-def _orthonormal_rows(v, sizes):
-    """Gram-Schmidt on the rows of ``v``, each row projected out twice; one
-    left with at most 1e-10 of its ``size`` is dropped, not normalized."""
-    q, j = np.empty_like(v), 0
+def _orthonormal_rows(v, sizes, basis=()):
+    """Gram-Schmidt on the rows of ``v``, each projected twice out of the
+    orthonormal rows ``basis`` and the rows kept before it; one left with at
+    most 1e-10 of its ``size`` is dropped, not normalized."""
+    b = len(basis)
+    q, j = np.concatenate((np.reshape(basis, (b, v.shape[1])), v)), b
     for row, size in zip(v, sizes):
         for _ in range(2 if j else 0):
             row = row - q[:j].dot(row).dot(q[:j])
@@ -201,15 +203,7 @@ def _orthonormal_rows(v, sizes):
         if norm > 1e-10 * size:
             np.multiply(row, 1.0 / norm, out=q[j])
             j += 1
-    return q[:j]
-
-
-def _orthonormal_directions(basis, w):
-    """The rows ``w`` made orthogonal to the orthonormal rows ``basis`` by
-    two block Gram-Schmidt passes, then orthonormal by _orthonormal_rows."""
-    v = w - (w @ basis.T) @ basis
-    v = v - (v @ basis.T) @ basis
-    return _orthonormal_rows(v, _row_norms(w))
+    return q[b:j]
 
 
 def _ritz_steps(y, k, active):
@@ -258,7 +252,8 @@ def _lowest_eigenpairs(apply_h, apply_m, x, tol, maxiter, where):
             if not active.any():
                 break
             iterations += 1
-            w = _orthonormal_directions(xp, apply_m(r[active]))
+            w = apply_m(r[active])
+            w = _orthonormal_rows(w, _row_norms(w), xp)
             s = np.concatenate((xp, w))
             hs = np.concatenate((hxp, apply_h(w)))
             vals, y = np.linalg.eigh(hs @ s.T)

@@ -13,8 +13,9 @@ internal data satisfy two rest-frame conditions:
 to_rest_frame builds that representation from an arbitrary lab snapshot;
 evolve integrates the two-body relative motion with the invariant mass as
 Hamiltonian; reconstruct_worldlines maps an internal trajectory back to lab
-world-lines x_i(tau) = X_FP(tau) + eps_r(h) eta_i^r(tau), with eps_r(h) the
-spatial columns of the standard boost.
+world-lines x_i(tau) = z_W(tau, eta_i(tau)), the Wigner-hyperplane chart
+z_W(tau, sigma) = X_FP(tau) + eps_r(h) sigma^r, with eps_r(h) the spatial
+columns of the standard boost.
 
 Internally c = 1 style units: tau is a length (c times rest time), momenta
 are in momentum units, and the Hamiltonian is Mc (an energy divided by c).
@@ -234,7 +235,7 @@ def _energies(rel, pi):
 def _mass_and_weights(rel, potential, rho, pi):
     """(Mc, w1, w2) at (rho, pi), both (..., 3): Mc = E1 + E2 + V/c, and the
     energy weights w1 = (E2 + V/2c)/Mc, w2 = (E1 + V/2c)/Mc of eta_1 = w1 rho,
-    eta_2 = -w2 rho."""
+    eta_2 = -w2 rho.  ``rel`` is a RelativeState or a Trajectory."""
     e1, e2 = _energies(rel, pi)
     v = relative_potential_energy(
         potential, rel.charge_product, rel.m1, rel.m2, rel.c, rho, pi
@@ -460,40 +461,25 @@ class ReconstructedWorldlines:
 def reconstruct_worldlines(traj, z, h):
     """Map an internal trajectory to lab world-lines.
 
-    x_i(tau) = X_FP(tau) + eps_r(h) eta_i^r(tau): the covariant center
-    world-line is rebuilt from the frozen Jacobi data (z, h) with Mc and
-    S_bar taken from the trajectory's initial sample, and the internal
-    positions are inserted along the boost tetrad.  Each segment of each
+    x_i(tau) = z_W(tau, eta_i(tau)): wigner_hyperplane_embedding of the frozen
+    Jacobi data (z, h), with Mc and S_bar from the trajectory's initial
+    sample, evaluated at each internal position.  Each segment of each
     world-line is checked to be causal (non-spacelike); flags are reported
     per segment in ``timelike``.
     """
-    z = np.asarray(z, dtype=float)
     h = np.asarray(h, dtype=float)
     mc = float(traj.H[0])
-    s_bar = np.cross(traj.rho[0], traj.pi[0])
-    g = collective.external_generators(z, h, mc, s_bar, c=traj.c)
-    fp = collective.fokker_pryce_worldline(g)
-    boost = boost_from_h(h)
-    tetrad = boost[:, 1:]
-
-    fp_events = fp(traj.tau)
-    rel = RelativeState(traj.m1, traj.m2, traj.rho[0], traj.pi[0],
-                        traj.charge_product, traj.c)
-    _, w1, w2 = _mass_and_weights(rel, traj.potential, traj.rho, traj.pi)
-    # stacked matrix-vector products round as ``tetrad @ v`` does for one
-    # sample; ``X @ tetrad.T`` does not
-    events = np.array([
-        fp_events + (tetrad @ (w[:, None] * traj.rho)[..., None])[..., 0]
-        for w in (w1, -w2)
-    ])
+    chart = wigner_hyperplane_embedding(z, h, mc, np.cross(traj.rho[0], traj.pi[0]))
+    _, w1, w2 = _mass_and_weights(traj, traj.potential, traj.rho, traj.pi)
+    events = np.array([chart(traj.tau, w[:, None] * traj.rho) for w in (w1, -w2)])
 
     deltas = np.diff(events, axis=1)
     timelike = deltas[..., 0] ** 2 - np.sum(deltas[..., 1:] ** 2, axis=-1) >= -1e-12
     return ReconstructedWorldlines(
         tau=traj.tau.copy(),
         events=events,
-        fp_events=fp_events,
-        tetrad=tetrad,
+        fp_events=chart.fokker_pryce(traj.tau),
+        tetrad=chart.tetrad,
         h=h,
         Mc=mc,
         timelike=timelike,
@@ -505,15 +491,20 @@ def wigner_hyperplane_embedding(z, h, mc, s_bar):
 
     z_W(tau, sigma) = X_FP(tau) + eps_r(h) sigma^r.  The chart is inertial
     (its induced metric is exactly Minkowski), so radar_coordinates inverts
-    it in one Newton step; useful for round-trip tests against reconstructed
-    world-lines.
+    it in one Newton step.  The chart also carries its origin line X_FP as
+    ``fokker_pryce`` and its axes eps_r(h) as ``tetrad``.
     """
     g = collective.external_generators(z, h, mc, s_bar)
     fp = collective.fokker_pryce_worldline(g)
     boost = boost_from_h(np.asarray(h, dtype=float))
+    tetrad = boost[:, 1:]
 
     def zfun(tau, sigma):
-        return fp(tau) + (boost[:, 1:] @ sigma[..., None])[..., 0]
+        # stacked matrix-vector products round as ``tetrad @ v`` does for one
+        # point; ``sigma @ tetrad.T`` does not
+        return fp(tau) + (tetrad @ sigma[..., None])[..., 0]
 
-    return Embedding(zfun, jacobian=lambda tau, sigma: boost.copy(),
-                     name="wigner-hyperplane")
+    chart = Embedding(zfun, jacobian=lambda tau, sigma: boost.copy(),
+                      name="wigner-hyperplane")
+    chart.fokker_pryce, chart.tetrad = fp, tetrad
+    return chart

@@ -320,10 +320,29 @@ def test_bad_config_exits_2(tmp_path):
     assert code == 2
 
 
+_COULOMB_PAIR = {"m1": 1.0, "m2": 1.0, "charge_product": -1.0, "rho0": [1.0, 0.0, 0.0],
+                 "dtau": 0.1, "n_steps": 10}
+
+
 @pytest.mark.parametrize("sub, cfg, message", [
     pytest.param("validate-foliation",
                  {"embedding": {"kind": "identity"}, "grid": {"tau_min": 1.0, "tau_max": 0.5}},
                  "grid.tau_max: must be >= tau_min", id="tau-order"),
+    pytest.param("evolve", {**_COULOMB_PAIR, "potential": "yukawa"},
+                 "potential: must be one of ['none', 'coulomb', 'coulomb+darwin'], got 'yukawa'",
+                 id="bad-choice"),
+    pytest.param("evolve", {**_COULOMB_PAIR, "n_steps": 10.5},
+                 "n_steps: expected an integer, got 10.5", id="non-integer"),
+    pytest.param("centers", {"particles": []}, "particles: expected a non-empty list",
+                 id="empty-list"),
+    pytest.param("validate-foliation", {"embedding": {"kind": "identity"}, "grid": [0.0, 1.0]},
+                 "grid: expected an object", id="non-object"),
+    pytest.param("evolve", {k: v for k, v in _COULOMB_PAIR.items() if k != "m1"},
+                 "m1: required field is missing", id="missing-required"),
+    pytest.param("evolve", {**_COULOMB_PAIR, "dtau": "0.1"},
+                 "dtau: expected a finite number, got '0.1'", id="string-number"),
+    pytest.param("evolve", {**_COULOMB_PAIR, "m2": True},
+                 "m2: expected a finite number, got True", id="bool-number"),
     pytest.param("radar", {"worldline": {"kind": "rindler", "accel": 1.0}},
                  "events: provide either events or random_events", id="no-events"),
     pytest.param("evolve",

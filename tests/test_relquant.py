@@ -9,10 +9,11 @@ from instantform.relquant import (
     _energy_scale,
     _lowest_eigenpairs,
     _next_fast_len,
-    _orthonormal_directions,
+    _orthonormal_rows,
     _potential_product,
     _radial_terms,
     _ritz_steps,
+    _row_norms,
     _sine,
     _start_block,
     kinetic_dispersion,
@@ -254,18 +255,18 @@ def test_orthonormal_directions_complement_the_basis():
     rng = np.random.default_rng(9)
     basis = np.linalg.qr(rng.standard_normal((200, 5)))[0].T
     w = rng.standard_normal((4, 200))
-    q = _orthonormal_directions(basis, w)
+    q = _orthonormal_rows(w, _row_norms(w), basis)
     assert q.shape == (4, 200)
     assert np.max(np.abs(q @ q.T - np.eye(4))) < 1e-12
     assert np.max(np.abs(q @ basis.T)) < 1e-12
     # one active row is normalized
-    q = _orthonormal_directions(basis, w[1:2])
+    q = _orthonormal_rows(w[1:2], _row_norms(w[1:2]), basis)
     assert q.shape == (1, 200)
     assert abs(q[0] @ q[0] - 1.0) < 1e-15
     assert np.max(np.abs(q @ basis.T)) < 1e-12
     # a row inside span(basis, other rows) is dropped, not normalized noise
     w[2] = 2.0 * w[0] - w[3] + rng.standard_normal(5) @ basis
-    q = _orthonormal_directions(basis, w)
+    q = _orthonormal_rows(w, _row_norms(w), basis)
     assert q.shape == (3, 200)
     assert np.max(np.abs(q @ q.T - np.eye(3))) < 1e-12
     assert np.max(np.abs(q @ basis.T)) < 1e-12
@@ -277,13 +278,14 @@ def test_orthonormal_directions_complement_the_basis():
     u /= np.linalg.norm(u)
     for left, rows in ((1e-11, 2), (1e-9, 3)):
         row = 2.0 * w[0] - w[1] + rng.standard_normal(5) @ basis
-        q = _orthonormal_directions(
-            basis, np.stack((w[0], w[1], row + left * np.linalg.norm(row) * u)))
+        v = np.stack((w[0], w[1], row + left * np.linalg.norm(row) * u))
+        q = _orthonormal_rows(v, _row_norms(v), basis)
         assert q.shape == (rows, 200)
         assert np.max(np.abs(q @ q.T - np.eye(rows))) < 1e-12
-        # the basis passes come first, so a kept row's overlap with the basis
-        # is round-off over what is left of it: about 1e-16 / 1e-9
-        assert np.max(np.abs(q @ basis.T)) < 1e-6
+        # each row is projected out of the basis and the kept rows together,
+        # twice, so even the row left with 1e-9 of its norm keeps no more
+        # than round-off of the basis
+        assert np.max(np.abs(q @ basis.T)) < 1e-12
 
 
 def test_ritz_steps_span_what_the_qr_route_spans():
