@@ -195,10 +195,11 @@ def _orthonormal_rows(v, sizes, basis=()):
     orthonormal rows ``basis`` and the rows kept before it; one left with at
     most 1e-10 of its ``size`` is dropped, not normalized."""
     b = len(basis)
-    q, j = np.concatenate((np.reshape(basis, (b, v.shape[1])), v)), b
-    for row, size in zip(v, sizes):
+    q, j = np.concatenate((np.asarray(basis).reshape(b, v.shape[1]), v)), b
+    for i, size in enumerate(sizes, b):
+        row = q[i]  # projected in place: the kept rows q[:j] lie before it
         for _ in range(2 if j else 0):
-            row = row - q[:j].dot(row).dot(q[:j])
+            row -= q[:j].dot(row).dot(q[:j])
         norm = math.sqrt(row.dot(row))
         if norm > 1e-10 * size:
             np.multiply(row, 1.0 / norm, out=q[j])
