@@ -16,7 +16,8 @@ written.
 
 main is cheap to call many times in one process: the argument parser is
 built once and shared, each subcommand's handler imports the physics layer
-it needs on first use, and a CSV row is rendered by one %-format.
+it needs on first use, a CSV row is rendered by one %-format, and a numeric
+table by one %-format over all its cells.
 
 Every config key is declared once, in COMMON_KEYS and SCHEMA below; the
 README documents them, and configs/ holds a worked example per subcommand.
@@ -61,13 +62,18 @@ _NEEDS_QUOTES = re.compile('[,"\n]')
 def _render(name, content):
     """Artifact text.  A .csv is RFC-4180 with LF line endings and minimal
     quoting: a header of column names, then the rows, each line one
-    %-format over its row with every number as "%.17g" (round-trippable).
+    %-format over its row with every number as "%.17g" (round-trippable);
+    rows given as a 2-D float array take one %-format over all their cells.
     A .json is strict JSON: a non-finite value is a numerical failure, never
     an invalid artifact."""
     if name.endswith(".csv"):
+        header, rows = content
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            return _render(name, (header, ())) + (line * len(rows)) % tuple(rows.ravel().tolist())
         formats = {}  # cell types -> (row format, indices of text cells)
         lines = []
-        for row in (content[0], *content[1]):
+        for row in (header, *rows):
             types = tuple(map(type, row))
             if types not in formats:
                 texts = [i for i, t in enumerate(types) if issubclass(t, str)]
@@ -399,14 +405,12 @@ def _run_validate_foliation(cfg):
     )
     return {
         "violations.csv": (
-            ("condition", "tau", "s1", "s2", "s3", "witness"),
-            [(v.condition, v.tau, *v.sigma.tolist(), v.witness) for v in report.violations],
-        ),
+            ("condition", "tau", "s1", "s2", "s3", "witness"), report.table),
         "report.json": {
             "passed": bool(report.passed),
             "conditions_passed": [int(ok) for ok in report.conditions_passed],
             "n_nodes": int(report.n_nodes),
-            "n_violations": len(report.violations),
+            "n_violations": len(report.table),
             "asymptotic_normal": report.asymptotic_normal,
         },
     }
@@ -475,7 +479,7 @@ def _run_tube(cfg):
         rapidity_max=cfg["rapidity_max"],
         seed=cfg["seed"],
     )
-    rows = np.column_stack((sample.rapidities, sample.directions, sample.distances)).tolist()
+    rows = np.column_stack((sample.rapidities, sample.directions, sample.distances))
     return {
         "tube.csv": (("rapidity", "nx", "ny", "nz", "distance"), rows),
         "tube.json": {
@@ -506,7 +510,7 @@ def _evolve(cfg):
     # |L| by vecdot, which sums as np.linalg.norm's BLAS dot does
     L = traj.L[idx]
     rows = np.column_stack((traj.tau[idx], traj.rho[idx], traj.pi[idx], traj.H[idx],
-                            np.sqrt(np.vecdot(L, L)))).tolist()
+                            np.sqrt(np.vecdot(L, L))))
     header = ("tau", "rho_x", "rho_y", "rho_z", "pi_x", "pi_y", "pi_z", "H", "L")
     artifacts = {
         "trajectory.csv": (header, rows),
@@ -527,7 +531,7 @@ def _run_reconstruct(cfg):
     rec = restframe.reconstruct_worldlines(traj, np.asarray(cfg["z"]), np.asarray(cfg["h"]))
     idx = _sampled_rows(rec.tau.shape[0], cfg["sample_every"])
     rows = np.column_stack((np.repeat([1.0, 2.0], len(idx)), np.tile(rec.tau[idx], 2),
-                            rec.events[:, idx].reshape(-1, 4))).tolist()
+                            rec.events[:, idx].reshape(-1, 4)))
     return {
         **artifacts,
         "worldlines.csv": (("particle", "tau", "t", "x", "y", "z"), rows),

@@ -360,7 +360,7 @@ def moller_tube_sample(sys, n_frames, rapidity_max, seed=0):
     in the system rest frame (where the covariant center is static, so the
     distance is time-independent).  rapidity_max = 0 reproduces the lab
     center of energy itself.  All frames go through one stacked pass: one
-    boost_from_h call each for the frame boosts and their inverses.
+    boost_from_h call for the frame boosts, whose inverses are sign flips.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
@@ -376,9 +376,11 @@ def moller_tube_sample(sys, n_frames, rapidity_max, seed=0):
 
     hf = np.sinh(xis)[:, None] * dirs
     lam = boost_from_h(hf)
+    inv = lam.copy()  # boost_from_h(-hf) bit for bit: the same gamma and h h^T block
+    inv[:, 0, 1:] = inv[:, 1:, 0] = -hf
     events_f = np.zeros((n_frames, 4))                   # centers of energy, frame time 0
     events_f[:, 1:] = (lam @ g.J @ lam.mT)[:, 1:, 0] / (lam[:, 0] @ g.P)[:, None]
-    events_lab = (boost_from_h(-hf) @ events_f[:, :, None])[:, :, 0]
+    events_lab = (inv @ events_f[:, :, None])[:, :, 0]
     distances = np.linalg.norm((events_lab @ to_rest.T)[:, 1:] - x_rest, axis=1)
     return TubeSample(
         distances=distances,

@@ -23,6 +23,7 @@ phi_tilde = sqrt(det g3) the volume density, R the two shape coordinates
 the exponent), and the eigenvector frame encoded as Z-Y-Z Euler angles.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -432,32 +433,40 @@ class Violation:
 class AdmissibilityReport:
     passed: bool
     conditions_passed: tuple
-    violations: list
+    table: np.ndarray
     n_nodes: int
     asymptotic_normal: np.ndarray | None
     grid: GridSpec
+
+    @functools.cached_property
+    def violations(self):
+        """The table's rows as Violation objects, built on first access."""
+        t = self.table
+        return list(map(Violation, t[:, 0].astype(int).tolist(), t[:, 1].tolist(),
+                        t[:, 2:5].copy(), t[:, 5].tolist()))
 
 
 def check_admissibility(emb, grid, asym_tol=1e-3):
     """Sweep a grid and test the three admissibility conditions.
 
     Nodes are visited in ``itertools.product(taus, axis, axis, axis)`` order,
-    in fixed-size blocks that each make one batched Jacobian call.  At each
-    node a condition-2 violation is listed before a condition-1 one.  Nodes
-    whose tangents are degenerate or span a non-spacelike 3-plane count as
-    condition-1 violations with a NaN witness rather than raising, and nodes
-    with a non-finite Jacobian violate conditions 2 and 1 with NaN witnesses
-    and add no shell normal, so one bad node cannot mask others.  Condition 3
-    compares unit normals on the outermost sigma shell, across all tau
-    samples, against their common mean direction with tolerance ``asym_tol``
-    per component.
+    in fixed-size blocks that each make one batched Jacobian call.  The
+    report's ``table`` has one (condition, tau, s1, s2, s3, witness) row per
+    violation, in node order with condition 2 before condition 1 at a node,
+    and condition 3 last.  Nodes whose tangents are degenerate or span a
+    non-spacelike 3-plane count as condition-1 violations with a NaN witness
+    rather than raising, and nodes with a non-finite Jacobian violate
+    conditions 2 and 1 with NaN witnesses and add no shell normal, so one bad
+    node cannot mask others.  Condition 3 compares unit normals on the
+    outermost sigma shell, across all tau samples, against their common mean
+    direction with tolerance ``asym_tol`` per component.
     """
     if not 0.0 <= asym_tol < np.inf:
         raise ValueError(f"asym_tol must be finite and >= 0, got {asym_tol!r}")
     taus, axis = grid.tau_values(), grid.sigma_axis()
     dims = (taus.size,) + 3 * (axis.size,)
     n_nodes = int(np.prod(dims))
-    violations, shell_normals, ok = [], [], [True, True, True]
+    tables, shell_normals, ok = [], [], [True, True, True]
 
     for start in range(0, n_nodes, _BLOCK):
         t, i, j, k = np.unravel_index(np.arange(start, min(start + _BLOCK, n_nodes)), dims)
@@ -485,14 +494,10 @@ def check_admissibility(emb, grid, asym_tol=1e-3):
         bad1 = ~(lapse > 0.0)
         ok[0] &= not bad1.any()
         ok[1] &= not bad2.any()
-        hit = np.flatnonzero(bad2 | bad1)
-        for t_n, s_n, b2, w2, b1, w1 in zip(tau[hit].tolist(), sigma[hit], bad2[hit].tolist(),
-                                            witness2[hit].tolist(), bad1[hit].tolist(),
-                                            lapse[hit].tolist()):
-            if b2:
-                violations.append(Violation(2, t_n, s_n, w2))
-            if b1:
-                violations.append(Violation(1, t_n, s_n, w1))
+        # one row per violation, in node order with condition 2 before condition 1
+        node, which = np.nonzero(np.stack((bad2, bad1), axis=-1))
+        tables.append(np.column_stack((2.0 - which, tau[node], sigma[node],
+                                       np.where(which, lapse[node], witness2[node]))))
 
         on_shell = np.max(np.abs(sigma), axis=-1) >= grid.sigma_extent * (1.0 - 1e-12)
         shell_normals.append(ell[on_shell & finite & ~(flat | tipped)])
@@ -504,18 +509,18 @@ def check_admissibility(emb, grid, asym_tol=1e-3):
         q = mean[0] ** 2 - mean[1:] @ mean[1:]
         if q <= 0.0:
             ok[2] = False
-            violations.append(Violation(3, float(taus[0]), np.full(3, np.nan), q))
+            tables.append([[3.0, taus[0], np.nan, np.nan, np.nan, q]])
         else:
             asym = mean / np.sqrt(q)
             dev = np.max(np.abs(normals - asym), axis=1)
             if np.any(dev > asym_tol):
                 ok[2] = False
-                violations.append(Violation(3, float("nan"), np.full(3, np.nan), float(dev.max())))
+                tables.append([[3.0, np.nan, np.nan, np.nan, np.nan, dev.max()]])
     else:
         ok[2] = False
 
-    return AdmissibilityReport(passed=all(ok), conditions_passed=tuple(ok), violations=violations,
-                               n_nodes=n_nodes, asymptotic_normal=asym, grid=grid)
+    return AdmissibilityReport(passed=all(ok), conditions_passed=tuple(ok), n_nodes=n_nodes,
+                               table=np.concatenate(tables), asymptotic_normal=asym, grid=grid)
 
 
 def identity_embedding():
@@ -576,6 +581,10 @@ def make_rotating_embedding(kind, omega, r0=None, c=1.0):
         if r0 is None or not r0 > 0:
             raise ValueError("differential rotation needs a falloff radius r0 > 0")
         r0 = float(r0)
+        if r0**2 == 0.0:
+            raise ZeroDivisionError(f"differential rotation: r0={r0} squares to zero")
+        if not 1.0 / r0**2 < np.inf:
+            raise OverflowError(f"differential rotation: 1/r0^2 overflows at r0={r0}")
     omega = float(omega)
     c = float(c)
     if not c > 0:

@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from instantform import collective
 from instantform.errors import CollisionError, NonConvergenceError, NoSolutionError
-from instantform.foliation import AdmissibilityReport, Violation
+from instantform.foliation import AdmissibilityReport
 from instantform.minkowski import boost_from_h, interval, metric
 from instantform.potentials import POTENTIALS, relative_potential_gradients
 from instantform.radar import _RTOL, _SCAN_POINTS, _XTOL, RadarResult, _brent, _legs
@@ -91,7 +91,9 @@ def _cofactor_normal(jac):
     """n_mu = eps_{mu nu rho si} z1^nu z2^rho z3^si, one 3x3 minor at a time."""
     m = jac[:, 1:]
     rows = (((1, 2, 3), 1.0), ((0, 2, 3), -1.0), ((0, 1, 3), 1.0), ((0, 1, 2), -1.0))
-    return np.array([sign * np.linalg.det(m[list(idx), :]) for idx, sign in rows])
+    # det flags a divide by zero on some singular minors; their determinant is still returned
+    with np.errstate(divide="ignore"):
+        return np.array([sign * np.linalg.det(m[list(idx), :]) for idx, sign in rows])
 
 
 def _pointwise_normal_and_lapse(jac, sgn):
@@ -120,7 +122,9 @@ def pointwise_admissibility(emb, grid, sgn=1, asym_tol=1e-3):
     algebra: condition 2 (g_tautau and the smallest 3-metric eigenvalue)
     before condition 1 (lapse; NaN witness where the normal is degenerate or
     not timelike), then condition 3 on the outermost sigma shell.  Returns
-    the library's report type so the two can be compared field by field.
+    the library's report type, its table built from one (condition, tau, s1,
+    s2, s3, witness) row per violation, so the two can be compared field by
+    field.
     """
     eta = sgn * ETA
     taus = grid.tau_values()
@@ -139,16 +143,16 @@ def pointwise_admissibility(emb, grid, sgn=1, asym_tol=1e-3):
         eigs = np.linalg.eigvalsh(-sgn * g4[1:, 1:])
         if not (gtt > 0.0 and eigs[0] > 0.0):
             ok[1] = False
-            violations.append(Violation(2, float(tau), sigma, float(min(gtt, eigs[0]))))
+            violations.append((2, tau, *sigma, min(gtt, eigs[0])))
         frame = _pointwise_normal_and_lapse(jac, sgn)
         if frame is None:
             ok[0] = False
-            violations.append(Violation(1, float(tau), sigma, float("nan")))
+            violations.append((1, tau, *sigma, np.nan))
             continue
         ell, lapse = frame
         if not lapse > 0.0:
             ok[0] = False
-            violations.append(Violation(1, float(tau), sigma, lapse))
+            violations.append((1, tau, *sigma, lapse))
         if np.max(np.abs(sigma)) >= grid.sigma_extent * (1.0 - 1e-12):
             shell_normals.append(ell)
 
@@ -159,19 +163,18 @@ def pointwise_admissibility(emb, grid, sgn=1, asym_tol=1e-3):
         q = mean[0] ** 2 - mean[1:] @ mean[1:]
         if q <= 0.0:
             ok[2] = False
-            violations.append(Violation(3, float(taus[0]), np.full(3, np.nan), q))
+            violations.append((3, taus[0], np.nan, np.nan, np.nan, q))
         else:
             asym = mean / np.sqrt(q)
             dev = np.max(np.abs(normals - asym), axis=1)
             if np.any(dev > asym_tol):
                 ok[2] = False
-                violations.append(Violation(3, float("nan"), np.full(3, np.nan),
-                                            float(np.max(dev))))
+                violations.append((3, np.nan, np.nan, np.nan, np.nan, np.max(dev)))
     else:
         ok[2] = False
     return AdmissibilityReport(passed=all(ok), conditions_passed=tuple(ok),
-                               violations=violations, n_nodes=n_nodes,
-                               asymptotic_normal=asym, grid=grid)
+                               table=np.array(violations, dtype=float).reshape(-1, 6),
+                               n_nodes=n_nodes, asymptotic_normal=asym, grid=grid)
 
 
 def inertial_sync_closed_form(origin, h, event):

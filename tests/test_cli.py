@@ -5,12 +5,14 @@ import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from instantform import cli
 from instantform.errors import ConfigError
@@ -545,6 +547,18 @@ def test_render_csv_is_the_cellwise_csv_writer(header, rows):
     assert cli._render("table.csv", (header, rows)) == cellwise_csv(header, rows)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_rows(TEXTS), arrays(float, hst.tuples(hst.integers(0, 5), hst.integers(1, 6)),
+                            elements=hst.one_of(hst.floats(), hst.sampled_from(EXTREMES))))
+@example(["a", "b"], np.empty((0, 2)))
+@example(["x"], np.array(EXTREMES)[:, None])
+@example(["x"] * 9, np.array([EXTREMES, EXTREMES[::-1]]))
+def test_render_of_a_float_table_is_the_cellwise_csv_writer(header, table):
+    """A 2-D float array of rows renders by one format over all its cells,
+    as the csv writer writes it cell by cell."""
+    assert cli._render("table.csv", (header, table)) == cellwise_csv(header, table)
+
+
 def test_nonfinite_result_exits_3_with_strict_json(tmp_path):
     # finite inputs whose invariant mass overflows to NaN
     cfg = {"particles": [{"m": 1e200, "x": [1, 0, 0], "p": [0, 1e200, 0]},
@@ -595,6 +609,22 @@ def test_tiny_positive_scale_exits_3_with_strict_json(tmp_path, sub, cfg, error)
     rd = only_run_dir(out)
     assert os.listdir(rd) == ["failure.json"]
     assert strict_json(os.path.join(rd, "failure.json"))["error"] == error
+
+
+def test_differential_r0_whose_inverse_square_overflows_exits_3(tmp_path):
+    """r0 = 1e-160 squares to a subnormal whose inverse overflows: the
+    embedding is refused by name, before any node yields NaN violations,
+    and numpy warns of nothing."""
+    cfg = {"embedding": {"kind": "differential", "omega": 1.0, "r0": 1e-160}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, "validate-foliation", cfg)
+    assert code == 3
+    rd = only_run_dir(out)
+    assert os.listdir(rd) == ["failure.json"]
+    failure = strict_json(os.path.join(rd, "failure.json"))
+    assert failure["error"] == "OverflowError"
+    assert "r0=1e-160" in failure["message"]
 
 
 PAIR_CFG = {

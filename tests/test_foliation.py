@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -406,6 +407,49 @@ def _bowl():
         return out
 
     return Embedding(z, jacobian=jac, name="bowl")
+
+
+def _patched_bowl():
+    """The bowl with its lapse reversed where s3 < 0, a spacelike dz/dtau
+    where s2 > 1 and a NaN Jacobian where s1 > 0.5 and s2 < 0."""
+    bowl = _bowl()
+
+    def jac(tau, sigma):
+        out = bowl.jacobian(tau, sigma).copy()
+        s1, s2, s3 = np.moveaxis(sigma, -1, 0)
+        out[s3 < 0.0, 0, 0] = -1.0
+        out[s2 > 1.0, 1, 0] = 2.0
+        out[(s1 > 0.5) & (s2 < 0.0)] = np.nan
+        return out
+
+    return Embedding(bowl, jacobian=jac, name="patched-bowl")
+
+
+def test_table_is_the_violations_in_node_order(monkeypatch):
+    """report.table holds, bit for bit, the rows of report.violations: nodes
+    in product order across block boundaries, condition 2 before condition 1
+    at a node, NaN-Jacobian nodes included and condition 3 last."""
+    monkeypatch.setattr(foliation, "_BLOCK", 7)
+    grid = GridSpec(-1.0, 1.0, 3, 2.0, 5)
+    rep = check_admissibility(_patched_bowl(), grid)
+    rebuilt = [(v.condition, v.tau, *v.sigma, v.witness) for v in rep.violations]
+    assert rep.table.tobytes() == np.array(rebuilt).tobytes()
+    assert all((type(v.condition), type(v.tau), v.sigma.shape, type(v.witness))
+               == (int, float, (3,), float) for v in rep.violations)
+
+    axis = grid.sigma_axis().tolist()
+    index = {node: n for n, node in enumerate(itertools.product(grid.tau_values().tolist(),
+                                                                 axis, axis, axis))}
+    *nodal, last = rep.violations
+    assert last.condition == 3 and np.isnan(last.tau)
+    keys = [(index[(v.tau, *v.sigma.tolist())], -v.condition) for v in nodal]
+    assert keys == sorted(set(keys))
+    per_node = {}
+    for v in nodal:
+        per_node.setdefault(index[(v.tau, *v.sigma.tolist())], []).append(v.condition)
+    assert sorted(set(map(tuple, per_node.values()))) == [(1,), (2,), (2, 1)]
+    nan_nodes = {index[(v.tau, *v.sigma.tolist())] for v in nodal if np.isnan(v.witness)}
+    assert nan_nodes and all(per_node[n] == [2, 1] for n in nan_nodes)
 
 
 def test_shell_normals_that_spread_fail_condition_3():

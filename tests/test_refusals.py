@@ -98,6 +98,12 @@ REFUSALS = [
      "kind must be 'rigid' or 'differential', got 'spiral'"),
     ("rotating-r0", lambda: foliation.make_rotating_embedding("differential", 0.1, r0=0.0),
      ValueError, "falloff radius r0 > 0"),
+    ("rotating-r0-squares-to-zero",
+     lambda: foliation.make_rotating_embedding("differential", 0.1, r0=1e-300),
+     ZeroDivisionError, "r0=1e-300 squares to zero"),
+    ("rotating-r0-inverse-square-overflows",
+     lambda: foliation.make_rotating_embedding("differential", 0.1, r0=1e-160),
+     OverflowError, "1/r0^2 overflows at r0=1e-160"),
     ("rotating-c", lambda: foliation.make_rotating_embedding("rigid", 0.1, c=-1.0), ValueError,
      "c must be positive"),
     ("boost-spacelike", lambda: minkowski.standard_boost([1.0, 2.0, 0.0, 0.0]), NonTimelikeError,
