@@ -16,8 +16,8 @@ written.
 
 main is cheap to call many times in one process: the argument parser is
 built once and shared, each subcommand's handler imports the physics layer
-it needs on first use, a CSV row is rendered by one %-format, and a numeric
-table by one %-format over all its cells.
+it needs on first use, and a numeric table is rendered by one %-format over
+all its cells; a table with a text column goes through csv.writer.
 
 Every config key is declared once, in COMMON_KEYS and SCHEMA below; the
 README documents them, and configs/ holds a worked example per subcommand.
@@ -26,11 +26,12 @@ the run hash covers that config and nothing else.
 """
 
 import argparse
+import csv
 import functools
 import hashlib
+import io
 import json
 import os
-import re
 import sys
 import time
 from typing import NamedTuple
@@ -54,40 +55,24 @@ def _atomic_write(path, data):
     os.replace(tmp, path)
 
 
-# csv's minimal quoting: it quotes a cell that holds its delimiter, its quote
-# character or a character of its line terminator, doubling the quotes
-_NEEDS_QUOTES = re.compile('[,"\n]')
-
-
 def _render(name, content):
     """Artifact text.  A .csv is RFC-4180 with LF line endings and minimal
-    quoting: a header of column names, then the rows, each line one
-    %-format over its row with every number as "%.17g" (round-trippable);
-    rows given as a 2-D float array take one %-format over all their cells.
+    quoting: a header of column names, then the rows, every number as
+    "%.17g" (round-trippable); rows given as a 2-D float array take one
+    %-format over all their cells, any other rows go through csv.writer.
     A .json is strict JSON: a non-finite value is a numerical failure, never
     an invalid artifact."""
     if name.endswith(".csv"):
         header, rows = content
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
         if isinstance(rows, np.ndarray):
             line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            return _render(name, (header, ())) + (line * len(rows)) % tuple(rows.ravel().tolist())
-        formats = {}  # cell types -> (row format, indices of text cells)
-        lines = []
-        for row in (header, *rows):
-            types = tuple(map(type, row))
-            if types not in formats:
-                texts = [i for i, t in enumerate(types) if issubclass(t, str)]
-                formats[types] = (",".join("%s" if i in texts else "%.17g"
-                                           for i in range(len(types))), texts)
-            fmt, texts = formats[types]
-            if texts:
-                row = list(row)
-                for i in texts:
-                    if _NEEDS_QUOTES.search(row[i]):
-                        row[i] = '"%s"' % row[i].replace('"', '""')
-            # a lone empty cell is quoted, so that the line is not blank
-            lines.append(fmt % tuple(row) if row != [""] else '""')
-        return "\n".join(lines) + "\n"
+            return buf.getvalue() + (line * len(rows)) % tuple(rows.ravel().tolist())
+        writer.writerows([cell if isinstance(cell, str) else "%.17g" % cell for cell in row]
+                         for row in rows)
+        return buf.getvalue()
     try:
         return json.dumps(content, indent=2, sort_keys=True, allow_nan=False,
                           default=lambda x: x.tolist()) + "\n"
@@ -557,10 +542,10 @@ def _run_spectrum(cfg):
     half = levels_at(cfg["n_points"] // 2, 1)
     mu = cfg["m1"] * cfg["m2"] / (cfg["m1"] + cfg["m2"])
     rest = (cfg["m1"] + cfg["m2"]) * cfg["c"] ** 2
-    rows = []
-    for n, binding in enumerate(levels, start=1):
-        bohr = -mu * cfg["c"] ** 2 * cfg["alpha"] ** 2 / (2.0 * (n + cfg["ell"]) ** 2)
-        rows.append((n, rest + binding, binding, binding / bohr))
+    # n as floats: (n + ell) ** 2 in int64 would wrap above ell ~ 3e9
+    n = np.arange(1.0, len(levels) + 1)
+    bohr = -mu * cfg["c"] ** 2 * cfg["alpha"] ** 2 / (2.0 * (n + cfg["ell"]) ** 2)
+    rows = np.column_stack((n, rest + levels, levels, levels / bohr))
     return {
         "levels.csv": (("n", "E_n", "binding", "bohr_ratio"), rows),
         "convergence.json": {

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, DegenerateSurfaceError
-from .minkowski import _check_sgn, boost_from_h, metric
+from .minkowski import _check_sgn, boost_from_h, interval, metric
 
 __all__ = [
     "Embedding",
@@ -217,7 +217,7 @@ def _frames(jac):
     scale = norms[..., 0] * norms[..., 1] * norms[..., 2]
     flat = np.sqrt(np.add.reduce(n_cov * n_cov, -1)) <= 1e-12 * np.maximum(scale, 1e-300)
     n_up = n_cov * _ETA_DIAG  # eta^-1 = eta
-    q = n_up[..., 0] ** 2 - np.add.reduce(n_up[..., 1:] ** 2, -1)
+    q = interval(n_up)
     tipped = ~flat & (q <= 0.0)
     bad = flat | tipped
     ell = n_up / np.sqrt(np.where(bad, 1.0, q))[..., None]
@@ -393,7 +393,7 @@ def rotation_from_euler_zyz(theta):
     return _rz(t1) @ _ry(t2) @ _rz(t3)
 
 
-def euler_zyz_from_rotation(v, tol=1e-12):
+def euler_zyz_from_rotation(v):
     """Z-Y-Z Euler angles of a proper rotation; third angle 0 at gimbal lock.
 
     theta_2 comes from atan2(sin, cos) rather than arccos(v[2, 2]): cos rounds
@@ -404,7 +404,7 @@ def euler_zyz_from_rotation(v, tol=1e-12):
     """
     c2 = float(v[2, 2])
     t2 = np.arctan2(np.hypot(v[0, 2], v[1, 2]), c2)
-    if np.sin(t2) > tol:
+    if np.sin(t2) > 1e-12:  # at or below it, gimbal lock
         t1 = np.arctan2(v[1, 2], v[0, 2])
         c1, s1 = np.cos(t1), np.sin(t1)
         t3 = np.arctan2(c1 * v[1, 0] - s1 * v[0, 0], c1 * v[1, 1] - s1 * v[0, 1])
@@ -581,10 +581,16 @@ def make_rotating_embedding(kind, omega, r0=None, c=1.0):
         if r0 is None or not r0 > 0:
             raise ValueError("differential rotation needs a falloff radius r0 > 0")
         r0 = float(r0)
-        if r0**2 == 0.0:
+        try:
+            r0_sq = r0**2
+        except OverflowError:  # Python's ** raises where numpy's gives inf: F = 1
+            r0_sq = np.inf
+        if r0_sq == 0.0:
             raise ZeroDivisionError(f"differential rotation: r0={r0} squares to zero")
-        if not 1.0 / r0**2 < np.inf:
+        if not 1.0 / r0_sq < np.inf:
             raise OverflowError(f"differential rotation: 1/r0^2 overflows at r0={r0}")
+        if not 2.0 / r0_sq < np.inf:  # the scale of F' = -2 F^2 / r0^2
+            raise OverflowError(f"differential rotation: 2/r0^2 overflows at r0={r0}")
     omega = float(omega)
     c = float(c)
     if not c > 0:
@@ -594,7 +600,8 @@ def make_rotating_embedding(kind, omega, r0=None, c=1.0):
     def profile(rho2):
         if kind == "rigid":
             return 1.0
-        return 1.0 / (1.0 + rho2 / r0**2)
+        with np.errstate(over="ignore"):  # rho^2/r0^2 = inf: F = 0, its limit
+            return 1.0 / (1.0 + rho2 / r0_sq)
 
     def rotation(tau, sigma):
         """(F, R(phase)) at each point, R the rotation about the z axis."""
@@ -620,7 +627,7 @@ def make_rotating_embedding(kind, omega, r0=None, c=1.0):
         out[..., 1:, 1:] = rot
         if kind == "differential":
             # d phase / d sigma^r = k tau F'(rho^2) 2 sigma^r, F' = -F^2 / r0^2
-            df = -2.0 / r0**2 * f * f
+            df = -2.0 / r0_sq * f * f
             dphase = (k * tau * df)[..., None] * sigma * np.array([1.0, 1.0, 0.0])
             out[..., 1:, 1:] += jrs[..., :, None] * dphase[..., None, :]
         return out

@@ -130,9 +130,10 @@ def rindler_worldline(accel, domain=(-10.0, 10.0)):
     return Worldline(position, velocity, tuple(domain), name=f"rindler(a={a})").validate()
 
 
-def worldline_from_callable(position, domain, velocity=None):
-    """Wrap a position callable; the velocity defaults to central differences
-    with step 1e-6 * max(1, |s|)."""
+def worldline_from_callable(position, domain):
+    """Wrap a position callable, its velocity by central differences with
+    step 1e-6 * max(1, |s|).  With an exact velocity, build
+    Worldline(position, velocity, domain) instead."""
 
     def fd_velocity(s):
         s = np.asarray(s, dtype=float)
@@ -140,7 +141,7 @@ def worldline_from_callable(position, domain, velocity=None):
         return (np.asarray(position(s + h), dtype=float)
                 - np.asarray(position(s - h), dtype=float)) / (2.0 * h)[..., None]
 
-    return Worldline(position, velocity or fd_velocity, tuple(domain), name="custom").validate()
+    return Worldline(position, fd_velocity, tuple(domain), name="custom").validate()
 
 
 @dataclass

@@ -29,7 +29,7 @@ import numpy as np
 from . import collective
 from .errors import CollisionError, NonConvergenceError, SingularPotentialError
 from .foliation import Embedding
-from .minkowski import boost_from_h
+from .minkowski import boost_from_h, interval
 from .potentials import (
     COINCIDENCE_TOL,
     POTENTIALS,
@@ -473,8 +473,7 @@ def reconstruct_worldlines(traj, z, h):
     _, w1, w2 = _mass_and_weights(traj, traj.potential, traj.rho, traj.pi)
     events = np.array([chart(traj.tau, w[:, None] * traj.rho) for w in (w1, -w2)])
 
-    deltas = np.diff(events, axis=1)
-    timelike = deltas[..., 0] ** 2 - np.sum(deltas[..., 1:] ** 2, axis=-1) >= -1e-12
+    timelike = interval(np.diff(events, axis=1)) >= -1e-12
     return ReconstructedWorldlines(
         tau=traj.tau.copy(),
         events=events,

@@ -664,10 +664,11 @@ def samplewise_reconstruct_worldlines(traj, z, h):
 def cellwise_csv(header, rows):
     """CSV text as csv.writer writes it, each number formatted on its own.
 
-    The CLI renders a whole row with one %-format and quotes text cells
-    itself; this is the cell-by-cell route it replaced: every non-text cell
-    through float() and format(..., ".17g"), then the csv module's minimal
-    quoting with LF line endings.
+    The CLI renders a float table with one %-format over all its cells, and
+    any other rows through csv.writer with "%.17g" % cell; this is the
+    cell-by-cell route both must match: every non-text cell through float()
+    and format(..., ".17g"), then the csv module's minimal quoting with LF
+    line endings.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -227,6 +227,28 @@ def test_spectrum_levels_and_convergence(tmp_path):
     assert conv["n_points"] == 512
 
 
+@pytest.mark.parametrize("ell", [0, 3])
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_spectrum_table_is_the_per_level_arithmetic(monkeypatch, ell, c):
+    """levels.csv holds, per level n = 1, 2, ... (a Python int), the row
+    (n, rest + b, b, b / bohr) with bohr = -mu c^2 alpha^2 / (2 (n + ell)^2)."""
+    from instantform import relquant
+
+    fixed = -5e-5 * np.array([1, 1 / 4, 1 / 9, 1 / 16, 1 / 25, 1 / 36]) * (1 + np.arange(6) / 7e3)
+    monkeypatch.setattr(relquant, "radial_levels", lambda *args, n_levels, **kw: fixed[:n_levels])
+    m1, m2, alpha = 0.7, 1.9, 0.013
+    cfg = cli.parse_config(json.dumps({"n_points": 64, "length": 100.0, "m1": m1, "m2": m2,
+                                       "alpha": alpha, "ell": ell, "c": c, "n_levels": 6}),
+                           "spectrum")
+    header, rows = cli._run_spectrum(cfg)["levels.csv"]
+    mu, rest = m1 * m2 / (m1 + m2), (m1 + m2) * c ** 2
+    want = []
+    for n, b in enumerate(fixed, start=1):
+        bohr = -mu * c ** 2 * alpha ** 2 / (2.0 * (n + ell) ** 2)
+        want.append((n, rest + b, b, b / bohr))
+    assert cli._render("levels.csv", (header, rows)) == cellwise_csv(header, want)
+
+
 def test_spectrum_committed_config_at_ell_6_exits_0(tmp_path):
     """The committed grid's ell = 6 barrier dominates the potential; the
     solve converges by restarts instead of refusing with exit 3."""
@@ -612,19 +634,51 @@ def test_tiny_positive_scale_exits_3_with_strict_json(tmp_path, sub, cfg, error)
 
 
 def test_differential_r0_whose_inverse_square_overflows_exits_3(tmp_path):
-    """r0 = 1e-160 squares to a subnormal whose inverse overflows: the
+    """r0 = 1e-160 squares to a subnormal whose inverse overflows, and at
+    r0 = 1e-154 the inverse is finite but the 2/r0^2 of F' is not: the
     embedding is refused by name, before any node yields NaN violations,
     and numpy warns of nothing."""
-    cfg = {"embedding": {"kind": "differential", "omega": 1.0, "r0": 1e-160}}
+    for r0 in (1e-160, 1e-154):
+        cfg = {"embedding": {"kind": "differential", "omega": 1.0, "r0": r0}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "validate-foliation", cfg, out_name=f"out-{r0}")
+        assert code == 3
+        rd = only_run_dir(out)
+        assert os.listdir(rd) == ["failure.json"]
+        failure = strict_json(os.path.join(rd, "failure.json"))
+        assert failure["error"] == "OverflowError"
+        assert f"r0={r0}" in failure["message"]
+
+
+@pytest.mark.parametrize("r0", [2e-154, 1e-150, 1e-120])
+def test_tiny_differential_r0_above_the_refusal_gives_finite_witnesses(tmp_path, r0):
+    """Off the axis rho^2/r0^2 overflows: F is 0 there, its documented limit,
+    numpy warns of nothing and no witness is NaN."""
+    cfg = {"embedding": {"kind": "differential", "omega": 1.0, "r0": r0}}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = run_cli(tmp_path, "validate-foliation", cfg)
-    assert code == 3
+    assert code == 0
     rd = only_run_dir(out)
-    assert os.listdir(rd) == ["failure.json"]
-    failure = strict_json(os.path.join(rd, "failure.json"))
-    assert failure["error"] == "OverflowError"
-    assert "r0=1e-160" in failure["message"]
+    lines = Path(rd, "violations.csv").read_text().splitlines()[1:]
+    assert not any("nan" in line for line in lines)
+    assert strict_json(os.path.join(rd, "report.json"))["n_violations"] == len(lines)
+
+
+def test_differential_r0_whose_square_overflows_is_rigid_rotation(tmp_path):
+    """Past r0 = 1.34e154 Python's r0**2 overflows; F is 1 to double
+    precision there, so the run reports what rigid rotation reports."""
+    def artifacts(embedding, out_name):
+        code, out = run_cli(tmp_path, "validate-foliation", {"embedding": embedding},
+                            out_name=out_name)
+        assert code == 0
+        rd = only_run_dir(out)
+        return [Path(rd, name).read_bytes() for name in ("violations.csv", "report.json")]
+
+    rigid = artifacts({"kind": "rigid", "omega": 1.0}, "rigid")
+    assert json.loads(rigid[1])["n_violations"] > 0
+    assert artifacts({"kind": "differential", "omega": 1.0, "r0": 1e200}, "differential") == rigid
 
 
 PAIR_CFG = {

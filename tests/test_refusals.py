@@ -104,6 +104,9 @@ REFUSALS = [
     ("rotating-r0-inverse-square-overflows",
      lambda: foliation.make_rotating_embedding("differential", 0.1, r0=1e-160),
      OverflowError, "1/r0^2 overflows at r0=1e-160"),
+    ("rotating-r0-twice-inverse-square-overflows",
+     lambda: foliation.make_rotating_embedding("differential", 0.1, r0=1e-154),
+     OverflowError, "2/r0^2 overflows at r0=1e-154"),
     ("rotating-c", lambda: foliation.make_rotating_embedding("rigid", 0.1, c=-1.0), ValueError,
      "c must be positive"),
     ("boost-spacelike", lambda: minkowski.standard_boost([1.0, 2.0, 0.0, 0.0]), NonTimelikeError,
