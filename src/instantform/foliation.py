@@ -626,9 +626,14 @@ def make_rotating_embedding(kind, omega, r0=None, c=1.0):
         out[..., 1:, 0] = np.asarray(k * f)[..., None] * jrs
         out[..., 1:, 1:] = rot
         if kind == "differential":
-            # d phase / d sigma^r = k tau F'(rho^2) 2 sigma^r, F' = -F^2 / r0^2
+            # d phase / d sigma^r = k tau F'(rho^2) 2 sigma^r, F' = -F^2 / r0^2;
+            # a zero component of sigma (sigma^3, and the axis) gives an exact
+            # signed zero even where k tau F' is near the largest double
             df = -2.0 / r0_sq * f * f
-            dphase = (k * tau * df)[..., None] * sigma * np.array([1.0, 1.0, 0.0])
+            scale = (k * tau * df)[..., None]
+            s12 = sigma * np.array([1.0, 1.0, 0.0])
+            dphase = np.multiply(scale, s12, out=np.copysign(0.0, scale) * s12,
+                                 where=s12 != 0.0)
             out[..., 1:, 1:] += jrs[..., :, None] * dphase[..., None, :]
         return out
 

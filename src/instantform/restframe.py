@@ -30,15 +30,7 @@ from . import collective
 from .errors import CollisionError, NonConvergenceError, SingularPotentialError
 from .foliation import Embedding
 from .minkowski import boost_from_h, interval
-from .potentials import (
-    COINCIDENCE_TOL,
-    POTENTIALS,
-    _dot3,
-    _pi_gradient,
-    _rho_gradient,
-    relative_potential_energy,
-    relative_potential_gradients,
-)
+from .potentials import COINCIDENCE_TOL, POTENTIALS, relative_potential_energy
 
 __all__ = [
     "RestFrameState",
@@ -278,7 +270,7 @@ class Trajectory:
 def _swept_distance(ax, ay, az, bx, by, bz):
     """Closest approach to the origin of the straight segment a -> b, on
     floats, in potentials._dot3's plain sums.  Both evolve schemes decide a
-    collision by it."""
+    collision by it, where _bound_clears does not already pass the step."""
     dx, dy, dz = bx - ax, by - ay, bz - az
     dd = (dx * dx + dy * dy) + dz * dz
     t = 0.0 if dd == 0.0 else -((ax * dx + ay * dy) + az * dz) / dd
@@ -286,6 +278,32 @@ def _swept_distance(ax, ay, az, bx, by, bz):
     t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
     cx, cy, cz = ax + t * dx, ay + t * dy, az + t * dz
     return math.sqrt((cx * cx + cy * cy) + cz * cz)
+
+
+# The triangle bound: every point of the segment a -> b lies at least
+# |b| - |b - a| from the origin.  Rounding moves it and _swept_distance by a
+# few ulps of |b|, far below _BOUND_RTOL of it; _BOUND_ATOL covers squares
+# that underflow (at most 1e-161 in either norm).
+_BOUND_RTOL, _BOUND_ATOL = 1e-12, 1e-150
+
+
+def _bound_clears(ax, ay, az, bx, by, bz, r_floor):
+    """True where the triangle bound clears r_floor by the margins above,
+    compared squared; _swept_distance then passes the segment too.  NaN and
+    inf never clear.  evolve's loop inlines it."""
+    dx, dy, dz = bx - ax, by - ay, bz - az
+    e = math.sqrt((bx * bx + by * by) + bz * bz) * (1.0 - 2.0 * _BOUND_RTOL) - (
+        r_floor + _BOUND_ATOL)
+    return 0.0 < e < math.inf and e * e > (dx * dx + dy * dy) + dz * dz
+
+
+def _pow(r, n):
+    """r**n through libm's pow, as numpy's float64 power takes it: inf where
+    Python's ** raises OverflowError."""
+    try:
+        return r**n
+    except OverflowError:
+        return math.inf
 
 
 def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-3):
@@ -296,25 +314,30 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
     A fixed-step second-order symmetric (generalized leapfrog) scheme:
     momentum-independent potentials use the explicit kick-drift-kick form,
     first same as last: dH/drho does not depend on pi there, so the
-    gradient of each closing half kick opens the next step.  That loop runs
-    on Python floats, one potential gradient call per trajectory, the
-    collision test a call on six floats, at about 1.7 us a step (2-core
-    Xeon, Python 3.11); its arithmetic is that of the numpy helpers term by
-    term, with every dot the plain sum of potentials._dot3, so the samples
-    do not depend on the machine's BLAS.  The Darwin term makes dH/drho
-    depend on pi and dH/dpi on rho, so those substeps turn implicit and are
-    solved by fixed-point iteration to a relative update of
-    ``meta["fp_tol"]`` = 1e-12 (NonConvergenceError after ``fp_max_iter``
-    sweeps); the momentum sweeps evaluate only dH/drho and the position
-    sweeps only dH/dpi.  The loops store rho and pi only, six floats a
-    sample in one flat list that becomes the (n, 6) array in one pass; Mc
-    and the angular momentum rho x pi are evaluated over the whole
-    trajectory once it is done.
+    gradient of each closing half kick opens the next step.  The Darwin
+    term makes dH/drho depend on pi and dH/dpi on rho, so those substeps
+    turn implicit and are solved by fixed-point iteration to a relative
+    update of ``meta["fp_tol"]`` = 1e-12 (NonConvergenceError after
+    ``fp_max_iter`` sweeps); the momentum sweeps evaluate only dH/drho and
+    the position sweeps only dH/dpi.
+
+    Both schemes run on Python floats, the checks before the first step
+    included, in the operation order of the numpy helpers of potentials
+    and collective, every dot the plain sum of potentials._dot3, so the
+    samples do not depend on the machine's BLAS and numpy warns of nothing.
+    On a 2-core Xeon (Python 3.11) a step takes about 1.2 us explicit and
+    14 us implicit (the Darwin pair of configs/evolve.json at c = 10).  The
+    loop stores rho and pi only, six floats a sample in one flat list that
+    becomes the (n, 6) array in one pass; Mc and the angular momentum
+    rho x pi are evaluated over the whole trajectory once it is done.
 
     Raises CollisionError, carrying the last good sample, when a step passes
     within ``collision_fraction`` times the initial separation of rho = 0
     (checked against the whole straight segment swept during the step, so a
-    plunge cannot tunnel through the singularity between samples).
+    plunge cannot tunnel through the singularity between samples).  The
+    exact test, _swept_distance, runs only where the triangle bound
+    |b| - |b - a| of _bound_clears does not already clear that floor, which
+    leaves every sample and every error as the exact test alone decides.
     Raises OverflowError before the first step when |rho0|, the collision
     floor, (m c)^2 or Mc is not finite.  Extreme inputs may end in
     OverflowError or ZeroDivisionError from the float arithmetic where numpy
@@ -329,32 +352,111 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
         raise ValueError("n_steps must be >= 1")
 
     implicit = potential == "coulomb+darwin"
-    rho = np.array(rel.rho, dtype=float)
-    pi = np.array(rel.pi, dtype=float)
-    separation = math.sqrt(_dot3(rho, rho))
+    coulomb = potential == "coulomb"
+    x, y, z = rel.rho.tolist()
+    px, py, pz = rel.pi.tolist()
+    q, m1, m2, c, dtau = (float(v) for v in (rel.charge_product, rel.m1, rel.m2, rel.c, dtau))
+    half = 0.5 * dtau
+    four_pi = 4.0 * math.pi
+    separation = math.sqrt((x * x + y * y) + z * z)
     r_floor = collision_fraction * separation
-    # Mc at the start: a coincident pair fails on V before any step is taken,
-    # and an inf (m c)^2, which Python's ** raises on, before Mc is tried
-    m_c = max(rel.m1, rel.m2) * rel.c
-    mc = _mass_and_weights(rel, potential, rho, pi)[0] if m_c * m_c < math.inf else math.inf
+    # Mc at the start, as _mass_and_weights sums it: a coincident pair fails
+    # on V before any step is taken, and an inf (m c)^2, which Python's **
+    # raises on, before Mc is tried
+    m_c = max(m1, m2) * c
+    mc = math.inf
+    if m_c * m_c < math.inf:
+        m1c2, m2c2 = (m1 * c) ** 2, (m2 * c) ** 2
+        p2 = (px * px + py * py) + pz * pz
+        v = 0.0
+        if potential != "none":
+            r = separation
+            if not r > COINCIDENCE_TOL:
+                raise SingularPotentialError(f"coulomb: particles coincide (|r| = {r})")
+            v = q / (four_pi * r)
+            if implicit:  # darwin_energy at p1 = -p2 = pi; q / +0.0 as numpy divides
+                pr = (px * (x / r) + py * (y / r)) + pz * (z / r)
+                den = 8.0 * math.pi * m1 * m2 * c**2 * r
+                v = v + (q / den if den else math.inf * q) * (-p2 + -(pr * pr))
+        mc = math.sqrt(m1c2 + p2) + math.sqrt(m2c2 + p2) + v / c
     if not (math.isfinite(r_floor) and math.isfinite(mc)):
         raise OverflowError(f"the initial state overflows: |rho0| = {separation:.3e}, "
                             f"m c = {m_c:.3e}, Mc = {mc:.3e}")
+    if implicit:
+        darwin = -q / (8.0 * math.pi * m1 * m2 * c**2)
+
+    def dv_drho(x, y, z, px, py, pz):
+        """dV/drho / c, in potentials._rho_gradient's operation order."""
+        if potential == "none":
+            return 0.0, 0.0, 0.0
+        r = math.sqrt((x * x + y * y) + z * z)
+        if not r > COINCIDENCE_TOL:
+            raise SingularPotentialError(f"potential gradient: particles coincide (|r| = {r})")
+        r3 = _pow(r, 3)
+        s = four_pi * r3
+        gx, gy, gz = -q * x / s, -q * y / s, -q * z / s
+        if implicit:
+            pr = (px * x + py * y) + pz * z
+            u, v, w, r5 = -((px * px + py * py) + pz * pz), 2.0 * pr, 3.0 * (pr * pr), _pow(r, 5)
+            gx = gx + darwin * ((u * x / r3 + v * px / r3) - w * x / r5)
+            gy = gy + darwin * ((u * y / r3 + v * py / r3) - w * y / r5)
+            gz = gz + darwin * ((u * z / r3 + v * pz / r3) - w * z / r5)
+        return gx / c, gy / c, gz / c
+
+    def dv_dpi(x, y, z, px, py, pz):
+        """dV/dpi / c of the Darwin term, in potentials._pi_gradient's order."""
+        r = math.sqrt((x * x + y * y) + z * z)
+        if not r > COINCIDENCE_TOL:
+            raise SingularPotentialError(f"potential gradient: particles coincide (|r| = {r})")
+        v, r3 = 2.0 * ((px * x + py * y) + pz * z), _pow(r, 3)
+        return (darwin * (2.0 * px / r + v * x / r3) / c,
+                darwin * (2.0 * py / r + v * y / r3) / c,
+                darwin * (2.0 * pz / r + v * z / r3) / c)
+
+    max_sweeps = 0
+
+    def fixed_point(update, ux, uy, uz, what, k):
+        """Iterate u <- update(u) until an update moves no component by more
+        than _FP_TOL * max(1, |u|_inf); a NaN update never converges."""
+        nonlocal max_sweeps
+        for sweep in range(1, fp_max_iter + 1):
+            nx, ny, nz = update(ux, uy, uz)
+            dx, dy, dz = abs(nx - ux), abs(ny - uy), abs(nz - uz)
+            ux, uy, uz = nx, ny, nz
+            tol = _FP_TOL * max(1.0, abs(ux), abs(uy), abs(uz))
+            if dx <= tol and dy <= tol and dz <= tol:
+                max_sweeps = max(max_sweeps, sweep)
+                return ux, uy, uz
+        raise NonConvergenceError(f"implicit {what} substep stalled at step {k} "
+                                  f"(last update {np.max((dx, dy, dz)):.3e})")
+
+    def darwin_step(k, x, y, z, px, py, pz):
+        """One implicit step: rho and pi at its end."""
+        def kick(hx, hy, hz):
+            gx, gy, gz = dv_drho(x, y, z, hx, hy, hz)
+            return px - half * gx, py - half * gy, pz - half * gz
+
+        hx, hy, hz = fixed_point(kick, px, py, pz, "momentum", k)
+        # symmetric drift, implicit in the updated position; the momentum and
+        # with it the kinetic part (vx, vy, vz) of dH/dpi stay fixed
+        p2 = (hx * hx + hy * hy) + hz * hz
+        w = 1.0 / math.sqrt(m1c2 + p2) + 1.0 / math.sqrt(m2c2 + p2)
+        vx, vy, vz = hx * w, hy * w, hz * w
+        ax, ay, az = dv_dpi(x, y, z, hx, hy, hz)
+        ax, ay, az = vx + ax, vy + ay, vz + az
+
+        def drift(nx, ny, nz):
+            bx, by, bz = dv_dpi(nx, ny, nz, hx, hy, hz)
+            return (x + half * (ax + (vx + bx)), y + half * (ay + (vy + by)),
+                    z + half * (az + (vz + bz)))
+
+        nx, ny, nz = fixed_point(drift, x + dtau * ax, y + dtau * ay, z + dtau * az,
+                                 "position", k)
+        gx, gy, gz = dv_drho(nx, ny, nz, hx, hy, hz)
+        return nx, ny, nz, hx - half * gx, hy - half * gy, hz - half * gz
 
     taus = rel.tau + dtau * np.arange(n_steps + 1)
-    flat = [*rho.tolist(), *pi.tolist()]  # rho and pi, six floats per sample
-
-    def fixed_point(update, x, what, k):
-        """Iterate x <- update(x) until an update moves x by at most _FP_TOL."""
-        for sweep in range(fp_max_iter):
-            x_new = update(x)
-            delta = np.abs(x_new - x).max()
-            x = x_new
-            if delta <= _FP_TOL * max(1.0, np.abs(x).max()):
-                return x, sweep + 1
-        raise NonConvergenceError(
-            f"implicit {what} substep stalled at step {k} (last update {delta:.3e})"
-        )
+    flat = [x, y, z, px, py, pz]  # rho and pi, six floats per sample
 
     def collision(k):
         """The CollisionError of step k, carrying the last good sample."""
@@ -363,70 +465,41 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
             last_state=(float(taus[k - 1]), np.array(flat[-6:-3]), np.array(flat[-3:])),
         )
 
-    max_sweeps = 0
-    c = float(rel.c)
-    args = (potential, rel.charge_product, rel.m1, rel.m2, rel.c)
-    if implicit:
-        def dh_drho(r, p):
-            return _rho_gradient(*args, r, p) / c
-
-        for k in range(1, n_steps + 1):
-            # half kick, implicit in the updated momentum
-            pi_h, sweeps = fixed_point(
-                lambda p: pi - 0.5 * dtau * dh_drho(rho, p), pi, "momentum", k,
-            )
-            max_sweeps = max(max_sweeps, sweeps)
-            # symmetric drift, implicit in the updated position; pi_h and with
-            # it the kinetic part of dH/dpi stay fixed over the sweeps
-            e1, e2 = _energies(rel, pi_h)
-            v_kin = pi_h * (1.0 / e1 + 1.0 / e2)
-
-            def dh_dpi(r):
-                return v_kin + _pi_gradient(*args, r, pi_h) / c
-
-            g_pi_old = dh_dpi(rho)
-            rho_new, sweeps = fixed_point(
-                lambda r: rho + 0.5 * dtau * (g_pi_old + dh_dpi(r)),
-                rho + dtau * g_pi_old, "position", k,
-            )
-            max_sweeps = max(max_sweeps, sweeps)
-            pi = pi_h - 0.5 * dtau * dh_drho(rho_new, pi_h)
-            if _swept_distance(*rho.tolist(), *rho_new.tolist()) <= r_floor:
-                raise collision(k)
-            rho = rho_new
-            flat += (*rho.tolist(), *pi.tolist())
-    else:
-        # dH/drho and _energies written out on floats; dV/dpi is zero here
-        # and is still added, as +0.0, so the signed zeros of dH/dpi match
-        q = float(rel.charge_product)
-        m1c2, m2c2 = float((rel.m1 * rel.c) ** 2), float((rel.m2 * rel.c) ** 2)
-        dtau = float(dtau)
-        half = 0.5 * dtau
-        coulomb = potential == "coulomb"
-        x, y, z, px, py, pz = flat
-        gx, gy, gz = (relative_potential_gradients(*args, rho, pi)[0] / c).tolist()
-        for k in range(1, n_steps + 1):
+    gx, gy, gz = dv_drho(x, y, z, px, py, pz)  # opens the first explicit step
+    shrink, reach = 1.0 - 2.0 * _BOUND_RTOL, r_floor + _BOUND_ATOL
+    sqrt, inf, nq = math.sqrt, math.inf, -q
+    for k in range(1, n_steps + 1):
+        if implicit:
+            nx, ny, nz, px, py, pz = darwin_step(k, x, y, z, px, py, pz)
+            r = sqrt((nx * nx + ny * ny) + nz * nz)
+        else:
             hx, hy, hz = px - half * gx, py - half * gy, pz - half * gz
             p2 = (hx * hx + hy * hy) + hz * hz
-            w = 1.0 / math.sqrt(m1c2 + p2) + 1.0 / math.sqrt(m2c2 + p2)
+            w = 1.0 / sqrt(m1c2 + p2) + 1.0 / sqrt(m2c2 + p2)
+            # dV/dpi is zero here and is still added, as +0.0, so the signed
+            # zeros of dH/dpi match
             nx = x + dtau * (hx * w + 0.0)
             ny = y + dtau * (hy * w + 0.0)
             nz = z + dtau * (hz * w + 0.0)
-            if coulomb:
-                r = math.sqrt((nx * nx + ny * ny) + nz * nz)
-                if r <= COINCIDENCE_TOL:
+            r = sqrt((nx * nx + ny * ny) + nz * nz)
+            if coulomb:  # dv_drho written out
+                if not r > COINCIDENCE_TOL:
                     raise SingularPotentialError(
                         f"potential gradient: particles coincide (|r| = {r})")
                 try:
-                    s = 4.0 * math.pi * r**3
+                    s = four_pi * r**3
                 except OverflowError:  # numpy's r**3 is inf, and the force zero
-                    s = math.inf
-                gx, gy, gz = -q * nx / s / c, -q * ny / s / c, -q * nz / s / c
+                    s = inf
+                gx, gy, gz = nq * nx / s / c, nq * ny / s / c, nq * nz / s / c
             px, py, pz = hx - half * gx, hy - half * gy, hz - half * gz
-            if _swept_distance(x, y, z, nx, ny, nz) <= r_floor:
-                raise collision(k)
-            x, y, z = nx, ny, nz
-            flat += (x, y, z, px, py, pz)
+        # _bound_clears written out, with r = |b|, before the exact test
+        dx, dy, dz = nx - x, ny - y, nz - z
+        e = r * shrink - reach
+        if (not (0.0 < e < inf and e * e > (dx * dx + dy * dy) + dz * dz)
+                and _swept_distance(x, y, z, nx, ny, nz) <= r_floor):
+            raise collision(k)
+        x, y, z = nx, ny, nz
+        flat += (x, y, z, px, py, pz)
 
     states = np.fromiter(flat, float, len(flat)).reshape(-1, 6)
     rhos, pis = states[:, :3], states[:, 3:]

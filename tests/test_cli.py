@@ -666,6 +666,20 @@ def test_tiny_differential_r0_above_the_refusal_gives_finite_witnesses(tmp_path,
     assert strict_json(os.path.join(rd, "report.json"))["n_violations"] == len(lines)
 
 
+def test_tiny_differential_r0_has_finite_witnesses_on_the_rotation_axis(tmp_path):
+    """At r0 = 2e-154 and omega 3, k tau F' sigma^3 overflows on the rotation
+    axis, where d phase / d sigma is zero: that zero stays exact, the axis
+    nodes are admissible, and numpy warns of nothing."""
+    cfg = {"embedding": {"kind": "differential", "omega": 3.0, "r0": 2e-154}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, "validate-foliation", cfg)
+    assert code == 0
+    rd = only_run_dir(out)
+    assert Path(rd, "violations.csv").read_text().splitlines()[1:] == []
+    assert strict_json(os.path.join(rd, "report.json"))["n_violations"] == 0
+
+
 def test_differential_r0_whose_square_overflows_is_rigid_rotation(tmp_path):
     """Past r0 = 1.34e154 Python's r0**2 overflows; F is 1 to double
     precision there, so the run reports what rigid rotation reports."""
@@ -720,6 +734,21 @@ def test_extreme_pair_configs_keep_their_exit_codes(tmp_path, sub, change, want)
         strict_json(os.path.join(rd, "failure.json"))
     else:
         assert "manifest.json" in os.listdir(rd)
+
+
+@pytest.mark.parametrize("sub", ["evolve", "reconstruct"])
+def test_far_apart_pair_runs_without_numpy_warnings(tmp_path, sub):
+    """|rho0| = 1e120: |rho|^3 overflows, the force is zero and the pair
+    drifts freely; the start gradient and the checks before the first step
+    run on Python floats, so numpy warns of nothing."""
+    cfg = {**PAIR_CFG, "rho0": [1e120, 0.0, 0.0]}
+    if sub == "reconstruct":
+        cfg.update(z=[0.0, 0.0, 0.0], h=[0.6, 0.0, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, sub, cfg)
+    assert code == 0
+    assert "manifest.json" in os.listdir(only_run_dir(out))
 
 
 @pytest.mark.parametrize("sub", ["evolve", "reconstruct"])

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -309,7 +310,8 @@ def test_overflowing_initial_separation_is_refused_not_a_collision():
     rel = RelativeState(m1=1.0, m2=1.0, rho=np.array([1e200, 0.0, 0.0]),
                         pi=np.array([0.0, 0.1, 0.0]), charge_product=-1.0)
     for potential in POTENTIALS:
-        with pytest.raises(OverflowError, match="rho0"):
+        with pytest.raises(OverflowError, match="rho0"), warnings.catch_warnings():
+            warnings.simplefilter("error")  # the checks run on floats: no numpy warning
             evolve(rel, potential, 0.1, 10)
 
 
@@ -604,20 +606,135 @@ def test_swept_distance_clips_as_the_oracles_min_max(a, b):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+def _count_numpy_gradient_calls(monkeypatch):
+    """Count every call of the numpy potential gradients, under the names
+    potentials and restframe call them by."""
+    calls = []
+    for name in ("_rho_gradient", "_pi_gradient", "relative_potential_gradients"):
+        original = getattr(potentials, name)
+
+        def counted(*args, original=original):
+            calls.append(args)
+            return original(*args)
+
+        for module in (potentials, restframe):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_explicit_evolve_makes_at_most_one_gradient_call(monkeypatch):
-    """The explicit leapfrog steps on Python floats: the numpy gradient is
-    evaluated once, to open the first step, not once per step."""
+    """The explicit leapfrog steps on Python floats, its opening gradient
+    included: no numpy gradient is evaluated, not even once per run."""
     rel = RelativeState(m1=1.0, m2=1.5, rho=np.array([1.0, 0.0, 0.0]),
                         pi=np.array([0.0, 0.309, 0.0]), charge_product=-2.0)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return potentials.relative_potential_gradients(*args)
-
-    monkeypatch.setattr(restframe, "relative_potential_gradients", counted)
+    calls = _count_numpy_gradient_calls(monkeypatch)
     evolve(rel, "coulomb", 0.01, 500)
-    assert len(calls) <= 1
+    assert len(calls) == 0
+
+
+def test_implicit_evolve_makes_no_numpy_gradient_call_per_step(monkeypatch):
+    """The implicit Darwin sweeps run on Python floats: the number of numpy
+    gradient calls does not grow with n_steps."""
+    rel = RelativeState(m1=1.0, m2=1.0, rho=np.array([2.0, 0.0, 0.0]),
+                        pi=np.array([0.05, 0.25, 0.0]), charge_product=-1.0, c=3.0)
+    calls = _count_numpy_gradient_calls(monkeypatch)
+    counts = []
+    for n_steps in (10, 200):
+        calls.clear()
+        evolve(rel, "coulomb+darwin", 0.04, n_steps)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def _segments():
+    """Segments a -> b, with r_floor: passing near-tangent to the sphere of
+    radius r_floor, with the bound |b| - |b - a| at the floor, through the
+    origin, of zero length, and short ones far out, |a| >> |b - a|."""
+    unit = arrays(float, 3, elements=hst.floats(-1.0, 1.0)).filter(
+        lambda v: 1e-3 < float(np.linalg.norm(v)))
+    scale = hst.floats(1e-140, 1e140)
+    fraction = hst.floats(0.0, 1.0)
+
+    @hst.composite
+    def near_tangent(draw):
+        r_floor, u, v = draw(scale), draw(unit), draw(unit)
+        u = u / np.linalg.norm(u)
+        v = v - (v @ u) * u  # perpendicular to u
+        assume(np.linalg.norm(v) > 1e-3)
+        v = v / np.linalg.norm(v)
+        p = u * r_floor * (1.0 + draw(hst.floats(-1e-9, 1e-6)))  # the closest point
+        length = r_floor * draw(hst.floats(1e-6, 1e6))
+        t = draw(fraction)
+        return p - t * length * v, p + (1.0 - t) * length * v, r_floor
+
+    @hst.composite
+    def at_the_edge(draw):
+        """|b| - |b - a| within 1e-9 of the floor; for a radial step, a
+        between the origin and b, the bound is the distance |a| itself."""
+        r_floor, u, v = draw(scale), draw(unit), draw(unit)
+        v = -u if draw(hst.booleans()) else v
+        length = r_floor * draw(hst.floats(1e-6, 1e6))
+        b = u / np.linalg.norm(u) * (r_floor * (1.0 + draw(hst.floats(-1e-9, 1e-9))) + length)
+        return b + v / np.linalg.norm(v) * length, b, r_floor
+
+    @hst.composite
+    def through_origin(draw):
+        u, length, t = draw(unit), draw(scale), draw(fraction)
+        d = u * length
+        return -t * d, (1.0 - t) * d, length * draw(hst.floats(0.0, 1.0))
+
+    @hst.composite
+    def zero_length(draw):
+        a, r_floor = draw(unit) * draw(scale), draw(scale)
+        return a, a.copy(), r_floor
+
+    @hst.composite
+    def far_out(draw):
+        a = draw(unit) * draw(scale)
+        b = a + draw(unit) * float(np.linalg.norm(a)) * draw(hst.floats(1e-16, 1e-3))
+        return a, b, float(np.linalg.norm(a)) * draw(hst.floats(0.5, 1.0 + 1e-9))
+
+    return hst.one_of(near_tangent(), at_the_edge(), through_origin(), zero_length(),
+                     far_out())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_segments())
+def test_the_triangle_bound_skips_only_segments_the_exact_test_passes(segment):
+    """Wherever the pre-test skips _swept_distance, the exact test would
+    have passed the step too: its distance exceeds the floor (or is NaN,
+    which the exact test also passes)."""
+    a, b, r_floor = segment
+    if restframe._bound_clears(*a.tolist(), *b.tolist(), r_floor):
+        d = restframe._swept_distance(*a.tolist(), *b.tolist())
+        assert d > r_floor or math.isnan(d)
+
+
+@pytest.mark.parametrize("potential, rho, pi, q", [
+    ("none", [1.0, 0.2, 0.0], [-0.5, 0.0, 0.0], 0.0),  # a straight pass at distance 0.2
+    ("coulomb", [1.0, 0.0, 0.0], [0.0, 0.2, 0.0], -2.0),  # pericenters near 0.26
+    ("coulomb+darwin", [1.0, 0.0, 0.0], [0.0, 0.2, 0.0], -2.0),
+])
+def test_evolve_runs_the_exact_test_where_the_bound_does_not_clear(
+        monkeypatch, potential, rho, pi, q):
+    """With the floor just below the closest approach, the triangle bound
+    cannot clear the steps around it, and evolve calls _swept_distance
+    there; everywhere else it skips the call.  The calls are exactly the
+    steps that _bound_clears does not clear."""
+    rel = RelativeState(m1=1.0, m2=1.5, rho=np.array(rho), pi=np.array(pi),
+                        charge_product=q, c=2.0)
+    rho = evolve(rel, potential, 0.05, 300, collision_fraction=0.0).rho
+    radii = np.linalg.norm(rho, axis=1)
+    fraction = 0.98 * radii.min() / radii[0]
+    calls = []
+    swept = restframe._swept_distance
+    monkeypatch.setattr(restframe, "_swept_distance", lambda *ab: calls.append(ab) or swept(*ab))
+    traj = evolve(rel, potential, 0.05, 300, collision_fraction=fraction)
+    r_floor = fraction * float(radii[0])
+    steps = [(*a, *b) for a, b in zip(traj.rho[:-1].tolist(), traj.rho[1:].tolist())]
+    assert calls == [ab for ab in steps if not restframe._bound_clears(*ab, r_floor)]
+    assert 0 < len(calls) < len(steps) // 10
 
 
 @pytest.mark.parametrize("potential", ["coulomb", "coulomb+darwin"])
