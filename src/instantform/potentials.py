@@ -17,6 +17,8 @@ scale, or NaN, raise SingularPotentialError.  The energies take stacks of
 vectors, shape (..., 3), and return one value per vector.
 """
 
+import math
+
 import numpy as np
 
 from .errors import SingularPotentialError
@@ -110,37 +112,61 @@ def relative_potential_energy(potential, q1q2, m1, m2, c, rho, pi):
 
 
 def relative_potential_gradients(potential, q1q2, m1, m2, c, rho, pi):
-    """(dV/drho, dV/dpi) for the relative problem, both 3-vectors (energies)."""
-    rho = np.asarray(rho, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    return (_rho_gradient(potential, q1q2, m1, m2, c, rho, pi),
-            _pi_gradient(potential, q1q2, m1, m2, c, rho, pi))
-
-
-def _rho_gradient(potential, q1q2, m1, m2, c, rho, pi):
-    """dV/drho at the 3-vectors rho, pi (an energy)."""
+    """(dV/drho, dV/dpi) for the relative problem, both 3-vectors (energies):
+    the float kernels evolve steps with, at c = 1.0 for their final division
+    (exact), so the bits are those of the numpy formula.  Where r^3 or r^5
+    underflows to 0 above COINCIDENCE_TOL (|rho| below about 1e-108, or
+    1e-65 with the Darwin term), ZeroDivisionError, where numpy gives inf
+    or NaN with a warning."""
+    if potential not in POTENTIALS:
+        raise ValueError(f"unknown potential {potential!r}")
     if potential == "none":
-        return np.zeros(3)
-    r = _sep(rho, "potential gradient")
-    g_rho = -q1q2 * rho / (4.0 * np.pi * r**3)
+        return np.zeros(3), np.zeros(3)
+    q, m1, m2, c = float(q1q2), float(m1), float(m2), float(c)
+    state = *np.asarray(rho, dtype=float).tolist(), *np.asarray(pi, dtype=float).tolist()
     if potential == "coulomb":
-        return g_rho
-    if potential != "coulomb+darwin":
-        raise ValueError(f"unknown potential {potential!r}")
-    a = -q1q2 / (8.0 * np.pi * m1 * m2 * c**2)
-    pr = _dot3(pi, rho)
-    return g_rho + a * (
-        -_dot3(pi, pi) * rho / r**3 + 2.0 * pr * pi / r**3 - 3.0 * pr**2 * rho / r**5
-    )
+        return np.array(_dv_drho(*state, q, 1.0, None)), np.zeros(3)
+    darwin = -q / (8.0 * math.pi * m1 * m2 * c**2)
+    return np.array(_dv_drho(*state, q, 1.0, darwin)), np.array(_dv_dpi(*state, 1.0, darwin))
 
 
-def _pi_gradient(potential, q1q2, m1, m2, c, rho, pi):
-    """dV/dpi at the 3-vectors rho, pi (an energy); zero unless the Darwin
-    term is on."""
-    if potential in ("none", "coulomb"):
-        return np.zeros(3)
-    if potential != "coulomb+darwin":
-        raise ValueError(f"unknown potential {potential!r}")
-    r = _sep(rho, "potential gradient")
-    a = -q1q2 / (8.0 * np.pi * m1 * m2 * c**2)
-    return a * (2.0 * pi / r + 2.0 * _dot3(pi, rho) * rho / r**3)
+_FOUR_PI = 4.0 * math.pi
+
+
+def _pow(r, n):
+    """r**n through libm's pow, as numpy's float64 power takes it: inf where
+    Python's ** raises OverflowError."""
+    try:
+        return r**n
+    except OverflowError:
+        return math.inf
+
+
+def _dv_drho(x, y, z, px, py, pz, q, c, darwin):
+    """dV/drho / c at rho = (x, y, z), pi = (px, py, pz), on floats in numpy's
+    operation order (each power through libm's pow): Coulomb, plus the Darwin
+    term of coefficient ``darwin`` = -q / (8 pi m1 m2 c^2) unless None."""
+    r = math.sqrt((x * x + y * y) + z * z)
+    if not r > COINCIDENCE_TOL:
+        raise SingularPotentialError(f"potential gradient: particles coincide (|r| = {r})")
+    r3 = _pow(r, 3)
+    s = _FOUR_PI * r3
+    gx, gy, gz = -q * x / s, -q * y / s, -q * z / s
+    if darwin is not None:
+        pr = (px * x + py * y) + pz * z
+        u, v, w, r5 = -((px * px + py * py) + pz * pz), 2.0 * pr, 3.0 * _pow(pr, 2), _pow(r, 5)
+        gx = gx + darwin * ((u * x / r3 + v * px / r3) - w * x / r5)
+        gy = gy + darwin * ((u * y / r3 + v * py / r3) - w * y / r5)
+        gz = gz + darwin * ((u * z / r3 + v * pz / r3) - w * z / r5)
+    return gx / c, gy / c, gz / c
+
+
+def _dv_dpi(x, y, z, px, py, pz, c, darwin):
+    """dV/dpi / c of the Darwin term, as _dv_drho (Coulomb has none)."""
+    r = math.sqrt((x * x + y * y) + z * z)
+    if not r > COINCIDENCE_TOL:
+        raise SingularPotentialError(f"potential gradient: particles coincide (|r| = {r})")
+    v, r3 = 2.0 * ((px * x + py * y) + pz * z), _pow(r, 3)
+    return (darwin * (2.0 * px / r + v * x / r3) / c,
+            darwin * (2.0 * py / r + v * y / r3) / c,
+            darwin * (2.0 * pz / r + v * z / r3) / c)

@@ -19,7 +19,7 @@ from instantform import collective
 from instantform.errors import CollisionError, NonConvergenceError, NoSolutionError
 from instantform.foliation import AdmissibilityReport
 from instantform.minkowski import boost_from_h, interval, metric
-from instantform.potentials import POTENTIALS, relative_potential_gradients
+from instantform.potentials import POTENTIALS, _dot3, _sep
 from instantform.radar import _RTOL, _SCAN_POINTS, _XTOL, RadarResult, _brent, _legs
 from instantform.relquant import (
     _MAXITER,
@@ -496,14 +496,43 @@ def cartesian_ground_state(n_points, length, m1, m2, alpha, c=1.0,
     return vals
 
 
+def rho_gradient(potential, q1q2, m1, m2, c, rho, pi):
+    """dV/drho at the 3-vectors rho, pi (an energy), on numpy: the formula
+    that potentials' float kernels write out component by component."""
+    if potential == "none":
+        return np.zeros(3)
+    r = _sep(rho, "potential gradient")
+    g_rho = -q1q2 * rho / (4.0 * np.pi * r**3)
+    if potential == "coulomb":
+        return g_rho
+    if potential != "coulomb+darwin":
+        raise ValueError(f"unknown potential {potential!r}")
+    a = -q1q2 / (8.0 * np.pi * m1 * m2 * c**2)
+    pr = _dot3(pi, rho)
+    return g_rho + a * (
+        -_dot3(pi, pi) * rho / r**3 + 2.0 * pr * pi / r**3 - 3.0 * pr**2 * rho / r**5
+    )
+
+
+def pi_gradient(potential, q1q2, m1, m2, c, rho, pi):
+    """dV/dpi at the 3-vectors rho, pi (an energy), on numpy; zero unless the
+    Darwin term is on."""
+    if potential in ("none", "coulomb"):
+        return np.zeros(3)
+    if potential != "coulomb+darwin":
+        raise ValueError(f"unknown potential {potential!r}")
+    r = _sep(rho, "potential gradient")
+    a = -q1q2 / (8.0 * np.pi * m1 * m2 * c**2)
+    return a * (2.0 * pi / r + 2.0 * _dot3(pi, rho) * rho / r**3)
+
+
 def mc_gradients(rel, potential, rho, pi):
     """(dH/drho, dH/dpi) of the invariant-mass Hamiltonian Mc(rho, pi), in
-    the numpy arithmetic that evolve's explicit float loop repeats."""
+    the numpy arithmetic that evolve's float loop repeats."""
     e1, e2 = _energies(rel, pi)
-    g_rho, g_pi = relative_potential_gradients(
-        potential, rel.charge_product, rel.m1, rel.m2, rel.c, rho, pi
-    )
-    return g_rho / rel.c, pi * (1.0 / e1 + 1.0 / e2) + g_pi / rel.c
+    args = (potential, rel.charge_product, rel.m1, rel.m2, rel.c, rho, pi)
+    return (rho_gradient(*args) / rel.c,
+            pi * (1.0 / e1 + 1.0 / e2) + pi_gradient(*args) / rel.c)
 
 
 def stepwise_evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-3):

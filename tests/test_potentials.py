@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -12,6 +14,7 @@ from instantform.potentials import (
     relative_potential_energy,
     relative_potential_gradients,
 )
+from oracles import pi_gradient, rho_gradient
 
 
 def test_coulomb_value_and_sign():
@@ -116,3 +119,50 @@ def test_dot3_stack_rows_and_float_sum_agree_bitwise(stack, data):
         row = b[(0,) * len(stack)]
         assert np.asarray(_dot3(a, row)).tobytes() == np.array(
             [_dot3(a[idx], row) for idx in np.ndindex(stack)]).reshape(stack).tobytes()
+
+
+def _vectors(min_exp, max_exp):
+    """3-vectors of norm 10**e, e in [min_exp, max_exp], in any direction."""
+    unit = arrays(float, 3, elements=hst.floats(-1.0, 1.0, allow_subnormal=False)).filter(
+        lambda v: float(np.linalg.norm(v)) > 1e-3)
+    return hst.builds(lambda v, e: v / np.linalg.norm(v) * 10.0**e,
+                      unit, hst.floats(min_exp, max_exp))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(potential=hst.sampled_from(["none", "coulomb", "coulomb+darwin"]),
+       rho=_vectors(-50, 50), pi=_vectors(-50, 50),
+       q=hst.floats(-10.0, 10.0), m1=hst.floats(0.1, 10.0), m2=hst.floats(0.1, 10.0),
+       c=hst.floats(0.1, 100.0))
+@example(potential="coulomb+darwin",
+         rho=np.array([-2.039784159444598, -0.15065487334800212, 1.5499221114636805]),
+         pi=np.array([-1.0007107398037367, 1.386952580132373, -1.6764072496746165]),
+         q=-0.759725073568843, m1=1.8470841444709656, m2=0.5221383280699783, c=2.5)
+def test_gradients_equal_the_numpy_oracle_bitwise(potential, rho, pi, q, m1, m2, c):
+    """relative_potential_gradients, the float kernels evolve steps with,
+    has the bits of the numpy gradients: each power through libm's pow as
+    numpy's scalar power, pr**2 included.  |rho| and |pi| span 100 decades,
+    where neither r^3, r^5 nor pr^2 underflows or overflows."""
+    r, pr = float(np.linalg.norm(rho)), abs(float(_dot3(pi, rho)))
+    assume(1e-300 < r**5 and r**5 < 1e300)
+    assume(pr == 0.0 or 1e-300 < pr * pr < 1e300)
+    args = (potential, q, m1, m2, c, rho, pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        want = rho_gradient(*args), pi_gradient(*args)
+    got = relative_potential_gradients(*args)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("potential, r", [("coulomb", 1e-120), ("coulomb+darwin", 1e-100)])
+def test_gradient_whose_power_underflows_raises(potential, r):
+    """Above COINCIDENCE_TOL, r^3 (Coulomb) or r^5 (Darwin) may still
+    underflow to 0: the float kernels raise ZeroDivisionError there, with no
+    RuntimeWarning, where numpy would return inf or NaN."""
+    rho, pi = np.array([r, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ArithmeticError):
+            relative_potential_gradients(potential, -1.0, 1.0, 1.0, 1.0, rho, pi)
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(rho_gradient(potential, -1.0, 1.0, 1.0, 1.0, rho, pi)))

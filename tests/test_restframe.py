@@ -31,6 +31,7 @@ from instantform.restframe import (
     to_rest_frame,
     wigner_hyperplane_embedding,
 )
+import oracles
 from helpers import random_coulomb_pair, random_free_system, snapshots
 from oracles import (
     circular_orbit_momentum,
@@ -607,19 +608,21 @@ def test_swept_distance_clips_as_the_oracles_min_max(a, b):
 
 
 def _count_numpy_gradient_calls(monkeypatch):
-    """Count every call of the numpy potential gradients, under the names
-    potentials and restframe call them by."""
+    """Count every call of a gradient on numpy vectors: the oracle's numpy
+    gradients, and relative_potential_gradients under the names potentials
+    and restframe would call it by."""
     calls = []
-    for name in ("_rho_gradient", "_pi_gradient", "relative_potential_gradients"):
-        original = getattr(potentials, name)
+    targets = [(oracles, "rho_gradient"), (oracles, "pi_gradient")] + [
+        (module, "relative_potential_gradients") for module in (potentials, restframe)
+        if hasattr(module, "relative_potential_gradients")]
+    for module, name in targets:
+        original = getattr(module, name)
 
         def counted(*args, original=original):
             calls.append(args)
             return original(*args)
 
-        for module in (potentials, restframe):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
