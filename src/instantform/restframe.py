@@ -361,7 +361,7 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
     term makes dH/drho depend on pi and dH/dpi on rho, so those substeps
     turn implicit and are solved by fixed-point iteration to a relative
     update of ``meta["fp_tol"]`` = 1e-12 (NonConvergenceError after
-    ``fp_max_iter`` sweeps); the momentum sweeps evaluate only dH/drho and
+    ``fp_max_iter`` >= 1 sweeps); the momentum sweeps evaluate only dH/drho and
     the position sweeps only dH/dpi.
 
     Both schemes run on Python floats, the checks before the first step
@@ -393,6 +393,8 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if not fp_max_iter >= 1:
+        raise ValueError(f"fp_max_iter must be >= 1, got {fp_max_iter}")
 
     implicit = potential == "coulomb+darwin"
     coulomb = potential == "coulomb"

@@ -20,7 +20,7 @@ from instantform.errors import CollisionError, NonConvergenceError, NoSolutionEr
 from instantform.foliation import AdmissibilityReport
 from instantform.minkowski import boost_from_h, interval, metric
 from instantform.potentials import POTENTIALS, _dot3, _sep
-from instantform.radar import _RTOL, _SCAN_POINTS, _XTOL, RadarResult, _brent, _legs
+from instantform.radar import _RTOL, _SCAN_POINTS, _XTOL, RadarResult, _brent
 from instantform.relquant import (
     _MAXITER,
     _energy_scale,
@@ -188,13 +188,20 @@ def inertial_sync_closed_form(origin, h, event):
     return float(u @ ETA @ d)
 
 
+def _legs(d):
+    """Emission and absorption legs dt - r, dt + r of separations d = P - w(s)."""
+    r = np.sqrt(d[..., 1] ** 2 + d[..., 2] ** 2 + d[..., 3] ** 2)
+    return d[..., 0] - r, d[..., 0] + r
+
+
 def numpy_einstein_sync(w, event):
     """radar.einstein_sync with Brent's objective on 0-d numpy stacks.
 
-    The same scan, cell rule and Brent port as the library, but each Brent
+    The same scan, cell rule and Brent port as the library, but the scan is
+    sampled afresh for each event as one (512, 4) separation stack, each Brent
     evaluation is ``interval``/``_legs`` of ``event - w.position(s)`` in numpy
     and the residuals are numpy reductions: the reference for the library's
-    Python-float objective, which must return the same bits.
+    cached scan and Python-float objective, which must return the same bits.
     """
     event = np.asarray(event, dtype=float)
     s_grid = np.linspace(w.domain[0], w.domain[1], _SCAN_POINTS)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,14 +14,13 @@ from instantform.radar import (
     _brent,
     _float_interval,
     _float_legs,
-    _legs,
     einstein_sync,
     inertial_worldline,
     radar_coordinates,
     rindler_worldline,
     worldline_from_callable,
 )
-from oracles import inertial_sync_closed_form, numpy_einstein_sync
+from oracles import _legs, inertial_sync_closed_form, numpy_einstein_sync
 
 
 def test_inertial_sync_matches_projection():
@@ -122,10 +122,10 @@ def test_spacelike_curve_rejected():
                  id="inertial-huge-h"),
 ])
 def test_nonfinite_four_velocity_rejected(make):
-    """An overflowing four-velocity fails validation instead of reaching brentq."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonTimelikeError, match="not finite"):
-            make()
+    """An overflowing four-velocity fails validation instead of reaching
+    brentq, without a numpy warning."""
+    with pytest.raises(NonTimelikeError, match="not finite"):
+        make()
 
 
 def test_event_outside_scan_domain():
@@ -280,8 +280,8 @@ def _sync_bits(sync, w, event):
                       res.emit_event, res.absorb_event)]
 
 
-@pytest.mark.parametrize("kind", ["far", "near", "on", "rindler-inside", "rindler-beyond",
-                                  "circle"])
+@pytest.mark.parametrize("kind", ["far", "near", "on", "static-near", "static-on",
+                                  "rindler-inside", "rindler-beyond", "circle"])
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(hst.lists(hst.floats(-3.0, 3.0), min_size=4, max_size=4),
        hst.lists(hst.floats(-2.0, 2.0), min_size=3, max_size=3),
@@ -289,16 +289,21 @@ def _sync_bits(sync, w, event):
        hst.lists(hst.floats(-1.0, 1.0), min_size=4, max_size=4))
 def test_float_objective_is_the_numpy_objective_bit_for_bit(kind, origin, h, frac, a, speed,
                                                            offset):
-    """einstein_sync's Brent objective and residuals on Python floats give
-    the bits of the numpy objective: tau, both roots, both residuals, both
-    events, and the same refusals.  Inertial observers with far events, events
-    within 1e-3 of the world-line and on it; Rindler observers inside and
-    beyond the horizon; a circling observer whose position returns lists."""
+    """einstein_sync on a fresh observer, on the same observer after other
+    events (its cached scan), and the numpy oracle, which samples the scan
+    afresh and takes Brent's objective on 0-d numpy stacks, give the same
+    bits: tau, both roots, both residuals, both events, and the same
+    refusals.  Inertial observers with far events, events within 1e-3 of the
+    world-line and on it, static ones (h = 0) near and on it; Rindler
+    observers inside and beyond the horizon; a circling observer whose
+    position returns lists."""
     origin, offset = np.array(origin), np.array(offset)
-    if kind in ("far", "near", "on"):
-        w = inertial_worldline(origin, np.array(h), domain=(-30.0, 30.0))
+    if kind in ("far", "near", "on", "static-near", "static-on"):
+        w = inertial_worldline(origin, np.zeros(3) if kind.startswith("static") else np.array(h),
+                               domain=(-30.0, 30.0))
         s0 = w.position(-30.0 + 60.0 * frac)
-        event = {"far": s0 + 8.0 * offset, "near": s0 + 1e-3 * offset, "on": s0}[kind]
+        event = {"far": s0 + 8.0 * offset, "near": s0 + 1e-3 * offset,
+                 "on": s0}[kind.removeprefix("static-")]
     elif kind == "rindler-inside":
         w = rindler_worldline(a)
         x1 = 0.2 + 6.0 * abs(offset[1])
@@ -310,7 +315,77 @@ def test_float_objective_is_the_numpy_objective_bit_for_bit(kind, origin, h, fra
     else:
         w = _circular_observer(a, speed)
         event = np.asarray(w.position(-20.0 + 40.0 * frac)) + 5.0 * offset
-    assert _sync_bits(einstein_sync, w, event) == _sync_bits(numpy_einstein_sync, w, event)
+    fresh = _sync_bits(einstein_sync, w, event)
+    for other in (event[::-1], event + 0.5, [0.0, 1e3, 0.0, 0.0]):   # some refused
+        _sync_bits(einstein_sync, w, other)
+    assert fresh == _sync_bits(einstein_sync, w, event) == _sync_bits(numpy_einstein_sync, w,
+                                                                        event)
+
+
+_FLOAT_STEPS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e-300,
+                0.3, -7.25, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: inertial_worldline([0.5, -1.0, 2.0, 0.25], [0.0, 0.0, 0.0]),
+                 id="inertial-static"),
+    pytest.param(lambda: inertial_worldline([0.5, -1.0, 2.0, 0.25], [1.3, -0.4, 2.0]),
+                 id="inertial-moving"),
+    pytest.param(lambda: rindler_worldline(0.7), id="rindler"),
+    pytest.param(lambda: rindler_worldline(1.9, domain=(-3.0, 5.5)), id="rindler-domain"),
+])
+def test_float_position_is_the_array_position_bit_for_bit(make):
+    """A float s, Python's or numpy's, takes the built-in observers' float
+    branch, which gives position(np.array([s]))[0] bit for bit: signed zeros,
+    subnormals, 1e+-300 (sinh and cosh overflow alike) and the domain ends."""
+    w = make()
+    for s in [*_FLOAT_STEPS, *w.domain]:
+        with np.errstate(over="ignore"):
+            want = w.position(np.array([s]))[0]
+            for got in (w.position(s), w.position(np.float64(s))):
+                assert got.shape == (4,) and got.tobytes() == want.tobytes()
+
+
+def test_events_on_one_observer_scan_it_once():
+    """The scan is lazy and belongs to the observer: N events, resolved and
+    refused, make one array w.position call between them; every other call
+    is one Brent step or one root on a float."""
+    calls = []
+
+    def position(s):
+        calls.append(np.ndim(s))
+        return base.position(s)
+
+    base = inertial_worldline([0.0, 1.0, -1.0, 0.5], [0.3, 0.0, -0.2], domain=(-20.0, 20.0))
+    w = dataclasses.replace(base, position=position)
+    assert calls == [] and "_scan" not in vars(w)
+    rng = np.random.default_rng(3)
+    for event in [*rng.uniform(-3.0, 3.0, size=(6, 4)), [0.0, 60.0, 0.0, 0.0]]:
+        _sync_bits(einstein_sync, w, event)
+    assert calls.count(1) == 1 and set(calls) == {0, 1} and len(calls) > 20
+
+
+def test_worldline_is_frozen_and_replace_gives_a_fresh_scan():
+    """A Worldline's fields cannot be reassigned, so its cached scan cannot go
+    stale; dataclasses.replace builds a new observer, which scans anew."""
+    w = inertial_worldline(np.zeros(4), np.zeros(3), domain=(-4.0, 4.0))
+    event = np.array([0.5, 1.0, 0.0, 0.0])
+    res = einstein_sync(w, event)
+    for field, value in [("domain", (-2.0, 2.0)), ("position", lambda s: s), ("name", "x")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(w, field, value)
+    s_grid, columns, _ = w._scan
+    assert not s_grid.flags.writeable and not any(x.flags.writeable for x in columns)
+    assert all(x.flags.c_contiguous for x in columns)
+    shifted = dataclasses.replace(w, position=lambda s: w.position(s) + [0.0, 1.0, 0.0, 0.0])
+    narrow = dataclasses.replace(w, domain=(-2.0, 2.0))
+    assert "_scan" not in vars(shifted) and "_scan" not in vars(narrow)
+    # the event lies 1 from w, and on the shifted world-line
+    assert (res.s_emit, res.s_absorb) == pytest.approx((-0.5, 1.5), abs=1e-12)
+    assert einstein_sync(shifted, event).s_emit == pytest.approx(0.5, abs=1e-12)
+    assert (narrow._scan[0][[0, -1]] == [-2.0, 2.0]).all()
+    assert shifted._scan[1][1].tobytes() == (w._scan[1][1] + 1.0).tobytes()
+    assert w._scan[0][[0, -1]].tolist() == [-4.0, 4.0]
 
 
 @pytest.mark.parametrize("origin, h, event", [

@@ -337,6 +337,17 @@ def test_evolve_argument_validation():
         evolve(rel, "hooke", 0.1, 10)
 
 
+@pytest.mark.parametrize("fp_max_iter", [0, -1])
+def test_evolve_refuses_fewer_than_one_fixed_point_sweep(fp_max_iter):
+    """A sweep cap below 1 is a bad argument named as such, for every
+    potential: the implicit Darwin step once read its update before any sweep."""
+    rel = RelativeState(m1=1.0, m2=1.5, rho=np.array([1.0, 0.0, 0.0]),
+                        pi=np.array([0.0, 0.5, 0.0]), charge_product=-1.0, c=3.0)
+    for potential in POTENTIALS:
+        with pytest.raises(ValueError, match="fp_max_iter"):
+            evolve(rel, potential, 0.1, 10, fp_max_iter=fp_max_iter)
+
+
 @pytest.mark.parametrize("dtau", [math.inf, math.nan])
 def test_evolve_refuses_a_non_finite_step(dtau):
     """An infinite step is a bad argument, not coinciding particles."""
