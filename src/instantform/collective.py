@@ -216,7 +216,6 @@ def fokker_pryce_worldline(g):
         ev[..., 1:] = x_rest
         return ev @ back.T
 
-    line.h = h  # the line's velocity parameter, for callers that boost along it
     return line
 
 

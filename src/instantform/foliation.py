@@ -628,9 +628,10 @@ def make_rotating_embedding(kind, omega, r0=None, c=1.0):
         if kind == "differential":
             # d phase / d sigma^r = k tau F'(rho^2) 2 sigma^r, F' = -F^2 / r0^2;
             # a zero component of sigma (sigma^3, and the axis) gives an exact
-            # signed zero even where k tau F' is near the largest double
+            # signed zero even where k tau F' overflows
             df = -2.0 / r0_sq * f * f
-            scale = (k * tau * df)[..., None]
+            with np.errstate(over="ignore"):
+                scale = (k * tau * df)[..., None]
             s12 = sigma * np.array([1.0, 1.0, 0.0])
             dphase = np.multiply(scale, s12, out=np.copysign(0.0, scale) * s12,
                                  where=s12 != 0.0)

@@ -279,12 +279,14 @@ def einstein_sync(w, event):
     strictly changing sign across the cell, and the leg itself otherwise:
     then both legs change sign in one cell, as for an event on or near the
     world-line, or f is 0 at a cell end.
-    Raises ValueError for a non-finite event.
+    Raises ValueError for an event that is not a finite 4-vector.
 
     The scan is sampled at ``w``'s first event and cached on it (see
     Worldline); a refusal is decided from the legs at its two end samples.
     """
     event = np.asarray(event, dtype=float)
+    if event.shape != (4,):
+        raise ValueError(f"event must be a 4-vector, got shape {event.shape}")
     e0, e1, e2, e3 = event.tolist()
     s_grid, (x0, x1, x2, x3), ends = w._scan
 
@@ -346,9 +348,11 @@ def radar_coordinates(emb, event):
     scale with scale = max(1, |event|), within 100 Newton steps.  Raises
     InversionError on failure and InversionError with a singular-chart
     message when the Jacobian degenerates, which signals an admissibility
-    boundary of the chart.
+    boundary of the chart; ValueError for an event that is not a 4-vector.
     """
     event = np.asarray(event, dtype=float)
+    if event.shape != (4,):
+        raise ValueError(f"event must be a 4-vector, got shape {event.shape}")
     coords = event.copy()
     scale = max(1.0, float(np.max(np.abs(event))))
 

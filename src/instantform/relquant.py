@@ -98,11 +98,12 @@ def _radial_terms(n_points, length, m1, m2, alpha, c, kinetic, ell, softening):
         warnings.warn("alpha <= 0 gives a repulsive or free system; the "
                       "spectrum will contain no bound levels", stacklevel=3)
 
-    tk = kinetic_dispersion(k, m1, m2, c, kinetic)
-    v = -alpha * c / np.sqrt(r**2 + softening**2)
-    if ell:
-        mu = m1 * m2 / (m1 + m2)
-        v = v + ell * (ell + 1) / (2.0 * mu * (r**2 + softening**2))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+        tk = kinetic_dispersion(k, m1, m2, c, kinetic)
+        v = -alpha * c / np.sqrt(r**2 + softening**2)
+        if ell:
+            mu = m1 * m2 / (m1 + m2)
+            v = v + ell * (ell + 1) / (2.0 * mu * (r**2 + softening**2))
     if not (np.all(np.isfinite(tk)) and np.all(np.isfinite(v))):
         raise FloatingPointError(
             f"radial Hamiltonian is not finite on this grid (length={length}, "

@@ -277,7 +277,7 @@ class Trajectory:
 def _swept_distance(ax, ay, az, bx, by, bz):
     """Closest approach to the origin of the straight segment a -> b, on
     floats, in potentials._dot3's plain sums.  Both evolve schemes decide a
-    collision by it, where _bound_clears does not already pass the step."""
+    collision by it, where the triangle bound does not already pass the step."""
     dx, dy, dz = bx - ax, by - ay, bz - az
     dd = (dx * dx + dy * dy) + dz * dz
     t = 0.0 if dd == 0.0 else -((ax * dx + ay * dy) + az * dz) / dd
@@ -292,16 +292,6 @@ def _swept_distance(ax, ay, az, bx, by, bz):
 # few ulps of |b|, far below _BOUND_RTOL of it; _BOUND_ATOL covers squares
 # that underflow (at most 1e-161 in either norm).
 _BOUND_RTOL, _BOUND_ATOL = 1e-12, 1e-150
-
-
-def _bound_clears(ax, ay, az, bx, by, bz, r_floor):
-    """True where the triangle bound clears r_floor by the margins above,
-    compared squared; _swept_distance then passes the segment too.  NaN and
-    inf never clear.  evolve's loop inlines it."""
-    dx, dy, dz = bx - ax, by - ay, bz - az
-    e = math.sqrt((bx * bx + by * by) + bz * bz) * (1.0 - 2.0 * _BOUND_RTOL) - (
-        r_floor + _BOUND_ATOL)
-    return 0.0 < e < math.inf and e * e > (dx * dx + dy * dy) + dz * dz
 
 
 def _fixed_point(update, ux, uy, uz, max_iter, what, k):
@@ -364,27 +354,30 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
     ``fp_max_iter`` >= 1 sweeps); the momentum sweeps evaluate only dH/drho and
     the position sweeps only dH/dpi.
 
-    Both schemes run on Python floats, the checks before the first step
-    included, in numpy's operation order: the pair force is potentials'
-    _dv_drho and _dv_dpi, every dot the plain sum of potentials._dot3, so the
-    samples do not depend on the machine's BLAS and numpy warns of nothing.
-    On a 2-core Xeon (Python 3.11) a step takes about 1.2 us explicit and
-    14 us implicit (the Darwin pair of configs/evolve.json at c = 10).  The
-    loop stores rho and pi only, six floats a sample in one flat list that
-    becomes the (n, 6) array in one pass; Mc and the angular momentum
-    rho x pi are evaluated over the whole trajectory once it is done.
+    Both schemes step on Python floats in numpy's operation order: the pair
+    force is potentials' _dv_drho and _dv_dpi, every dot the plain sum of
+    potentials._dot3, so the samples do not depend on the machine's BLAS and
+    numpy warns of nothing.  On a 2-core Xeon (Python 3.11) a step takes
+    about 1.2 us explicit and 14 us implicit (the Darwin pair of
+    configs/evolve.json at c = 10).  The loop stores rho and pi only, six
+    floats a sample in one flat list that becomes the (n, 6) array in one
+    pass; Mc and the angular momentum rho x pi are evaluated over the whole
+    trajectory once it is done.  The checks of Mc at the start and at every
+    sample cost about 10-20 us a call.
 
     Raises CollisionError, carrying the last good sample, when a step passes
     within ``collision_fraction`` times the initial separation of rho = 0
     (checked against the whole straight segment swept during the step, so a
     plunge cannot tunnel through the singularity between samples).  The
     exact test, _swept_distance, runs only where the triangle bound
-    |b| - |b - a| of _bound_clears does not already clear that floor, which
-    leaves every sample and every error as the exact test alone decides.
+    |b| - |b - a| does not already clear that floor, which leaves every
+    sample and every error as the exact test alone decides.
     Raises OverflowError before the first step when |rho0|, the collision
-    floor, (m c)^2 or Mc is not finite.  Extreme inputs may end in
-    OverflowError or ZeroDivisionError from the float arithmetic where numpy
-    would carry inf or NaN on.
+    floor, (m c)^2 or Mc is not finite, and after the loop naming the first
+    sample k whose Mc is not finite: both take Mc from _mass_and_weights, as
+    Trajectory.H does, under a local np.errstate.  A float fault inside
+    step k (such as ZeroDivisionError where the Darwin r^5 underflows to 0)
+    is re-raised as the same type, naming k, |rho| and the scheme.
     """
     if potential not in POTENTIALS:
         raise ValueError(f"potential must be one of {POTENTIALS}")
@@ -398,95 +391,95 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
 
     implicit = potential == "coulomb+darwin"
     coulomb = potential == "coulomb"
+    scheme = "generalized-leapfrog(implicit)" if implicit else "leapfrog"
     x, y, z = rel.rho.tolist()
     px, py, pz = rel.pi.tolist()
     q, m1, m2, c, dtau = (float(v) for v in (rel.charge_product, rel.m1, rel.m2, rel.c, dtau))
     half = 0.5 * dtau
     separation = math.sqrt((x * x + y * y) + z * z)
     r_floor = collision_fraction * separation
-    # Mc at the start, as _mass_and_weights sums it: a coincident pair fails
-    # on V before any step is taken, and an inf (m c)^2, which Python's **
-    # raises on, before Mc is tried
+    # Mc as Trajectory.H takes it: a coincident pair fails on V before any
+    # step, and Mc is tried only below an inf (m c)^2, which Python's ** raises on
     m_c = max(m1, m2) * c
     mc = math.inf
     if m_c * m_c < math.inf:
-        m1c2, m2c2 = (m1 * c) ** 2, (m2 * c) ** 2
-        p2 = (px * px + py * py) + pz * pz
-        v = 0.0
-        if potential != "none":
-            r = separation
-            if not r > COINCIDENCE_TOL:
-                raise SingularPotentialError(f"coulomb: particles coincide (|r| = {r})")
-            v = q / (_FOUR_PI * r)
-            if implicit:  # darwin_energy at p1 = -p2 = pi; q / +0.0 as numpy divides
-                pr = (px * (x / r) + py * (y / r)) + pz * (z / r)
-                den = 8.0 * math.pi * m1 * m2 * c**2 * r
-                v = v + (q / den if den else math.inf * q) * (-p2 + -(pr * pr))
-        mc = math.sqrt(m1c2 + p2) + math.sqrt(m2c2 + p2) + v / c
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mc = float(_mass_and_weights(rel, potential, rel.rho, rel.pi)[0])
     if not (math.isfinite(r_floor) and math.isfinite(mc)):
         raise OverflowError(f"the initial state overflows: |rho0| = {separation:.3e}, "
                             f"m c = {m_c:.3e}, Mc = {mc:.3e}")
+    m1c2, m2c2 = (m1 * c) ** 2, (m2 * c) ** 2
     darwin = -q / (8.0 * math.pi * m1 * m2 * c**2) if implicit else None
     max_sweeps = 0
     taus = rel.tau + dtau * np.arange(n_steps + 1)
     flat = [x, y, z, px, py, pz]  # rho and pi, six floats per sample
 
     gx = gy = gz = 0.0
-    if potential != "none":  # opens the first explicit step
-        gx, gy, gz = _dv_drho(x, y, z, px, py, pz, q, c, darwin)
+    if coulomb:  # opens the first explicit step
+        gx, gy, gz = _dv_drho(x, y, z, px, py, pz, q, c, None)
     shrink, reach = 1.0 - 2.0 * _BOUND_RTOL, r_floor + _BOUND_ATOL
     sqrt, inf, nq, four_pi = math.sqrt, math.inf, -q, _FOUR_PI
-    for k in range(1, n_steps + 1):
-        if implicit:
-            nx, ny, nz, px, py, pz, sweeps = _darwin_step(
-                x, y, z, px, py, pz, q, c, darwin, m1c2, m2c2, dtau, fp_max_iter, k)
-            max_sweeps = max(max_sweeps, sweeps)
-            r = sqrt((nx * nx + ny * ny) + nz * nz)
-        else:
-            hx, hy, hz = px - half * gx, py - half * gy, pz - half * gz
-            p2 = (hx * hx + hy * hy) + hz * hz
-            w = 1.0 / sqrt(m1c2 + p2) + 1.0 / sqrt(m2c2 + p2)
-            # dV/dpi is zero here and is still added, as +0.0, so the signed
-            # zeros of dH/dpi match
-            nx = x + dtau * (hx * w + 0.0)
-            ny = y + dtau * (hy * w + 0.0)
-            nz = z + dtau * (hz * w + 0.0)
-            r = sqrt((nx * nx + ny * ny) + nz * nz)
-            # potentials._dv_drho written out for Coulomb: a call per step
-            # took this loop from 2.13 to 2.45 us/step (+15%; 2-core Xeon,
-            # Python 3.11) with the same bits, which the stepwise oracle pins
-            if coulomb:
-                if not r > COINCIDENCE_TOL:
-                    raise SingularPotentialError(
-                        f"potential gradient: particles coincide (|r| = {r})")
-                try:
-                    s = four_pi * r**3
-                except OverflowError:  # numpy's r**3 is inf, and the force zero
-                    s = inf
-                gx, gy, gz = nq * nx / s / c, nq * ny / s / c, nq * nz / s / c
-            px, py, pz = hx - half * gx, hy - half * gy, hz - half * gz
-        # _bound_clears written out, with r = |b|, before the exact test
-        dx, dy, dz = nx - x, ny - y, nz - z
-        e = r * shrink - reach
-        if (not (0.0 < e < inf and e * e > (dx * dx + dy * dy) + dz * dz)
-                and _swept_distance(x, y, z, nx, ny, nz) <= r_floor):
-            raise CollisionError(
-                f"separation fell below {r_floor:.3e} during step {k}",
-                last_state=(float(taus[k - 1]), np.array(flat[-6:-3]), np.array(flat[-3:])))
-        x, y, z = nx, ny, nz
-        flat += (x, y, z, px, py, pz)
+    try:
+        for k in range(1, n_steps + 1):
+            if implicit:
+                nx, ny, nz, px, py, pz, sweeps = _darwin_step(
+                    x, y, z, px, py, pz, q, c, darwin, m1c2, m2c2, dtau, fp_max_iter, k)
+                max_sweeps = max(max_sweeps, sweeps)
+                r = sqrt((nx * nx + ny * ny) + nz * nz)
+            else:
+                hx, hy, hz = px - half * gx, py - half * gy, pz - half * gz
+                p2 = (hx * hx + hy * hy) + hz * hz
+                w = 1.0 / sqrt(m1c2 + p2) + 1.0 / sqrt(m2c2 + p2)
+                # dV/dpi is zero here and is still added, as +0.0, so the
+                # signed zeros of dH/dpi match
+                nx = x + dtau * (hx * w + 0.0)
+                ny = y + dtau * (hy * w + 0.0)
+                nz = z + dtau * (hz * w + 0.0)
+                r = sqrt((nx * nx + ny * ny) + nz * nz)
+                # potentials._dv_drho written out for Coulomb: a call per step
+                # took this loop from 2.13 to 2.45 us/step (+15%; 2-core Xeon,
+                # Python 3.11) with the same bits, which the stepwise oracle pins
+                if coulomb:
+                    if not r > COINCIDENCE_TOL:
+                        raise SingularPotentialError(
+                            f"potential gradient: particles coincide (|r| = {r})")
+                    try:
+                        s = four_pi * r**3
+                    except OverflowError:  # numpy's r**3 is inf, and the force zero
+                        s = inf
+                    gx, gy, gz = nq * nx / s / c, nq * ny / s / c, nq * nz / s / c
+                px, py, pz = hx - half * gx, hy - half * gy, hz - half * gz
+            # the triangle bound, with r = |b|, before the exact test
+            dx, dy, dz = nx - x, ny - y, nz - z
+            e = r * shrink - reach
+            if (not (0.0 < e < inf and e * e > (dx * dx + dy * dy) + dz * dz)
+                    and _swept_distance(x, y, z, nx, ny, nz) <= r_floor):
+                raise CollisionError(
+                    f"separation fell below {r_floor:.3e} during step {k}",
+                    last_state=(float(taus[k - 1]), np.array(flat[-6:-3]), np.array(flat[-3:])))
+            x, y, z = nx, ny, nz
+            flat += (x, y, z, px, py, pz)
+    except ArithmeticError as exc:  # such as an r**5 that underflows to 0
+        raise type(exc)(f"{exc} at step {k} of {scheme} "
+                        f"(|rho| = {math.hypot(x, y, z):.3e})") from exc
 
     states = np.fromiter(flat, float, len(flat)).reshape(-1, 6)
     rhos, pis = states[:, :3], states[:, 3:]
-    scheme = "generalized-leapfrog(implicit)" if implicit else "leapfrog"
-    traj = Trajectory(
-        tau=taus, rho=rhos, pi=pis,
-        H=_mass_and_weights(rel, potential, rhos, pis)[0], L=np.cross(rhos, pis),
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mc = _mass_and_weights(rel, potential, rhos, pis)[0]
+    if not np.isfinite(mc).all():
+        k = int(np.isfinite(mc).argmin())
+        raise OverflowError(f"Mc is not finite at step {k} (tau = {taus[k]:.3e}, "
+                            f"dtau = {dtau:.3e})")
+    # rho x pi in np.cross's operations, without its 16 us of set-up a call
+    (x, y, z), (px, py, pz), L = rhos.T, pis.T, np.empty_like(rhos)
+    L[:, 0], L[:, 1], L[:, 2] = y * pz - z * py, z * px - x * pz, x * py - y * px
+    return Trajectory(
+        tau=taus, rho=rhos, pi=pis, H=mc, L=L,
         m1=rel.m1, m2=rel.m2, charge_product=rel.charge_product,
         potential=potential, c=rel.c, dtau=float(dtau), scheme=scheme,
         meta={"fp_tol": _FP_TOL, "max_fixed_point_sweeps": max_sweeps},
     )
-    return traj
 
 
 @dataclass

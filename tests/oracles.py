@@ -9,6 +9,7 @@ that no oracle shares code with what it checks.
 import csv
 import io
 import itertools
+import math
 
 import numpy as np
 from scipy.fft import irfftn, rfftn
@@ -30,6 +31,8 @@ from instantform.relquant import (
     kinetic_dispersion,
 )
 from instantform.restframe import (
+    _BOUND_ATOL,
+    _BOUND_RTOL,
     ReconstructedWorldlines,
     RelativeState,
     Trajectory,
@@ -540,6 +543,17 @@ def mc_gradients(rel, potential, rho, pi):
     args = (potential, rel.charge_product, rel.m1, rel.m2, rel.c, rho, pi)
     return (rho_gradient(*args) / rel.c,
             pi * (1.0 / e1 + 1.0 / e2) + pi_gradient(*args) / rel.c)
+
+
+def bound_clears(ax, ay, az, bx, by, bz, r_floor):
+    """The triangle bound of evolve's collision pre-test, on floats: True
+    where |b| - |b - a| clears r_floor by restframe's _BOUND_RTOL and
+    _BOUND_ATOL, compared squared; restframe._swept_distance then passes
+    the segment too.  NaN and inf never clear.  evolve's loop inlines it."""
+    dx, dy, dz = bx - ax, by - ay, bz - az
+    e = math.sqrt((bx * bx + by * by) + bz * bz) * (1.0 - 2.0 * _BOUND_RTOL) - (
+        r_floor + _BOUND_ATOL)
+    return 0.0 < e < math.inf and e * e > (dx * dx + dy * dy) + dz * dz
 
 
 def stepwise_evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-3):

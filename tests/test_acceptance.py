@@ -220,8 +220,9 @@ def test_criterion_05_collective_variables():
         lam = boost_from_h(0.8 * rng.standard_normal(3))
         moved = poincare_transform_free(sys, lam)
         fp1 = fokker_pryce_worldline(g)
-        fp2 = fokker_pryce_worldline(poincare_generators(moved))
-        u2 = boost_from_h(fp2.h)[:, 0]
+        g2 = poincare_generators(moved)
+        fp2 = fokker_pryce_worldline(g2)
+        u2 = boost_from_h(invariant_mass_spin(g2)[1])[:, 0]
         for tau in (-1.0, 1.3):
             ev = lam @ fp1(tau)
             t2 = minkowski_dot(u2, ev) - minkowski_dot(u2, fp2(0.0))

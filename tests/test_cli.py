@@ -668,16 +668,18 @@ def test_tiny_differential_r0_above_the_refusal_gives_finite_witnesses(tmp_path,
 
 def test_tiny_differential_r0_has_finite_witnesses_on_the_rotation_axis(tmp_path):
     """At r0 = 2e-154 and omega 3, k tau F' sigma^3 overflows on the rotation
-    axis, where d phase / d sigma is zero: that zero stays exact, the axis
-    nodes are admissible, and numpy warns of nothing."""
-    cfg = {"embedding": {"kind": "differential", "omega": 3.0, "r0": 2e-154}}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run_cli(tmp_path, "validate-foliation", cfg)
-    assert code == 0
-    rd = only_run_dir(out)
-    assert Path(rd, "violations.csv").read_text().splitlines()[1:] == []
-    assert strict_json(os.path.join(rd, "report.json"))["n_violations"] == 0
+    axis, and at omega 10 k tau F' itself, where d phase / d sigma is zero:
+    that zero stays exact, the axis nodes are admissible, and numpy warns of
+    nothing."""
+    for omega in (3.0, 10.0):
+        cfg = {"embedding": {"kind": "differential", "omega": omega, "r0": 2e-154}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "validate-foliation", cfg, out_name=f"out-{omega}")
+        assert code == 0
+        rd = only_run_dir(out)
+        assert Path(rd, "violations.csv").read_text().splitlines()[1:] == []
+        assert strict_json(os.path.join(rd, "report.json"))["n_violations"] == 0
 
 
 def test_differential_r0_whose_square_overflows_is_rigid_rotation(tmp_path):
@@ -737,10 +739,39 @@ def test_extreme_pair_configs_keep_their_exit_codes(tmp_path, sub, change, want)
 
 
 @pytest.mark.parametrize("sub", ["evolve", "reconstruct"])
+@pytest.mark.parametrize("change, error, fragment", [
+    pytest.param({"charge_product": -1e300}, "OverflowError",
+                 "Mc is not finite at step 1 (tau = 1.000e-02", id="charge-1e300"),
+    pytest.param({"dtau": 1e300}, "OverflowError",
+                 "Mc is not finite at step 1 (tau = 1.000e+300", id="dtau-1e300"),
+    pytest.param({"potential": "coulomb+darwin", "rho0": [1e-70, 0.0, 0.0]}, "ZeroDivisionError",
+                 "at step 1 of generalized-leapfrog(implicit) (|rho| = 1.000e-70)",
+                 id="darwin-rho-1e-70"),
+])
+def test_float_faults_of_evolve_exit_3_naming_the_step(tmp_path, sub, change, error, fragment):
+    """A pair whose Mc overflows after the start, or whose float step
+    faults, exits 3 with failure.json naming the step, and numpy warns of
+    nothing."""
+    cfg = {**PAIR_CFG, **change}
+    if sub == "reconstruct":
+        cfg.update(z=[0.0, 0.0, 0.0], h=[0.6, 0.0, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, sub, cfg)
+    assert code == 3
+    rd = only_run_dir(out)
+    assert os.listdir(rd) == ["failure.json"]
+    failure = strict_json(os.path.join(rd, "failure.json"))
+    assert failure["error"] == error
+    assert fragment in failure["message"]
+
+
+@pytest.mark.parametrize("sub", ["evolve", "reconstruct"])
 def test_far_apart_pair_runs_without_numpy_warnings(tmp_path, sub):
     """|rho0| = 1e120: |rho|^3 overflows, the force is zero and the pair
-    drifts freely; the start gradient and the checks before the first step
-    run on Python floats, so numpy warns of nothing."""
+    drifts freely; the start gradient runs on Python floats, and Mc at the
+    start and at every sample under a local np.errstate, so numpy warns of
+    nothing."""
     cfg = {**PAIR_CFG, "rho0": [1e120, 0.0, 0.0]}
     if sub == "reconstruct":
         cfg.update(z=[0.0, 0.0, 0.0], h=[0.6, 0.0, 0.2])

@@ -182,8 +182,9 @@ def test_fokker_pryce_line_is_frame_independent():
         lam = boost_from_h(0.7 * rng.standard_normal(3))
         moved = poincare_transform_free(sys, lam)
         fp1 = fokker_pryce_worldline(poincare_generators(sys))
-        fp2 = fokker_pryce_worldline(poincare_generators(moved))
-        u2 = boost_from_h(fp2.h)[:, 0]
+        g2 = poincare_generators(moved)
+        fp2 = fokker_pryce_worldline(g2)
+        u2 = boost_from_h(invariant_mass_spin(g2)[1])[:, 0]
         for tau in (-2.0, 0.3, 1.7):
             ev = lam @ fp1(tau)
             t2 = minkowski_dot(u2, ev) - minkowski_dot(u2, fp2(0.0))

@@ -55,6 +55,7 @@ def _past_pointing():
                            (0.0, 1.0), name="past")
 
 
+_OBSERVER = radar.inertial_worldline(np.zeros(4), np.zeros(3))
 _REL = {"m1": 1.0, "m2": 1.0, "rho": [1.0, 0.0, 0.0], "pi": [0.0, 0.0, 0.0]}
 
 REFUSALS = [
@@ -113,6 +114,12 @@ REFUSALS = [
      "is not timelike future-pointing"),
     ("worldline-past", lambda: _past_pointing().validate(), NonTimelikeError,
      "past: four-velocity is not future pointing"),
+    *((f"{where}-event-{'x'.join(map(str, shape))}",
+       lambda call=call, shape=shape: call(np.zeros(shape)), ValueError,
+       f"event must be a 4-vector, got shape {shape}")
+      for where, call in [("sync", lambda e: radar.einstein_sync(_OBSERVER, e)),
+                          ("coordinates", lambda e: radar.radar_coordinates(_chart(np.eye(4)), e))]
+      for shape in [(3,), (5,), (1, 4)]),
     ("rindler-accel", lambda: radar.rindler_worldline(0.0), ValueError,
      "acceleration must be positive"),
     ("brent-nan", lambda: radar._brent(lambda x: math.nan, 0.0, 1.0, 1e-12, 1e-15), ValueError,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.fft import dst, irfft, next_fast_len, rfft
@@ -441,6 +443,18 @@ def test_hydrogen_like_levels_converge_at_n4096():
 def test_more_levels_than_points_raises():
     with pytest.raises(ValueError, match="n_levels"):
         radial_levels(16, 100.0, M1, M2, 0.1, n_levels=17)
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("length", [1e-300, 1e-160])
+def test_vanishing_length_is_refused_without_numpy_warnings(length, ell):
+    """r^2 and the softening^2 underflow to 0, so T overflows and V divides
+    by 0 (and with the barrier adds -inf to +inf): FloatingPointError names
+    the grid, and numpy warns of nothing."""
+    with pytest.raises(FloatingPointError, match=f"length={length}"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radial_levels(64, length, M1, M2, 0.5, ell=ell, n_levels=2)
 
 
 def test_ell_one_ground_near_bohr_n2():

@@ -34,6 +34,7 @@ from instantform.restframe import (
 import oracles
 from helpers import random_coulomb_pair, random_free_system, snapshots
 from oracles import (
+    bound_clears,
     circular_orbit_momentum,
     mc_gradients,
     newtonian_relative_orbit,
@@ -335,6 +336,46 @@ def test_evolve_argument_validation():
         evolve(rel, "none", 0.1, 0)
     with pytest.raises(ValueError):
         evolve(rel, "hooke", 0.1, 10)
+
+
+@pytest.mark.parametrize("m", [1e-200, 1e-160])
+def test_tiny_mass_darwin_pair_is_refused_before_the_first_step(m):
+    """m1 m2 c^2 underflows the Darwin coefficient's denominator, so Mc at
+    the start is not finite: refused by name, and numpy warns of nothing."""
+    rel = RelativeState(m1=m, m2=m, rho=np.array([1.0, 0.0, 0.0]),
+                        pi=np.array([0.0, 0.309, 0.0]), charge_product=-2.0)
+    with pytest.raises(OverflowError, match=r"the initial state overflows: .*Mc = inf"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evolve(rel, "coulomb+darwin", 0.01, 10)
+
+
+@pytest.mark.parametrize("q, dtau", [(-1e300, 0.01), (-2.0, 1e300)],
+                         ids=["charge-1e300", "dtau-1e300"])
+def test_first_sample_whose_mass_overflows_is_refused_by_step(q, dtau):
+    """Every sample stays finite (|rho| stays 1 while |pi| reaches about
+    1e299); only Mc overflows, and the first such sample is named."""
+    rel = RelativeState(m1=1.0, m2=1.5, rho=np.array([1.0, 0.0, 0.0]),
+                        pi=np.array([0.0, 0.309, 0.0]), charge_product=q)
+    with pytest.raises(OverflowError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evolve(rel, "coulomb", dtau, 200)
+    assert type(err.value) is OverflowError
+    assert str(err.value) == (f"Mc is not finite at step 1 (tau = {dtau:.3e}, "
+                              f"dtau = {dtau:.3e})")
+
+
+@pytest.mark.parametrize("r0, dtau", [(1e-70, 0.01), (1e-100, 1e-80)])
+def test_darwin_underflow_in_a_step_names_the_step(r0, dtau):
+    """The Darwin gradient's r^5 underflows to 0 inside step 1: the float
+    fault keeps its type and names step, |rho| and the scheme."""
+    rel = RelativeState(m1=1.0, m2=1.5, rho=np.array([r0, 0.0, 0.0]),
+                        pi=np.array([0.0, 0.309, 0.0]), charge_product=-2.0)
+    with pytest.raises(ZeroDivisionError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evolve(rel, "coulomb+darwin", dtau, 10)
+    assert str(err.value) == (f"float division by zero at step 1 of "
+                              f"generalized-leapfrog(implicit) (|rho| = {r0:.3e})")
 
 
 @pytest.mark.parametrize("fp_max_iter", [0, -1])
@@ -720,7 +761,7 @@ def test_the_triangle_bound_skips_only_segments_the_exact_test_passes(segment):
     have passed the step too: its distance exceeds the floor (or is NaN,
     which the exact test also passes)."""
     a, b, r_floor = segment
-    if restframe._bound_clears(*a.tolist(), *b.tolist(), r_floor):
+    if bound_clears(*a.tolist(), *b.tolist(), r_floor):
         d = restframe._swept_distance(*a.tolist(), *b.tolist())
         assert d > r_floor or math.isnan(d)
 
@@ -735,7 +776,7 @@ def test_evolve_runs_the_exact_test_where_the_bound_does_not_clear(
     """With the floor just below the closest approach, the triangle bound
     cannot clear the steps around it, and evolve calls _swept_distance
     there; everywhere else it skips the call.  The calls are exactly the
-    steps that _bound_clears does not clear."""
+    steps that bound_clears does not clear."""
     rel = RelativeState(m1=1.0, m2=1.5, rho=np.array(rho), pi=np.array(pi),
                         charge_product=q, c=2.0)
     rho = evolve(rel, potential, 0.05, 300, collision_fraction=0.0).rho
@@ -747,7 +788,7 @@ def test_evolve_runs_the_exact_test_where_the_bound_does_not_clear(
     traj = evolve(rel, potential, 0.05, 300, collision_fraction=fraction)
     r_floor = fraction * float(radii[0])
     steps = [(*a, *b) for a, b in zip(traj.rho[:-1].tolist(), traj.rho[1:].tolist())]
-    assert calls == [ab for ab in steps if not restframe._bound_clears(*ab, r_floor)]
+    assert calls == [ab for ab in steps if not bound_clears(*ab, r_floor)]
     assert 0 < len(calls) < len(steps) // 10
 
 
