@@ -436,21 +436,25 @@ def _run_radar(cfg):
 
 def _run_centers(cfg):
     from . import collective
-    g = collective.poincare_generators(_build_system(cfg))
-    mc, h, s_bar = collective.invariant_mass_spin(g)
-    x_nw, z, _ = collective.newton_wigner_and_jacobi(g)
-    rows = [
-        ("center_of_energy", *collective.center_of_energy(g)),
-        ("fokker_pryce_tau0", *collective.fokker_pryce_worldline(g)(0.0)[1:]),
-        ("newton_wigner", *x_nw),
-    ]
+    # energies that overflow carry inf and NaN into every invariant, which
+    # _render refuses as a FloatingPointError naming the artifact
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = collective.poincare_generators(_build_system(cfg))
+        mc, h, s_bar = collective.invariant_mass_spin(g)
+        x_nw, z, _ = collective.newton_wigner_and_jacobi(g)
+        rows = [
+            ("center_of_energy", *collective.center_of_energy(g)),
+            ("fokker_pryce_tau0", *collective.fokker_pryce_worldline(g)(0.0)[1:]),
+            ("newton_wigner", *x_nw),
+        ]
+        tube_radius = collective.tube_radius(g)
     return {
         "centers.csv": (("center", "x", "y", "z"), rows),
         "invariants.json": {
             "Mc": float(mc),
             "h": h,
             "S_bar": s_bar,
-            "tube_radius": collective.tube_radius(g),
+            "tube_radius": tube_radius,
             "jacobi_z": z,
         },
     }

@@ -24,9 +24,12 @@ Trans. Signal Process. 42, 1038 (1994)) that zero-pads to a 5-smooth length;
 the sine transform itself is one rfft of the odd extension.  The lowest
 levels come from a block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517
 (2001)) preconditioned in momentum space by 1/(T(k) + shift), the choice of
-plane-wave codes (Teter, Payne & Allan, PRB 40, 12255 (1989)), whose basis
-is kept orthonormal as by Hetmaniuk & Lehoucq (J. Comput. Phys. 218, 324
-(2006)), so that Rayleigh-Ritz is a plain symmetric eigensolve.
+plane-wave codes (Teter, Payne & Allan, PRB 40, 12255 (1989)), with the
+shift set for each level as they scale the preconditioner for each band.
+Its basis is kept orthonormal as by Hetmaniuk & Lehoucq (J. Comput. Phys.
+218, 324 (2006)), so that Rayleigh-Ritz is a plain symmetric eigensolve.
+The hydrogen-like start block is written on sine coefficients in closed
+form, so a solve runs the sine transform only to return states.
 
 The Coulomb singularity is softened, V = -alpha*c/sqrt(r^2 + eps^2), with
 eps defaulting to a quarter grid spacing.  For ell > 0 the centrifugal
@@ -222,13 +225,16 @@ def _lowest_eigenpairs(apply_h, apply_m, x, tol, maxiter, where):
     Hetmaniuk & Lehoucq: the preconditioned residuals W of the unconverged
     rows are made orthonormal to [X, P], and P is the complement of the
     Ritz vectors inside the span of [W, P], so Rayleigh-Ritz on [X, W, P]
-    is a plain eigh.  Each iteration applies H to W only; H X and H P are
-    carried by the small-space combinations that give X and P.  When the
-    carried residuals all meet ``tol``, or after _MAXITER iterations, H X
-    is computed afresh and every level's true residual |H x - lambda x|
-    checked against ``tol``.  The block restarts from there while the worst
-    residual at least halves within ``maxiter`` iterations in all, else
-    raises NonConvergenceError.  Returns (ascending values, orthonormal rows).
+    is a plain eigh.  ``apply_m(r, active)`` preconditions the residual
+    rows r of the levels that the mask ``active`` flags, so each level can
+    have its own preconditioner.  Each iteration applies H to W only; H X
+    and H P are carried by the small-space combinations that give X and P.
+    When the carried residuals all meet ``tol``, or after _MAXITER
+    iterations, H X is computed afresh and every level's true residual
+    |H x - lambda x| checked against ``tol``.  The block restarts from there
+    while the worst residual at least halves within ``maxiter`` iterations
+    in all, else raises NonConvergenceError.  Returns (ascending values,
+    orthonormal rows).
     """
     k = x.shape[0]
     worst, iterations, restarts = np.inf, 0, -1
@@ -254,7 +260,7 @@ def _lowest_eigenpairs(apply_h, apply_m, x, tol, maxiter, where):
             if not active.any():
                 break
             iterations += 1
-            w = apply_m(r[active])
+            w = apply_m(r[active], active)
             w = _orthonormal_rows(w, _row_norms(w), xp)
             s = np.concatenate((xp, w))
             hs = np.concatenate((hxp, apply_h(w)))
@@ -270,11 +276,13 @@ def radial_levels(n_points, length, m1, m2, alpha, c=1.0, kinetic="salpeter",
 
     Matrix-free: on sine coefficients H is diagonal T plus one FFT pair for
     V, solved by LOBPCG with the diagonal preconditioner 1/(T(k) + shift).
-    The shift is the Bohr binding of the highest requested level,
-    E / (2 (ell + n_levels)^2), with the energy scale E = mu (c alpha)^2,
-    or max|V| if that is smaller.  The start block is hydrogen-like,
-    r^(ell+j) exp(-r/((ell+j) a)) for j = 1..n_levels with the Bohr radius
-    a = 1/(mu c alpha) kept inside [dr, length].  Every level's residual is
+    Level j = 1..n_levels takes its own shift, its Bohr binding
+    E / (2 (ell + j)^2) plus T(k_1), with the energy scale E =
+    mu (c alpha)^2, or max|V| if that is smaller.  The start block is
+    hydrogen-like, r^s exp(-r/(s a)) with s = ell + j and the Bohr radius
+    a = 1/(mu c alpha) kept inside [dr, length], taken on sine coefficients
+    as the closed-form transform of each row on the half-line, so no sine
+    transform runs unless states are returned.  Every level's residual is
     brought below 1e-8 of E, or the round-off of one product if larger, by
     restarts of up to 200 iterations each (4000 in all) while the worst
     residual halves; NonConvergenceError otherwise, as for ell = 200 on the
@@ -290,19 +298,25 @@ def radial_levels(n_points, length, m1, m2, alpha, c=1.0, kinetic="salpeter",
     scale = _energy_scale(mu, c, alpha, v)
     tol = (_RADIAL_TOL * (scale + tk[0])
            + 64 * np.finfo(float).eps * (tk[-1] + np.abs(v).max()))
-    inverse = 1.0 / (tk + scale / (2.0 * (ell + n_levels) ** 2) + tk[0])
+    shell = ell + np.arange(1.0, n_levels + 1)[:, None]  # floats: no int64 wrap
+    # one row per level, shifted by that level's Bohr binding
+    inverse = 1.0 / (tk + scale / (2.0 * shell**2) + tk[0])
 
     bohr = 1.0 / (mu * c * alpha) if alpha > 0 else length
-    a = min(max(bohr, r[0]), length)
-    shell = ell + np.arange(1, n_levels + 1)[:, None]
-    # in logs, scaled per row, so that no power of r overflows
-    log_x = shell * np.log(r / a) - r / (shell * a)
-    start = _sine(_start_block(np.exp(log_x - log_x.max(axis=1)[:, None])))
+    beta = 1.0 / (shell * min(max(bohr, r[0]), length))
+    k = radial_grid(n_points, length)[1]
+    # the sine transform of r^s exp(-beta r) is Gamma(s+1) sin((s+1) phi)
+    # / rho^(s+1), rho e^(i phi) = beta + i k (Gradshteyn & Ryzhik 3.944.5);
+    # in logs, scaled per row, so that no power of rho overflows
+    log_x = -(shell + 1) * np.log(np.hypot(beta, k))
+    start = _start_block(np.sin((shell + 1) * np.arctan2(k, beta))
+                         * np.exp(log_x - log_x.max(axis=1)[:, None]))
 
     # on sine coefficients T and the preconditioner are diagonal
     apply_v = _potential_product(v)
     vals, coef = _lowest_eigenpairs(
-        lambda coef: tk * coef + apply_v(coef), lambda coef: inverse * coef,
+        lambda coef: tk * coef + apply_v(coef),
+        lambda res, active: inverse[active] * res,
         start, tol, 20 * _MAXITER,
         f"the {n_points}-point radial grid (length={length}, ell={ell})")
     if return_states:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import collective
-from .errors import CollisionError, NonConvergenceError, SingularPotentialError
+from .errors import CollisionError, NonConvergenceError, NonTimelikeError, SingularPotentialError
 from .foliation import Embedding
 from .minkowski import boost_from_h, interval
 from .potentials import (
@@ -374,10 +374,13 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
     sample and every error as the exact test alone decides.
     Raises OverflowError before the first step when |rho0|, the collision
     floor, (m c)^2 or Mc is not finite, and after the loop naming the first
-    sample k whose Mc is not finite: both take Mc from _mass_and_weights, as
-    Trajectory.H does, under a local np.errstate.  A float fault inside
-    step k (such as ZeroDivisionError where the Darwin r^5 underflows to 0)
-    is re-raised as the same type, naming k, |rho| and the scheme.
+    sample k whose Mc is not finite; then NonTimelikeError, as
+    reconstruction raises it, naming the first sample k (the start is
+    sample 0) whose Mc is not positive.  All take Mc from
+    _mass_and_weights, as Trajectory.H does, under a local np.errstate.
+    A float fault inside step k (such as ZeroDivisionError where the Darwin
+    r^5 underflows to 0) is re-raised as the same type, naming k, |rho| and
+    the scheme.
     """
     if potential not in POTENTIALS:
         raise ValueError(f"potential must be one of {POTENTIALS}")
@@ -467,10 +470,17 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
     rhos, pis = states[:, :3], states[:, 3:]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mc = _mass_and_weights(rel, potential, rhos, pis)[0]
-    if not np.isfinite(mc).all():
-        k = int(np.isfinite(mc).argmin())
+    finite = np.isfinite(mc)
+    if not finite.all():
+        k = int(finite.argmin())
         raise OverflowError(f"Mc is not finite at step {k} (tau = {taus[k]:.3e}, "
                             f"dtau = {dtau:.3e})")
+    # the sign is checked once every sample is finite, the start's included
+    positive = mc > 0
+    if not positive.all():
+        k = int(positive.argmin())
+        raise NonTimelikeError(f"Mc must be positive: Mc = {mc[k]:.3e} at step {k} "
+                               f"(tau = {taus[k]:.3e}, dtau = {dtau:.3e})")
     # rho x pi in np.cross's operations, without its 16 us of set-up a call
     (x, y, z), (px, py, pz), L = rhos.T, pis.T, np.empty_like(rhos)
     L[:, 0], L[:, 1], L[:, 2] = y * pz - z * py, z * px - x * pz, x * py - y * px

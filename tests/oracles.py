@@ -493,7 +493,7 @@ def cartesian_ground_state(n_points, length, m1, m2, alpha, c=1.0,
         grids = u.reshape((-1,) + shape)
         return (in_k(tk, grids) + v * grids).reshape(-1, size)
 
-    def apply_m(u):
+    def apply_m(u, active):  # one shift for every level
         return in_k(inverse, u.reshape((-1,) + shape)).reshape(-1, size)
 
     envelope = np.exp(-np.sqrt(r2) / (0.1 * length)).reshape(1, size)

@@ -767,6 +767,32 @@ def test_float_faults_of_evolve_exit_3_naming_the_step(tmp_path, sub, change, er
 
 
 @pytest.mark.parametrize("sub", ["evolve", "reconstruct"])
+@pytest.mark.parametrize("change, fragment", [
+    pytest.param({"m1": 1e-300, "m2": 1e-300, "pi0": [0.0, 0.0, 0.0], "n_steps": 10,
+                  "sample_every": 1},
+                 "Mc = -1.592e-01 at step 0 (tau = 0.000e+00", id="at-the-start"),
+    pytest.param({"m1": 0.01, "m2": 0.01, "dtau": 0.5, "n_steps": 20, "sample_every": 1,
+                  "pi0": [-0.09 * math.cos(1.0), 0.09 * math.sin(1.0), 0.0]},
+                 "at step 2 (tau = 1.000e+00", id="at-step-2"),
+])
+def test_pair_whose_mass_is_not_positive_exits_3(tmp_path, sub, change, fragment):
+    """A pair bound below its rest energy, at the start or after coarse
+    steps, exits 3 from both subcommands with a strict failure.json; evolve
+    once wrote a trajectory with a negative H."""
+    cfg = {**PAIR_CFG, **change}
+    if sub == "reconstruct":
+        cfg.update(z=[0.0, 0.0, 0.0], h=[0.6, 0.0, 0.2])
+    code, out = run_cli(tmp_path, sub, cfg)
+    assert code == 3
+    rd = only_run_dir(out)
+    assert os.listdir(rd) == ["failure.json"]
+    failure = strict_json(os.path.join(rd, "failure.json"))
+    assert failure["error"] == "NonTimelikeError"
+    assert failure["message"].startswith("Mc must be positive: ")
+    assert fragment in failure["message"]
+
+
+@pytest.mark.parametrize("sub", ["evolve", "reconstruct"])
 def test_far_apart_pair_runs_without_numpy_warnings(tmp_path, sub):
     """|rho0| = 1e120: |rho|^3 overflows, the force is zero and the pair
     drifts freely; the start gradient runs on Python floats, and Mc at the

@@ -16,7 +16,12 @@ from instantform.collective import (
     poincare_generators,
     poincare_transform_free,
 )
-from instantform.errors import CollisionError, NonConvergenceError, SingularPotentialError
+from instantform.errors import (
+    CollisionError,
+    NonConvergenceError,
+    NonTimelikeError,
+    SingularPotentialError,
+)
 from instantform.minkowski import boost_from_h, wigner_rotation
 from instantform.potentials import POTENTIALS
 from instantform.radar import radar_coordinates
@@ -363,6 +368,34 @@ def test_first_sample_whose_mass_overflows_is_refused_by_step(q, dtau):
     assert type(err.value) is OverflowError
     assert str(err.value) == (f"Mc is not finite at step 1 (tau = {dtau:.3e}, "
                               f"dtau = {dtau:.3e})")
+
+
+def test_pair_bound_below_its_rest_energy_is_refused_at_the_start():
+    """Near-massless particles at rest with an attraction: Mc = 2e-300 -
+    2/(4 pi) < 0 is finite, and refused as reconstruct refuses it, naming
+    the start as sample 0."""
+    rel = RelativeState(m1=1e-300, m2=1e-300, rho=np.array([1.0, 0.0, 0.0]),
+                        pi=np.zeros(3), charge_product=-2.0)
+    with pytest.raises(NonTimelikeError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evolve(rel, "coulomb", 0.01, 10)
+    assert str(err.value) == ("Mc must be positive: Mc = -1.592e-01 at step 0 "
+                              "(tau = 0.000e+00, dtau = 1.000e-02)")
+
+
+def test_first_sample_whose_mass_is_not_positive_is_refused_by_step():
+    """A light pair bound by 0.022 whose coarse steps lose more than that:
+    Mc is positive at the start and negative at step 2, which is named."""
+    rel = RelativeState(m1=0.01, m2=0.01, rho=np.array([1.0, 0.0, 0.0]),
+                        pi=0.09 * np.array([-math.cos(1.0), math.sin(1.0), 0.0]),
+                        charge_product=-2.0)
+    with pytest.raises(NonTimelikeError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evolve(rel, "coulomb", 0.5, 20)
+    assert re.fullmatch(r"Mc must be positive: Mc = -\S+ at step 2 "
+                        r"\(tau = 1\.000e\+00, dtau = 5\.000e-01\)", str(err.value))
+    # one step runs clear of it
+    assert evolve(rel, "coulomb", 0.5, 1).H.min() > 0
 
 
 @pytest.mark.parametrize("r0, dtau", [(1e-70, 0.01), (1e-100, 1e-80)])
