@@ -40,6 +40,7 @@ import numpy as np
 
 from . import __version__, potentials
 from .errors import ConfigError, InstantFormError, SingularPotentialError
+from .minkowski import _dot3
 
 __all__ = ["main", "parse_config", "run"]
 
@@ -436,8 +437,7 @@ def _run_radar(cfg):
 
 def _run_centers(cfg):
     from . import collective
-    # energies that overflow carry inf and NaN into every invariant, which
-    # _render refuses as a FloatingPointError naming the artifact
+    # energies that overflow leave P NaN, refused as a NonTimelikeError
     with np.errstate(over="ignore", invalid="ignore"):
         g = collective.poincare_generators(_build_system(cfg))
         mc, h, s_bar = collective.invariant_mass_spin(g)
@@ -496,10 +496,9 @@ def _evolve(cfg):
     )
     traj = restframe.evolve(rel, cfg["potential"], cfg["dtau"], cfg["n_steps"])
     idx = _sampled_rows(traj.tau.shape[0], cfg["sample_every"])
-    # |L| by vecdot, which sums as np.linalg.norm's BLAS dot does
     L = traj.L[idx]
     rows = np.column_stack((traj.tau[idx], traj.rho[idx], traj.pi[idx], traj.H[idx],
-                            np.sqrt(np.vecdot(L, L))))
+                            np.sqrt(_dot3(L, L))))
     header = ("tau", "rho_x", "rho_y", "rho_z", "pi_x", "pi_y", "pi_z", "H", "L")
     artifacts = {
         "trajectory.csv": (header, rows),

@@ -25,14 +25,15 @@ moller_tube_sample measures the tube by computing the center of energy in
 many boosted frames and mapping the results back.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NonTimelikeError
-from .minkowski import boost_from_h
-from .potentials import POTENTIALS, _charged_pairs, _check_apart, _dot3, _pair_energy
+from .minkowski import _cross3, _dot3, _mv, boost_from_h, interval
+from .potentials import POTENTIALS, _charged_pairs, _check_apart, _pair_energy
 
 __all__ = [
     "ParticleSystem",
@@ -54,7 +55,7 @@ __all__ = [
 
 def _kinetic_energies(masses, momenta, c):
     """sqrt(m^2 c^2 + p^2) in momentum units, one per momentum of a (..., 3)
-    stack, with p^2 the plain sum of potentials._dot3."""
+    stack, with p^2 the plain sum of minkowski._dot3."""
     return np.sqrt((masses * c) ** 2 + _dot3(momenta, momenta))
 
 
@@ -135,17 +136,17 @@ class PoincareGenerators:
         part and the static covariant center j^{k0}/Mc its boost part.  The
         arrays are read-only; a NonTimelikeError is not cached."""
         p4 = self.P
-        m2 = p4[0] ** 2 - p4[1:] @ p4[1:]
-        if m2 <= 0.0 or p4[0] <= 0.0:
+        m2 = interval(p4)
+        if not (m2 > 0.0 and p4[0] > 0.0):  # NaN fails too
             raise NonTimelikeError(
                 f"total momentum {p4} is not future timelike; invariant mass undefined"
             )
         mc = float(np.sqrt(m2))
         h = p4[1:] / mc
         to_rest = boost_from_h(-h)
-        j = to_rest @ self.J @ to_rest.T
-        s_bar = np.array([j[2, 3], j[3, 1], j[1, 2]])
-        x_rest = j[1:, 0] / mc
+        j = _mv(_mv(self.J, to_rest), to_rest[1:])   # rows 1..3 of L J L^T, j[r - 1, mu]
+        s_bar = np.array([j[1, 3], j[2, 1], j[0, 2]])
+        x_rest = j[:, 0] / mc
         for a in (h, s_bar, to_rest, x_rest):
             a.flags.writeable = False
         return mc, h, s_bar, to_rest, x_rest
@@ -156,7 +157,7 @@ def energy_and_moment(potential, masses, charges, c, positions, momenta):
     moment sum x_i E_i + sum (V_ij/c)(x_i + x_j)/2 of particles at positions
     with momenta, V_ij over the charged pairs."""
     energies = _kinetic_energies(masses, momenta, c)
-    v_sum, moment = 0, positions.T @ energies
+    v_sum, moment = 0, _mv(positions.T, energies)
     if potential != "none":
         for i, j, q1q2 in _charged_pairs(charges):
             v = _pair_energy(potential, q1q2, masses[i], masses[j], c,
@@ -174,8 +175,8 @@ def poincare_generators(sys):
     p4[1:] = sys.momenta.sum(axis=0)
 
     jmat = np.zeros((4, 4))
-    orbital = sys.positions.T @ sys.momenta            # sum_i x_i^j p_i^k
-    jmat[1:, 1:] = orbital - orbital.T                 # J^{jk} = sum x^j p^k - x^k p^j
+    orbital = _mv(sys.positions.T, sys.momenta.T)      # [k, j] = sum_i x_i^j p_i^k
+    jmat[1:, 1:] = orbital.T - orbital                 # J^{jk} = sum x^j p^k - x^k p^j
     jk0 = boost_moment - sys.x0 * p4[1:]
     jmat[1:, 0] = jk0
     jmat[0, 1:] = -jk0
@@ -206,15 +207,16 @@ def fokker_pryce_worldline(g):
     three centers coincide at the static point J_rest^{k0}/Mc, and boosting
     that world-line back with the standard boost of h.
     """
-    _, h, _, _, x_rest = g._rest
-    back = boost_from_h(h)
+    _, h, _, to_rest, x_rest = g._rest
+    back = to_rest.copy()  # boost_from_h(h) bit for bit: row and column 0 of to_rest negated
+    back[0, 1:] = back[1:, 0] = h
 
     def line(tau):
         tau = np.asarray(tau, dtype=float)
         ev = np.empty(tau.shape + (4,))
         ev[..., 0] = tau
         ev[..., 1:] = x_rest
-        return ev @ back.T
+        return _mv(back, ev)
 
     return line
 
@@ -229,14 +231,14 @@ def newton_wigner_and_jacobi(g):
     are z = Mc * x_NW(0) and h = P/Mc.
     """
     mc, h, s_bar = invariant_mass_spin(g)
-    x_nw = (g.J[1:, 0] + np.cross(s_bar, g.P[1:]) / (mc + g.P[0])) / g.P[0]
+    x_nw = (g.J[1:, 0] + _cross3(s_bar, g.P[1:]) / (mc + g.P[0])) / g.P[0]
     return x_nw, mc * x_nw, h
 
 
 def tube_radius(g):
     """Energy radius |S_bar| / Mc of the center-of-energy world-tube."""
     mc, _, s_bar = invariant_mass_spin(g)
-    return float(np.linalg.norm(s_bar) / mc)
+    return float(np.sqrt(_dot3(s_bar, s_bar)) / mc)
 
 
 @dataclass
@@ -277,10 +279,10 @@ def external_generators(z, h, mc, s_bar, c=1.0):
     s_bar = np.asarray(s_bar, dtype=float)
     if not mc > 0:
         raise NonTimelikeError("Mc must be positive")
-    p4 = mc * np.concatenate(([np.sqrt(1.0 + h @ h)], h))
+    p4 = mc * np.concatenate(([np.sqrt(1.0 + _dot3(h, h))], h))
     x_nw = z / mc
-    jk0 = p4[0] * x_nw - np.cross(s_bar, p4[1:]) / (mc + p4[0])
-    jvec = np.cross(x_nw, p4[1:]) + s_bar      # total angular momentum
+    jk0 = p4[0] * x_nw - _cross3(s_bar, p4[1:]) / (mc + p4[0])
+    jvec = _cross3(x_nw, p4[1:]) + s_bar      # total angular momentum
     jmat = np.zeros((4, 4))
     jmat[1:, 0] = jk0
     jmat[0, 1:] = -jk0
@@ -295,9 +297,8 @@ def map_and_resync(sys, lam, a, new_time):
     """(positions, momenta) after x -> lam x + a on each event and four-momentum
     (no a), with each event slid along its new straight line to time new_time."""
     e = sys.energies()
-    p4 = np.concatenate((e[:, None], sys.momenta), axis=1) @ lam.T
-    events = np.concatenate((np.full((sys.n, 1), sys.x0), sys.positions), axis=1)
-    events = events @ lam.T + a
+    p4 = _mv(lam, np.concatenate((e[:, None], sys.momenta), axis=1))
+    events = _mv(lam, np.concatenate((np.full((sys.n, 1), sys.x0), sys.positions), axis=1)) + a
     vel = p4[:, 1:] / p4[:, :1]                  # dx/dx0 = p/p0
     return events[:, 1:] + vel * (new_time - events[:, :1]), p4[:, 1:].copy()
 
@@ -370,17 +371,18 @@ def moller_tube_sample(sys, n_frames, rapidity_max, seed=0):
 
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n_frames, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs /= np.sqrt(_dot3(dirs, dirs))[:, None]
     xis = rng.uniform(0.0, rapidity_max, size=n_frames)
 
-    hf = np.sinh(xis)[:, None] * dirs
+    # libm's sinh: numpy's follows the CPU's SIMD kernels
+    hf = np.array([math.sinh(xi) for xi in xis.tolist()])[:, None] * dirs
     lam = boost_from_h(hf)
-    inv = lam.copy()  # boost_from_h(-hf) bit for bit: the same gamma and h h^T block
-    inv[:, 0, 1:] = inv[:, 1:, 0] = -hf
-    events_f = np.zeros((n_frames, 4))                   # centers of energy, frame time 0
-    events_f[:, 1:] = (lam @ g.J @ lam.mT)[:, 1:, 0] / (lam[:, 0] @ g.P)[:, None]
-    events_lab = (inv @ events_f[:, :, None])[:, :, 0]
-    distances = np.linalg.norm((events_lab @ to_rest.T)[:, 1:] - x_rest, axis=1)
+    # centers of energy at frame time 0: column 0 of lam J lam^T over row 0 of lam P
+    x_f = _mv(lam[:, 1:], _mv(g.J, lam[:, 0])) / _mv(lam[:, :1], g.P)
+    events_lab = _mv(lam[:, :, 1:], x_f)  # boost_from_h(-hf) is lam with the h's negated
+    events_lab[:, 0] = -events_lab[:, 0]
+    d = _mv(to_rest[1:], events_lab) - x_rest
+    distances = np.sqrt(_dot3(d, d))
     return TubeSample(
         distances=distances,
         rapidities=xis,

@@ -334,8 +334,9 @@ def metric_eigendecomposition(g3):
     theta.  Raises AdmissibilityError if g3 is not positive definite.
     """
     g3 = np.asarray(g3, dtype=float)
-    if g3.shape != (3, 3) or np.max(np.abs(g3 - g3.T)) > 1e-10 * max(1.0, np.max(np.abs(g3))):
-        raise ValueError("g3 must be a symmetric 3x3 matrix")
+    if (g3.shape != (3, 3) or not np.isfinite(g3).all()
+            or np.max(np.abs(g3 - g3.T)) > 1e-10 * max(1.0, np.max(np.abs(g3)))):
+        raise ValueError(f"g3 must be a symmetric 3x3 matrix of finite numbers, got {g3!r}")
     g3 = 0.5 * (g3 + g3.T)
     w, v = np.linalg.eigh(g3)
     if w[0] <= 0.0:
@@ -507,7 +508,7 @@ def check_admissibility(emb, grid, asym_tol=1e-3):
     if normals.size:
         mean = normals.mean(axis=0)
         q = mean[0] ** 2 - mean[1:] @ mean[1:]
-        if q <= 0.0:
+        if not q > 0.0:  # NaN, from normals whose squares overflow, fails too
             ok[2] = False
             tables.append([[3.0, taus[0], np.nan, np.nan, np.nan, q]])
         else:

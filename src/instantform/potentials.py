@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .errors import SingularPotentialError
+from .minkowski import _dot3
 
 __all__ = [
     "KINETIC_KINDS",
@@ -37,17 +38,6 @@ POTENTIALS = ("none", "coulomb", "coulomb+darwin")
 KINETIC_KINDS = ("salpeter", "nonrelativistic")
 
 COINCIDENCE_TOL = 1e-300
-
-
-def _dot3(a, b):
-    """a . b of 3-vectors, row by row for (..., 3) stacks of one shape (or a
-    stack and one 3-vector), as the plain sum (a0 b0 + a1 b1) + a2 b2.
-    ``@`` and np.vecdot go through BLAS, whose dot may fuse the multiply-adds
-    depending on the CPU; this sum rounds alike for a stack, one vector and
-    the same sum on Python floats (evolve's explicit loop).  Indexing the
-    transposes costs a third of ``a[..., 0]`` on one vector."""
-    a, b = a.T, b.T
-    return ((a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]).T
 
 
 def _sep(r_vec, context):

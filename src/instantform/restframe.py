@@ -29,7 +29,7 @@ import numpy as np
 from . import collective
 from .errors import CollisionError, NonConvergenceError, NonTimelikeError, SingularPotentialError
 from .foliation import Embedding
-from .minkowski import boost_from_h, interval
+from .minkowski import _cross3, _dot3, _mv, boost_from_h, interval
 from .potentials import (
     _FOUR_PI,
     COINCIDENCE_TOL,
@@ -103,10 +103,10 @@ def to_rest_frame(sys):
 
     to_rest = g._rest[3]
     center = np.concatenate(([sys.x0], x_nw + sys.x0 * g.P[1:] / g.P[0]))
-    tau = float(to_rest[0] @ center)
+    tau = float(_mv(to_rest[:1], center)[0])
     x_rest, kappas = collective.map_and_resync(sys, to_rest, np.zeros(4), tau)
-    kap_residual = float(np.linalg.norm(kappas.sum(axis=0)))
-    kappas -= kappas.sum(axis=0) / sys.n
+    kap = kappas.sum(axis=0)
+    kappas -= kap / sys.n
 
     e_int, moment = collective.energy_and_moment(
         sys.potential, sys.masses, sys.charges, sys.c, x_rest, kappas)
@@ -125,7 +125,7 @@ def to_rest_frame(sys):
         S_bar=s_bar,
         tau=tau,
         c=sys.c,
-        projection_residual=(kap_residual, float(np.linalg.norm(shift))),
+        projection_residual=(math.sqrt(_dot3(kap, kap)), math.sqrt(_dot3(shift, shift))),
     )
 
 
@@ -144,7 +144,7 @@ def internal_generators(st):
     e_int, k_int = collective.energy_and_moment(
         st.potential, st.masses, st.charges, st.c, st.etas, st.kappas)
     p_int = st.kappas.sum(axis=0)
-    s_bar = np.sum(np.cross(st.etas, st.kappas), axis=0)
+    s_bar = np.sum(_cross3(st.etas, st.kappas), axis=0)
     return InternalGenerators(E_int=float(e_int), P_int=p_int, S_bar=s_bar, K_int=k_int)
 
 
@@ -219,7 +219,7 @@ def rest_frame_from_relative(rel, potential, z=None, h=None, charges=None):
         Mc=float(mc),
         h=np.asarray(h, dtype=float),
         z=np.asarray(z, dtype=float),
-        S_bar=np.cross(rel.rho, rel.pi),
+        S_bar=_cross3(rel.rho, rel.pi),
         tau=rel.tau,
         c=rel.c,
     )
@@ -276,7 +276,7 @@ class Trajectory:
 
 def _swept_distance(ax, ay, az, bx, by, bz):
     """Closest approach to the origin of the straight segment a -> b, on
-    floats, in potentials._dot3's plain sums.  Both evolve schemes decide a
+    floats, in minkowski._dot3's plain sums.  Both evolve schemes decide a
     collision by it, where the triangle bound does not already pass the step."""
     dx, dy, dz = bx - ax, by - ay, bz - az
     dd = (dx * dx + dy * dy) + dz * dz
@@ -356,7 +356,7 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
 
     Both schemes step on Python floats in numpy's operation order: the pair
     force is potentials' _dv_drho and _dv_dpi, every dot the plain sum of
-    potentials._dot3, so the samples do not depend on the machine's BLAS and
+    minkowski._dot3, so the samples do not depend on the machine's BLAS and
     numpy warns of nothing.  On a 2-core Xeon (Python 3.11) a step takes
     about 1.2 us explicit and 14 us implicit (the Darwin pair of
     configs/evolve.json at c = 10).  The loop stores rho and pi only, six
@@ -481,11 +481,8 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
         k = int(positive.argmin())
         raise NonTimelikeError(f"Mc must be positive: Mc = {mc[k]:.3e} at step {k} "
                                f"(tau = {taus[k]:.3e}, dtau = {dtau:.3e})")
-    # rho x pi in np.cross's operations, without its 16 us of set-up a call
-    (x, y, z), (px, py, pz), L = rhos.T, pis.T, np.empty_like(rhos)
-    L[:, 0], L[:, 1], L[:, 2] = y * pz - z * py, z * px - x * pz, x * py - y * px
     return Trajectory(
-        tau=taus, rho=rhos, pi=pis, H=mc, L=L,
+        tau=taus, rho=rhos, pi=pis, H=mc, L=_cross3(rhos, pis),
         m1=rel.m1, m2=rel.m2, charge_product=rel.charge_product,
         potential=potential, c=rel.c, dtau=float(dtau), scheme=scheme,
         meta={"fp_tol": _FP_TOL, "max_fixed_point_sweeps": max_sweeps},
@@ -520,7 +517,7 @@ def reconstruct_worldlines(traj, z, h):
     """
     h = np.asarray(h, dtype=float)
     mc = float(traj.H[0])
-    chart = wigner_hyperplane_embedding(z, h, mc, np.cross(traj.rho[0], traj.pi[0]))
+    chart = wigner_hyperplane_embedding(z, h, mc, _cross3(traj.rho[0], traj.pi[0]))
     _, w1, w2 = _mass_and_weights(traj, traj.potential, traj.rho, traj.pi)
     events = np.array([chart(traj.tau, w[:, None] * traj.rho) for w in (w1, -w2)])
 
@@ -549,12 +546,7 @@ def wigner_hyperplane_embedding(z, h, mc, s_bar):
     boost = boost_from_h(np.asarray(h, dtype=float))
     tetrad = boost[:, 1:]
 
-    def zfun(tau, sigma):
-        # stacked matrix-vector products round as ``tetrad @ v`` does for one
-        # point; ``sigma @ tetrad.T`` does not
-        return fp(tau) + (tetrad @ sigma[..., None])[..., 0]
-
-    chart = Embedding(zfun, jacobian=lambda tau, sigma: boost.copy(),
-                      name="wigner-hyperplane")
+    chart = Embedding(lambda tau, sigma: fp(tau) + _mv(tetrad, sigma),
+                      jacobian=lambda tau, sigma: boost.copy(), name="wigner-hyperplane")
     chart.fokker_pryce, chart.tetrad = fp, tetrad
     return chart

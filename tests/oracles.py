@@ -19,8 +19,8 @@ from scipy.optimize import brentq
 from instantform import collective
 from instantform.errors import CollisionError, NonConvergenceError, NoSolutionError
 from instantform.foliation import AdmissibilityReport
-from instantform.minkowski import boost_from_h, interval, metric
-from instantform.potentials import POTENTIALS, _dot3, _sep
+from instantform.minkowski import _dot3, _mv, boost_from_h, interval, metric
+from instantform.potentials import POTENTIALS, _sep
 from instantform.radar import _RTOL, _SCAN_POINTS, _XTOL, RadarResult, _brent
 from instantform.relquant import (
     _MAXITER,
@@ -312,9 +312,10 @@ def pauli_lubanski_spin(g, sgn=1):
 
 
 def outer_boost_from_h(h):
-    """One pure boost from a single (3,) h, built with ``h @ h`` and
-    ``np.outer`` where minkowski.boost_from_h broadcasts over a stack."""
-    gamma = np.sqrt(1.0 + h @ h)
+    """One pure boost from a single (3,) h, built with ``np.outer`` where
+    minkowski.boost_from_h broadcasts over a stack; gamma takes the same
+    3-dot."""
+    gamma = np.sqrt(1.0 + _dot3(h, h))
     lam = np.empty((4, 4))
     lam[0, 0] = gamma
     lam[0, 1:] = h
@@ -328,7 +329,8 @@ def framewise_moller_tube_sample(sys, n_frames, rapidity_max, seed=0):
 
     The same random frames, but two (3,) boosts, one lam J lam^T and one
     norm per frame in a Python loop, where the library makes one stacked
-    pass over all frames.
+    pass over all frames.  The directions are normalized with the library's
+    3-dot, so that they match it bit for bit.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
@@ -339,7 +341,7 @@ def framewise_moller_tube_sample(sys, n_frames, rapidity_max, seed=0):
 
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n_frames, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs /= np.sqrt(_dot3(dirs, dirs))[:, None]
     xis = rng.uniform(0.0, rapidity_max, size=n_frames)
 
     distances = np.empty(n_frames)
@@ -695,8 +697,8 @@ def samplewise_reconstruct_worldlines(traj, z, h):
     for k in range(n):
         rho = traj.rho[k]
         _, w1, w2 = _mass_and_weights(rel, traj.potential, rho, traj.pi[k])
-        events[0, k] = fp_events[k] + tetrad @ (w1 * rho)
-        events[1, k] = fp_events[k] + tetrad @ (-w2 * rho)
+        events[0, k] = fp_events[k] + _mv(tetrad, w1 * rho)
+        events[1, k] = fp_events[k] + _mv(tetrad, -w2 * rho)
 
     deltas = np.diff(events, axis=1)
     timelike = deltas[..., 0] ** 2 - np.sum(deltas[..., 1:] ** 2, axis=-1) >= -1e-12

@@ -463,6 +463,22 @@ def test_shell_normals_that_spread_fail_condition_3():
     assert rep.violations[0].witness == pytest.approx(0.4 / np.sqrt(0.52), rel=1e-9)
 
 
+def test_shell_normals_whose_squares_overflow_fail_condition_3():
+    """Tangents of size 1e53 keep the metric finite (1e106), but the
+    cofactor normal's components near 1e159 square to inf, so each unit
+    normal is inf/inf = NaN and so is q of their mean.  A NaN q fails
+    condition 3 with itself as the witness; it must not pass as a mean
+    normal that is timelike."""
+    jac = 1e53 * np.array([[1.0, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                           [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):  # the squares that overflow
+        rep = check_admissibility(linear_embedding(jac), GridSpec(0.0, 0.0, 1, 1.0, 2))
+    assert rep.conditions_passed == (False, True, False)
+    last = rep.violations[-1]
+    assert last.condition == 3 and np.isnan(last.witness)
+    assert rep.asymptotic_normal is None
+
+
 def test_large_grid_memory_stays_bounded():
     """A 47^3-node sweep runs in fixed-size blocks, not all nodes at once."""
     emb = make_rotating_embedding("differential", omega=1.2, r0=0.8)

@@ -1,11 +1,18 @@
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from instantform.foliation import rotation_from_euler_zyz
 from instantform.minkowski import (
+    _cross3,
+    _dot3,
+    _mv,
     boost_from_h,
     interval,
     is_lorentz,
@@ -193,3 +200,81 @@ def test_timelike_future_classification():
     assert is_timelike_future(np.array([1.0, 0.2, 0.0, 0.0]))
     assert not is_timelike_future(np.array([-1.0, 0.2, 0.0, 0.0]))
     assert not is_timelike_future(np.array([1.0, 2.0, 0.0, 0.0]))
+
+
+# ------------------------------------------------- the contraction helpers
+
+_SPECIAL = np.array([0.0, -0.0, 5e-324, 1e-100, 1e100, -1e100])  # no product overflows
+
+
+def _entries(data, shape):
+    """Entries with round-off in every product and sum (normal draws times
+    10**u, u in [-3, 3]), some replaced by zeros, a subnormal and +-1e100."""
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    special = rng.uniform(size=shape) < 0.1
+    x[special] = rng.choice(_SPECIAL, size=np.count_nonzero(special))
+    return x
+
+
+def _operand_stack(data, stack):
+    """A stack shape that broadcasts to ``stack``: a trailing part of it,
+    with some axes set to 1."""
+    depth = data.draw(hst.integers(0, len(stack)))
+    return tuple(n if data.draw(hst.booleans()) else 1 for n in stack[len(stack) - depth:])
+
+
+def _slice(idx, shape):
+    """The index into an operand of stack ``shape`` that a broadcast result
+    at ``idx`` reads."""
+    return tuple(i if n > 1 else 0 for i, n in zip(idx[len(idx) - len(shape):], shape))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4), hst.data())
+def test_mv_of_a_stack_is_each_slice_and_the_float_sum_bitwise_property(stack, data):
+    """_mv over broadcast stacks equals its call on each slice through
+    .tobytes(), and each entry is the left-to-right sum of its products on
+    Python floats, so its bits depend neither on the batch nor on the CPU:
+    one matrix against a stack of vectors, stacks of different depth, and
+    m and k from 1 to 4."""
+    m, k = data.draw(hst.integers(1, 4)), data.draw(hst.integers(1, 4))
+    sa, sv = _operand_stack(data, stack), _operand_stack(data, stack)
+    a, v = _entries(data, sa + (m, k)), _entries(data, sv + (k,))
+    got = _mv(a, v)
+    assert got.shape == np.broadcast_shapes(sa, sv) + (m,)
+    for idx in np.ndindex(got.shape[:-1]):
+        one = _mv(a[_slice(idx, sa)], v[_slice(idx, sv)])
+        assert got[idx].tobytes() == one.tobytes()
+        rows, vec = a[_slice(idx, sa)].tolist(), v[_slice(idx, sv)].tolist()
+        want = [functools.reduce(operator.add, map(operator.mul, row, vec)) for row in rows]
+        assert one.tobytes() == np.array(want).tobytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(hst.integers(1, 4), hst.integers(1, 4), hst.data())
+def test_contractions_are_within_the_summation_bound_of_fsum(m, k, data):
+    """Each entry of _mv and _dot3 is within k units of 2**-53 of
+    sum |a_j v_j| of math.fsum over its k rounded products a_j v_j: the
+    error of k - 1 additions in a row plus fsum's own rounding, to first
+    order (Higham, Accuracy and Stability of Numerical Algorithms, 3.1)."""
+    a, v, b, c = (_entries(data, shape) for shape in ((m, k), (k,), (3,), (3,)))
+    cases = [(got, row, v.tolist()) for got, row in zip(_mv(a, v).tolist(), a.tolist())]
+    cases.append((float(_dot3(b, c)), b.tolist(), c.tolist()))
+    for got, row, vec in cases:
+        terms = [x * y for x, y in zip(row, vec)]
+        bound = len(terms) * 2.0**-53 * math.fsum(map(abs, terms))
+        assert abs(got - math.fsum(terms)) <= bound
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(array_shapes(min_dims=0, max_dims=2, max_side=4), hst.data())
+def test_cross3_is_np_cross_bitwise_property(stack, data):
+    """_cross3 has the bits of np.cross, for a stack, one pair and a stack
+    against one 3-vector, signed zeros and a subnormal included."""
+    a, b = _entries(data, stack + (3,)), _entries(data, stack + (3,))
+    assert _cross3(a, b).tobytes() == np.cross(a, b).tobytes()
+    for idx in np.ndindex(stack):
+        assert _cross3(a[idx], b[idx]).tobytes() == np.cross(a[idx], b[idx]).tobytes()
+    row = b[(0,) * len(stack)]
+    assert _cross3(a, row).tobytes() == np.cross(a, row).tobytes()

@@ -89,6 +89,9 @@ REFUSALS = [
     ("eigendata-asymmetric",
      lambda: foliation.metric_eigendecomposition([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
      ValueError, "g3 must be a symmetric 3x3 matrix"),
+    ("eigendata-nonfinite",
+     lambda: foliation.metric_eigendecomposition(np.diag([1.0, math.nan, 1.0])),
+     ValueError, "g3 must be a symmetric 3x3 matrix of finite numbers"),
     ("eigendata-indefinite", lambda: foliation.metric_eigendecomposition(np.diag([1.0, 1.0, -1.0])),
      AdmissibilityError, "not positive definite"),
     ("eigendata-phi", lambda: foliation.metric_from_eigendata(0.0, np.zeros(2), np.zeros(3)),
@@ -112,6 +115,15 @@ REFUSALS = [
      "c must be positive"),
     ("boost-spacelike", lambda: minkowski.standard_boost([1.0, 2.0, 0.0, 0.0]), NonTimelikeError,
      "is not timelike future-pointing"),
+    # NaN fails every comparison, so a refusal written as "m2 <= 0" lets it through
+    ("boost-nan", lambda: minkowski.standard_boost([math.nan, 0.0, 0.0, 0.0]), NonTimelikeError,
+     "is not timelike future-pointing"),
+    ("wigner-nan", lambda: minkowski.wigner_rotation([math.nan, 0.0, 0.0, 0.0], np.eye(4)),
+     NonTimelikeError, "is not timelike future-pointing"),
+    ("generators-nan",
+     lambda: collective.invariant_mass_spin(collective.PoincareGenerators(
+         np.array([math.nan, 0.0, 0.0, 0.0]), np.zeros((4, 4)), 0.0)),
+     NonTimelikeError, "is not future timelike; invariant mass undefined"),
     ("worldline-past", lambda: _past_pointing().validate(), NonTimelikeError,
      "past: four-velocity is not future pointing"),
     *((f"{where}-event-{'x'.join(map(str, shape))}",
