@@ -16,8 +16,9 @@ written.
 
 main is cheap to call many times in one process: the argument parser is
 built once and shared, each subcommand's handler imports the physics layer
-it needs on first use, and a numeric table is rendered by one %-format over
-all its cells; a table with a text column goes through csv.writer.
+it needs on first use, and a numeric table is rendered by %-formats, each
+distinct number once where at most half the cells are distinct; a table
+with a text column goes through csv.writer.
 
 Every config key is declared once, in COMMON_KEYS and SCHEMA below; the
 README documents them, and configs/ holds a worked example per subcommand.
@@ -59,8 +60,10 @@ def _atomic_write(path, data):
 def _render(name, content):
     """Artifact text.  A .csv is RFC-4180 with LF line endings and minimal
     quoting: a header of column names, then the rows, every number as
-    "%.17g" (round-trippable); rows given as a 2-D float array take one
-    %-format over all their cells, any other rows go through csv.writer.
+    "%.17g" (round-trippable).  A 2-D float array whose cells are at most
+    half distinct (by float64 bit pattern) formats each distinct value once
+    and fills a "%s" format with the texts; any other array takes one
+    %-format over all its cells, and any other rows go through csv.writer.
     A .json is strict JSON: a non-finite value is a numerical failure, never
     an invalid artifact."""
     if name.endswith(".csv"):
@@ -69,8 +72,16 @@ def _render(name, content):
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         if isinstance(rows, np.ndarray):
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            return buf.getvalue() + (line * len(rows)) % tuple(rows.ravel().tolist())
+            flat, cell = np.ravel(rows).astype(float, copy=False), "%.17g"
+            bits = np.sort(flat.view(np.uint64))   # -0.0, 0.0 and NaN payloads apart
+            new = bits[1:] != bits[:-1]
+            if 2 * (np.count_nonzero(new) + 1) <= bits.size:
+                distinct = bits[np.concatenate(([True], new))]
+                text = ("%.17g\n" * distinct.size) % tuple(distinct.view(float).tolist())
+                cell, flat = "%s", np.array(text.split("\n"), dtype=object)[
+                    np.searchsorted(distinct, flat.view(np.uint64))]
+            line = ",".join([cell] * rows.shape[1]) + "\n"
+            return buf.getvalue() + (line * len(rows)) % tuple(flat.tolist())
         writer.writerows([cell if isinstance(cell, str) else "%.17g" % cell for cell in row]
                          for row in rows)
         return buf.getvalue()

@@ -368,10 +368,11 @@ def evolve(rel, potential, dtau, n_steps, fp_max_iter=50, collision_fraction=1e-
     Raises CollisionError, carrying the last good sample, when a step passes
     within ``collision_fraction`` times the initial separation of rho = 0
     (checked against the whole straight segment swept during the step, so a
-    plunge cannot tunnel through the singularity between samples).  The
-    exact test, _swept_distance, runs only where the triangle bound
-    |b| - |b - a| does not already clear that floor, which leaves every
-    sample and every error as the exact test alone decides.
+    plunge cannot tunnel through the singularity between samples), and
+    SingularPotentialError, as at a coincident start, when a step lands
+    within COINCIDENCE_TOL of rho = 0.  The exact test, _swept_distance,
+    runs only where the triangle bound |b| - |b - a| does not already clear
+    that floor, which leaves every sample and every error as it alone decides.
     Raises OverflowError before the first step when |rho0|, the collision
     floor, (m c)^2 or Mc is not finite, and after the loop naming the first
     sample k whose Mc is not finite; then NonTimelikeError, as

@@ -570,16 +570,94 @@ def test_render_csv_is_the_cellwise_csv_writer(header, rows):
     assert cli._render("table.csv", (header, rows)) == cellwise_csv(header, rows)
 
 
+# a NaN with its own payload: its bits differ from math.nan's, its text does not
+NAN_PAYLOAD = float(np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(float)[0])
+TABLE_CELLS = hst.one_of(hst.sampled_from(EXTREMES + [-math.nan, NAN_PAYLOAD]), hst.floats(),
+                         hst.integers(-2**60, 2**60).map(float), hst.floats(-2.3e-308, 2.3e-308))
+
+
+@hst.composite
+def float_tables(draw):
+    """0-300 rows of 1-9 columns: a seeded grid (each column a few evenly
+    spaced values, as check_admissibility's nodes) or seeded noise spanning
+    the exponent range, with drawn cells scattered over part of it, in C or
+    Fortran order."""
+    shape = (draw(hst.integers(0, 300)), draw(hst.integers(1, 9)))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    levels = draw(hst.sampled_from([1, 2, 9, 40, None]))
+    if levels is None:
+        table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    else:
+        table = rng.integers(0, levels, shape) * draw(hst.floats(-1e6, 1e6)) + np.arange(shape[1])
+    pool = draw(hst.lists(TABLE_CELLS, min_size=1, max_size=12))
+    picked = rng.random(shape) < draw(hst.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    table[picked] = rng.choice(pool, np.count_nonzero(picked))
+    return np.asfortranarray(table) if draw(hst.booleans()) else table
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(_rows(TEXTS), arrays(float, hst.tuples(hst.integers(0, 5), hst.integers(1, 6)),
-                            elements=hst.one_of(hst.floats(), hst.sampled_from(EXTREMES))))
+@given(_rows(TEXTS), hst.one_of(
+    arrays(float, hst.tuples(hst.integers(0, 5), hst.integers(1, 6)),
+           elements=hst.one_of(hst.floats(), hst.sampled_from(EXTREMES))),
+    float_tables()))
 @example(["a", "b"], np.empty((0, 2)))
 @example(["x"], np.array(EXTREMES)[:, None])
 @example(["x"] * 9, np.array([EXTREMES, EXTREMES[::-1]]))
+@example(["x"], np.array([[1.0], [2.0], [1.0], [2.0]]))                 # exactly half distinct
+@example(["x"] * 4, np.array([[0.0, -0.0, math.nan, NAN_PAYLOAD]] * 2))  # each pattern apart
+@example(["x"], np.repeat(np.linspace(-2.0, 2.0, 9), 30)[:, None])      # one grid column
 def test_render_of_a_float_table_is_the_cellwise_csv_writer(header, table):
-    """A 2-D float array of rows renders by one format over all its cells,
-    as the csv writer writes it cell by cell."""
+    """A 2-D float array of rows renders, by either of its paths, as the csv
+    writer writes it cell by cell."""
     assert cli._render("table.csv", (header, table)) == cellwise_csv(header, table)
+
+
+def _formats_distinct_values(monkeypatch, rows):
+    """Render rows; whether the distinct-value path ran (it alone calls
+    np.searchsorted)."""
+    calls, searchsorted = [], np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **kw: calls.append(a) or searchsorted(*a, **kw))
+    header = ["x"] * rows.shape[1]
+    text = cli._render("t.csv", (header, rows))
+    monkeypatch.undo()
+    assert text == cellwise_csv(header, rows)
+    return bool(calls)
+
+
+@pytest.mark.parametrize("rows, distinct_path", [
+    pytest.param(np.array([[1.0], [2.0], [1.0], [2.0]]), True, id="exactly-half"),
+    pytest.param(np.array([[1.0], [2.0], [1.0]]), False, id="past-half"),
+    pytest.param(np.array([[0.0, -0.0]] * 2), True, id="signed-zeros-half"),
+    pytest.param(np.array([[0.0, -0.0, 0.0]]), False, id="signed-zeros-apart"),
+    pytest.param(np.array([[math.nan, NAN_PAYLOAD]] * 2), True, id="nan-payloads-half"),
+    pytest.param(np.array([[math.nan, NAN_PAYLOAD, -math.nan]]), False, id="nan-payloads-apart"),
+    pytest.param(np.full((1, 1), 7.0), False, id="one-cell"),
+    pytest.param(np.empty((0, 6)), False, id="empty"),
+])
+def test_render_takes_the_distinct_path_at_most_half_distinct(monkeypatch, rows, distinct_path):
+    assert _formats_distinct_values(monkeypatch, rows) is distinct_path
+
+
+@pytest.mark.parametrize("name, csv_name, distinct_path", [
+    ("validate_foliation", "violations.csv", True),   # 44 distinct of 9,720 cells
+    ("evolve", "trajectory.csv", False),
+    ("tube", "tube.csv", False),
+    ("reconstruct", "worldlines.csv", False),
+    ("spectrum", "levels.csv", False),
+])
+def test_committed_tables_take_their_render_path(monkeypatch, name, csv_name, distinct_path):
+    sub = name.replace("_", "-")
+    cfg = cli.parse_config((ROOT / "configs" / f"{name}.json").read_text(), sub)
+    rows = cli._HANDLERS[sub](cfg)[csv_name][1]
+    assert _formats_distinct_values(monkeypatch, rows) is distinct_path
+
+
+def test_admissible_foliation_renders_an_empty_violations_table(monkeypatch):
+    cfg = cli.parse_config(json.dumps({"embedding": {"kind": "tilted", "velocity": [0.3, -0.2, 0.1]}}),
+                           "validate-foliation")
+    rows = cli._run_validate_foliation(cfg)["violations.csv"][1]
+    assert rows.shape == (0, 6)
+    assert _formats_distinct_values(monkeypatch, rows) is False
 
 
 def test_nonfinite_result_exits_3_with_strict_json(tmp_path):

@@ -10,11 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from instantform import collective, foliation, minkowski, potentials, radar, relquant, restframe
+from instantform import (
+    cli, collective, foliation, minkowski, potentials, radar, relquant, restframe,
+)
 from instantform.errors import (
     AdmissibilityError,
     DegenerateSurfaceError,
+    InversionError,
     NonTimelikeError,
+    SingularPotentialError,
 )
 
 _ZEROS = np.zeros((2, 3))
@@ -55,6 +59,13 @@ def _past_pointing():
                            (0.0, 1.0), name="past")
 
 
+# z^0 = (tau - 10)^51: a root of multiplicity 51, where each Newton step
+# keeps 50/51 of the error, so the residual 1e51 at the start is still
+# 1.4e7 after 100 steps
+_CUSP = foliation.Embedding(
+    lambda tau, sigma: np.concatenate(((tau - 10.0)[..., None] ** 51, sigma), axis=-1),
+    jacobian=lambda tau, sigma: np.diag([51.0 * (tau - 10.0) ** 50, 1.0, 1.0, 1.0]),
+    name="cusp")
 _OBSERVER = radar.inertial_worldline(np.zeros(4), np.zeros(3))
 _REL = {"m1": 1.0, "m2": 1.0, "rho": [1.0, 0.0, 0.0], "pi": [0.0, 0.0, 0.0]}
 
@@ -120,6 +131,10 @@ REFUSALS = [
      "is not timelike future-pointing"),
     ("wigner-nan", lambda: minkowski.wigner_rotation([math.nan, 0.0, 0.0, 0.0], np.eye(4)),
      NonTimelikeError, "is not timelike future-pointing"),
+    *((f"external-generators-mc-{mc}",
+       lambda mc=mc: collective.external_generators(np.zeros(3), np.zeros(3), mc, np.zeros(3)),
+       NonTimelikeError, "Mc must be positive")
+      for mc in (0.0, -1.0, math.nan)),
     ("generators-nan",
      lambda: collective.invariant_mass_spin(collective.PoincareGenerators(
          np.array([math.nan, 0.0, 0.0, 0.0]), np.zeros((4, 4)), 0.0)),
@@ -132,6 +147,8 @@ REFUSALS = [
       for where, call in [("sync", lambda e: radar.einstein_sync(_OBSERVER, e)),
                           ("coordinates", lambda e: radar.radar_coordinates(_chart(np.eye(4)), e))]
       for shape in [(3,), (5,), (1, 4)]),
+    ("coordinates-100-steps", lambda: radar.radar_coordinates(_CUSP, np.zeros(4)),
+     InversionError, "cusp: no convergence after 100 iterations (residual 1.378e+07)"),
     ("rindler-accel", lambda: radar.rindler_worldline(0.0), ValueError,
      "acceleration must be positive"),
     ("brent-nan", lambda: radar._brent(lambda x: math.nan, 0.0, 1.0, 1e-12, 1e-15), ValueError,
@@ -145,10 +162,15 @@ REFUSALS = [
     ("relative-potential",
      lambda: restframe.rest_frame_from_relative(restframe.RelativeState(**_REL), "yukawa"),
      ValueError, "potential must be one of"),
+    ("dv-dpi-coincident", lambda: potentials._dv_dpi(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, -0.1),
+     SingularPotentialError, "potential gradient: particles coincide (|r| = 0.0)"),
     ("gradients-potential",
      lambda: potentials.relative_potential_gradients("yukawa", 1.0, 1.0, 1.0, 1.0,
                                                      np.ones(3), np.zeros(3)),
      ValueError, "unknown potential 'yukawa'"),
+    ("render-nonfinite-json",
+     lambda: cli._render("report.json", {"witness": np.array([1.0, math.inf])}),
+     FloatingPointError, "report.json: Out of range float values are not JSON compliant: inf"),
 ]
 
 

@@ -841,3 +841,16 @@ def test_evolve_errors_match_stepwise_oracle(potential):
         _, want = _evolve_or_error(stepwise_evolve, rel, potential, 0.05, 50, fp_max_iter=2)
         assert isinstance(want, NonConvergenceError)
         assert type(err) is type(want) and str(err) == str(want)
+
+
+def test_explicit_step_landing_on_the_origin_is_refused_as_the_oracle_refuses_it():
+    """A Coulomb step from rho = (1, 0, 0) with pi = (-4, 0, 0), m = 3 and
+    dtau = 0.625 drifts by dtau * 4 * (1/5 + 1/5) = 1 exactly: it lands on
+    rho = 0, where the force of its closing half kick is undefined."""
+    rel = RelativeState(m1=3.0, m2=3.0, rho=np.array([1.0, 0.0, 0.0]),
+                        pi=np.array([-4.0, 0.0, 0.0]), charge_product=-1e-20)
+    for fn in (stepwise_evolve, evolve):
+        with pytest.raises(SingularPotentialError) as caught:
+            fn(rel, "coulomb", 0.625, 3)
+        assert str(caught.value) == "potential gradient: particles coincide (|r| = 0.0)"
+    assert caught.traceback[-1].name == "evolve"   # evolve's own step test, not a helper's
