@@ -61,9 +61,10 @@ def _render(name, content):
     """Artifact text.  A .csv is RFC-4180 with LF line endings and minimal
     quoting: a header of column names, then the rows, every number as
     "%.17g" (round-trippable).  A 2-D float array whose cells are at most
-    half distinct (by float64 bit pattern) formats each distinct value once
-    and fills a "%s" format with the texts; any other array takes one
-    %-format over all its cells, and any other rows go through csv.writer.
+    half distinct (by float64 bit pattern) formats each distinct value once,
+    as two texts that end in "," or in "\n", and joins the text of each cell
+    in one str.join; any other array takes one %-format over all its cells,
+    and any other rows go through csv.writer.
     A .json is strict JSON: a non-finite value is a numerical failure, never
     an invalid artifact."""
     if name.endswith(".csv"):
@@ -72,15 +73,21 @@ def _render(name, content):
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         if isinstance(rows, np.ndarray):
-            flat, cell = np.ravel(rows).astype(float, copy=False), "%.17g"
+            flat = np.ravel(rows).astype(float, copy=False)
             bits = np.sort(flat.view(np.uint64))   # -0.0, 0.0 and NaN payloads apart
             new = bits[1:] != bits[:-1]
             if 2 * (np.count_nonzero(new) + 1) <= bits.size:
                 distinct = bits[np.concatenate(([True], new))]
-                text = ("%.17g\n" * distinct.size) % tuple(distinct.view(float).tolist())
-                cell, flat = "%s", np.array(text.split("\n"), dtype=object)[
-                    np.searchsorted(distinct, flat.view(np.uint64))]
-            line = ",".join([cell] * rows.shape[1]) + "\n"
+                texts = (("%.17g\n" * distinct.size)
+                         % tuple(distinct.view(float).tolist())).split("\n")[:-1]
+                # each distinct text twice, with the "," of a row's inner cell
+                # and the "\n" of its last
+                pieces = np.array([t + "," for t in texts] + [t + "\n" for t in texts],
+                                  dtype=object)
+                codes = np.searchsorted(distinct, flat.view(np.uint64)).reshape(rows.shape)
+                codes[:, -1] += distinct.size
+                return buf.getvalue() + "".join(pieces[codes.ravel()].tolist())
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
             return buf.getvalue() + (line * len(rows)) % tuple(flat.tolist())
         writer.writerows([cell if isinstance(cell, str) else "%.17g" % cell for cell in row]
                          for row in rows)

@@ -14,15 +14,19 @@ brackets each root by a 512-point scan of the domain and polishes it with
 Brent's method (Brent, Algorithms for Minimization without Derivatives,
 1973, ch. 4).  The scan belongs to the observer: a Worldline is frozen, and
 its first event samples the scan in one w.position call and caches it on
-the instance, so later events only take their separations from it.  Brent
-evaluates on Python floats: one w.position call per evaluation, then the
-separation, f and the legs with the bits of ``minkowski.interval``, without
-numpy's per-call cost on 0-d arrays; the built-in observers give a float s
-a float branch with the bits of their array path.  On a 2-core Xeon
-(Python 3.11, numpy 2.4) an event on a scanned observer takes about 60-80 us
-resolved and 15 us refused.  Radar time is defined right up to the observer
-(Bini, Lusanna & Mashhoon, IJMP D 14, 1413 (2005)): an event on the
-world-line is its own radar time.
+the instance, so later events take their separations from it in one
+stacked subtraction.  Brent starts from the scan's values at the ends of
+the cell, so the scan and Brent cannot disagree about the bracket's signs,
+and evaluates on Python floats: the built-in observers carry a float form
+``position.point(s)``, four Python floats with the bits of their array
+path, and any other position is called and its array converted.  The
+separation, f and the legs take the bits of ``minkowski.interval``.  On a
+2-core Xeon (Python 3.11, numpy 2.4) an event on a scanned observer takes
+about 41 us resolved on an inertial observer, 47 us on a Rindler one and
+12 us refused (BENCH_kinematics.json, radar_bracket_values, 73, 72 and
+12 us before the bracket values and the float form).  Radar time is
+defined right up to the observer (Bini, Lusanna & Mashhoon, IJMP D 14,
+1413 (2005)): an event on the world-line is its own radar time.
 
 radar_coordinates inverts a foliation chart: given an event x and an
 embedding z, it solves z(tau, sigma) = x with a damped Newton iteration on
@@ -63,6 +67,13 @@ class Worldline:
     the instance the first time it is needed, so ``position`` must be a pure
     function of s.  ``dataclasses.replace`` gives a new observer with a
     fresh scan.
+
+    A ``position`` may carry a float form ``position.point(s)``, as the
+    built-in observers' do: for a Python float s, four Python floats equal
+    bit for bit to ``position(np.array([s]))[0]``, which einstein_sync
+    takes in place of ``position(s)`` on floats.  It is an attribute of the
+    callable, not a field, so a position replaced by ``dataclasses.replace``
+    or wrapped has none and cannot leave one out of date.
     """
 
     position: callable
@@ -72,13 +83,13 @@ class Worldline:
 
     @cached_property
     def _scan(self):
-        """The scan parameters, the positions there as four read-only columns
-        x0..x3, and the positions at the domain's ends, from one ``position``
-        call at the first event."""
+        """The scan parameters, the positions there as a read-only (4, n)
+        array of columns x0..x3, and the positions at the domain's ends as
+        Python floats, from one ``position`` call at the first event."""
         s_grid = np.linspace(self.domain[0], self.domain[1], _SCAN_POINTS)
         columns = np.asarray(self.position(s_grid), dtype=float).T.copy()
         s_grid.flags.writeable = columns.flags.writeable = False
-        return s_grid, tuple(columns), (columns[:, 0], columns[:, -1])
+        return s_grid, columns, (columns[:, 0].tolist(), columns[:, -1].tolist())
 
     def validate(self):
         lo, hi = self.domain
@@ -115,12 +126,16 @@ def inertial_worldline(origin, h, domain=(-100.0, 100.0)):
     with np.errstate(over="ignore"):   # an h.h past the float range gives u0 = inf,
         u0 = np.sqrt(1.0 + h @ h)      # which validate refuses as not finite
     u = np.concatenate(([u0], h))
+    (o0, o1, o2, o3), (v0, v1, v2, v3) = np.broadcast_to(origin, u.shape).tolist(), u.tolist()
 
     def position(s):
-        if isinstance(s, float):   # a Brent step: the bits of the array path
-            return origin + s * u
         s = np.asarray(s, dtype=float)
         return origin + np.multiply.outer(s, u)
+
+    def point(s):   # position(s) on a Python float: the same products and sums
+        return o0 + s * v0, o1 + s * v1, o2 + s * v2, o3 + s * v3
+
+    position.point = point
 
     def velocity(s):
         s = np.asarray(s, dtype=float)
@@ -140,13 +155,17 @@ def rindler_worldline(accel, domain=(-10.0, 10.0)):
         raise ValueError("acceleration must be positive")
 
     def position(s):
-        if isinstance(s, float):   # a Brent step: the bits of the array path
-            return np.array([np.sinh(a * s) / a, np.cosh(a * s) / a, 0.0, 0.0])
         s = np.asarray(s, dtype=float)
         out = np.zeros(s.shape + (4,))
         out[..., 0] = np.sinh(a * s) / a
         out[..., 1] = np.cosh(a * s) / a
         return out
+
+    def point(s):   # position(s) on a Python float: numpy's sinh and cosh, as
+        x = a * s   # libm's differ from them in the last bit
+        return float(np.sinh(x)) / a, float(np.cosh(x)) / a, 0.0, 0.0
+
+    position.point = point
 
     def velocity(s):
         s = np.asarray(s, dtype=float)
@@ -204,33 +223,37 @@ _XTOL = 1e-14
 _RTOL = 8.9e-16
 
 
-def _brent(f, a, b, xtol, rtol, maxiter=100):
+def _not_nan(x, fx):
+    if math.isnan(fx):
+        raise ValueError(f"the function value at x={x} is NaN")
+    return fx
+
+
+def _brent(f, a, b, xtol, rtol, maxiter=100, *, fa, fb):
     """Root of f in [a, b] by Brent's method, f(a) and f(b) of opposite sign.
 
     A step-for-step port of scipy.optimize.brentq (scipy's Zeros/brentq.c),
     so it returns the same root bit for bit: inverse quadratic or secant
     steps when they shrink the bracket fast enough, bisection otherwise,
-    and at least a step of (xtol + rtol |x|) / 2.  Raises ValueError when
-    f(a) and f(b) share a sign or f returns NaN, RuntimeError after
-    ``maxiter`` iterations.
+    and at least a step of (xtol + rtol |x|) / 2.  ``fa`` and ``fb`` are
+    f(a) and f(b), which the caller holds and f is not called for:
+    einstein_sync takes them from its scan, so Brent saves two evaluations
+    and the bracket's signs are the scan's.  Raises ValueError when fa and
+    fb share a sign or a value of f, given or returned, is NaN;
+    RuntimeError after ``maxiter`` iterations.
     """
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = _not_nan(xpre, fa), _not_nan(xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:
         return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    # past the NaN and zero tests, a sign is the test x < 0
+    if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+        if fpre != 0 and fcur != 0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
@@ -258,7 +281,7 @@ def _brent(f, a, b, xtol, rtol, maxiter=100):
 
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = _not_nan(xcur, f(xcur))
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
@@ -278,7 +301,8 @@ def einstein_sync(w, event):
     condition f = dt^2 - r^2 = <P - w, P - w> there when the scan shows f
     strictly changing sign across the cell, and the leg itself otherwise:
     then both legs change sign in one cell, as for an event on or near the
-    world-line, or f is 0 at a cell end.
+    world-line, or f is 0 at a cell end.  Either way it starts from the
+    scan's values at the cell's ends.
     Raises ValueError for an event that is not a finite 4-vector.
 
     The scan is sampled at ``w``'s first event and cached on it (see
@@ -288,10 +312,10 @@ def einstein_sync(w, event):
     if event.shape != (4,):
         raise ValueError(f"event must be a 4-vector, got shape {event.shape}")
     e0, e1, e2, e3 = event.tolist()
-    s_grid, (x0, x1, x2, x3), ends = w._scan
+    s_grid, columns, ends = w._scan
 
     def separation(p):   # P - p on Python floats
-        p0, p1, p2, p3 = np.asarray(p, dtype=float).tolist()
+        p0, p1, p2, p3 = p
         return e0 - p0, e1 - p1, e2 - p2, e3 - p3
 
     # the legs at the scan's first and last samples, with the bits of the
@@ -306,37 +330,50 @@ def einstein_sync(w, event):
                               f"(missing {missing} leg on s in {w.domain})",
                               interval=w.domain, missing=missing)
 
-    # the legs and interval of d = P - w(s) over the scan, in the operations
-    # of minkowski.interval: one spatial sum r2 serves both legs and f
-    dt = e0 - x0
-    d1, d2, d3 = e1 - x1, e2 - x2, e3 - x3
-    r2 = d1 * d1 + d2 * d2 + d3 * d3
+    # d = P - w(s) over the scan in one subtraction, then the legs in the
+    # operations of minkowski.interval: one spatial sum r2 serves both legs,
+    # and f = dt^2 - r2 at a cell's ends
+    d = event[:, None] - columns
+    dt, sq = d[0], d[1:] * d[1:]
+    r2 = sq[0] + sq[1] + sq[2]
     r = np.sqrt(r2)
     legs = dt - r, dt + r
-    f = dt * dt - r2
+
+    # Brent evaluates w on Python floats, through the observer's float form
+    # when it has one
+    point = getattr(w.position, "point", None)
+    if point is None:   # a custom, replaced or wrapped position
+        def point(s):
+            return np.asarray(w.position(s), dtype=float).tolist()
 
     roots = []
     for k, leg in enumerate(legs):
-        i = max(int(np.argmax(leg <= 0.0)) - 1, 0)   # the cell where the leg changes sign
-        if f[i] * f[i + 1] < 0.0:
+        i = max(int((leg <= 0.0).argmax()) - 1, 0)   # the cell where the leg changes sign
+        ta, tb = dt.item(i), dt.item(i + 1)
+        fa, fb = ta * ta - r2.item(i), tb * tb - r2.item(i + 1)
+        if fa * fb < 0.0:
             # f = (dt - r)(dt + r) changes sign strictly, so the other leg keeps
             # its sign here.  Solving f keeps the former f-scan's roots bit for
             # bit, which perfbench's cli-batch reference needs while it compares
             # the round-off-sized radar residuals at 2e-8 relative.
             def g(s):
-                return _float_interval(*separation(w.position(s)))
+                return _float_interval(*separation(point(s)))
         else:
             def g(s, k=k):
-                return _float_legs(*separation(w.position(s)))[k]
-        roots.append(brentq(g, s_grid[i], s_grid[i + 1], _XTOL, _RTOL))
+                return _float_legs(*separation(point(s)))[k]
+            fa, fb = leg.item(i), leg.item(i + 1)
+        # from the scan's values at the cell's ends: two evaluations fewer, and
+        # the bracket's signs are the ones the scan chose the cell by
+        roots.append(brentq(g, s_grid.item(i), s_grid.item(i + 1), _XTOL, _RTOL, fa=fa, fb=fb))
     emit, absorb = roots
-    pe, pa = (np.asarray(w.position(s), dtype=float) for s in roots)
+    pe, pa = point(emit), point(absorb)
     # the scale max(1, |P - w|_inf) is squared by Python's ** (libm pow), which
     # is how the residuals are defined; x * x differs in the last bit about
     # once in 1,000
     residuals = tuple(abs(_float_interval(*d)) / max(1.0, *map(abs, d)) ** 2
                       for d in (separation(pe), separation(pa)))
-    return RadarResult(0.5 * (emit + absorb), emit, absorb, pe, pa, residuals)
+    return RadarResult(0.5 * (emit + absorb), emit, absorb, np.array(pe), np.array(pa),
+                       residuals)
 
 
 def radar_coordinates(emb, event):

@@ -228,7 +228,8 @@ def numpy_einstein_sync(w, event):
         else:
             def g(s, k=k):
                 return float(_legs(event - w.position(s))[k])
-        roots.append(_brent(g, s_grid[i], s_grid[i + 1], _XTOL, _RTOL))
+        a, b = s_grid[i].item(), s_grid[i + 1].item()
+        roots.append(_brent(g, a, b, _XTOL, _RTOL, fa=g(a), fb=g(b)))
     emit, absorb = roots
     pe, pa = (np.asarray(w.position(s), dtype=float) for s in roots)
     residuals = tuple(abs(float(interval(d))) / max(1.0, float(np.max(np.abs(d)))) ** 2

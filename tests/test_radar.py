@@ -11,6 +11,8 @@ from scipy.optimize import brentq
 from instantform.errors import InversionError, NoSolutionError, NonTimelikeError
 from instantform.minkowski import interval
 from instantform.radar import (
+    _SCAN_POINTS,
+    Worldline,
     _brent,
     _float_interval,
     _float_legs,
@@ -335,15 +337,60 @@ _FLOAT_STEPS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e
     pytest.param(lambda: rindler_worldline(1.9, domain=(-3.0, 5.5)), id="rindler-domain"),
 ])
 def test_float_position_is_the_array_position_bit_for_bit(make):
-    """A float s, Python's or numpy's, takes the built-in observers' float
-    branch, which gives position(np.array([s]))[0] bit for bit: signed zeros,
-    subnormals, 1e+-300 (sinh and cosh overflow alike) and the domain ends."""
+    """A float s, Python's or numpy's, gives position(np.array([s]))[0] bit
+    for bit, and so does the built-in observers' float form position.point(s),
+    four Python floats: signed zeros, subnormals, 1e+-300 (sinh and cosh
+    overflow alike) and the domain ends."""
     w = make()
     for s in [*_FLOAT_STEPS, *w.domain]:
         with np.errstate(over="ignore"):
             want = w.position(np.array([s]))[0]
+            point = w.position.point(s)
             for got in (w.position(s), w.position(np.float64(s))):
                 assert got.shape == (4,) and got.tobytes() == want.tobytes()
+        assert [type(x) for x in point] == [float] * 4
+        assert np.array(point).tobytes() == want.tobytes()
+
+
+def test_replaced_position_has_no_float_form():
+    """dataclasses.replace with another position leaves no float form behind:
+    einstein_sync then evaluates the new position itself, never the built-in
+    one it replaced."""
+    shift = np.array([0.0, 1.0, 0.0, 0.0])
+    event = np.array([0.5, 2.0, 0.0, 0.0])
+    for w in (inertial_worldline(np.zeros(4), np.zeros(3), domain=(-4.0, 4.0)),
+              rindler_worldline(0.7, domain=(-4.0, 4.0))):
+        assert callable(w.position.point)
+        shifted = dataclasses.replace(w, position=lambda s, w=w: w.position(s) + shift)
+        assert not hasattr(shifted.position, "point")
+        res = einstein_sync(shifted, event)
+        assert _sync_bits(einstein_sync, shifted, event) == _sync_bits(numpy_einstein_sync,
+                                                                        shifted, event)
+        for s, p in ((res.s_emit, res.emit_event), (res.s_absorb, res.absorb_event)):
+            assert p.tobytes() == shifted.position(s).tobytes()
+
+
+def test_brent_starts_from_the_scan_where_the_float_position_disagrees():
+    """An observer whose float evaluation lies 3e-12 later in t than its array
+    evaluation (numpy's SIMD and scalar transcendental paths can differ the
+    same way): at scan sample 300 the emission leg is +1e-12 on the scan and
+    -2e-12 on floats.  Brent takes the cell's end values from the scan, so
+    the scan and Brent cannot disagree about the bracket's signs."""
+    def position(s):
+        s = np.asarray(s, dtype=float)
+        t = s + 3e-12 if s.ndim == 0 else s
+        return np.stack([t, 0.0 * s, 0.0 * s, 0.0 * s], axis=-1)
+
+    def velocity(s):
+        s = np.asarray(s, dtype=float)
+        return np.stack([np.ones_like(s), 0.0 * s, 0.0 * s, 0.0 * s], axis=-1)
+
+    w = Worldline(position, velocity, (-100.0, 100.0), name="late-float").validate()
+    s_300 = np.linspace(-100.0, 100.0, _SCAN_POINTS)[300]
+    res = einstein_sync(w, [s_300 + 5.0 + 1e-12, 5.0, 0.0, 0.0])
+    assert (res.tau, res.s_emit, res.s_absorb) == pytest.approx(
+        (22.41683, 17.41683, 27.41683), abs=1e-5)
+    assert res.s_emit == s_300
 
 
 def test_events_on_one_observer_scan_it_once():
@@ -448,14 +495,29 @@ def test_brent_is_scipy_brentq_bit_for_bit(coef, freq, a, width, tols, maxiter):
     assume(math.copysign(1.0, f(a)) != math.copysign(1.0, f(a + width)))
     xtol, rtol = tols
     want = _solve(brentq, f, a, a + width, xtol=xtol, rtol=rtol, maxiter=maxiter)
-    got = _solve(_brent, f, a, a + width, xtol, rtol, maxiter)
+    got = _solve(_brent, f, a, a + width, xtol, rtol, maxiter, fa=f(a), fb=f(a + width))
     assert got == want
     if isinstance(want, float):
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+def _brent_on(f, a, b):
+    return _brent(f, a, b, 1e-14, 8.9e-16, fa=f(a), fb=f(b))
+
+
 def test_brent_refuses_bracket_without_sign_change():
     with pytest.raises(ValueError, match="different signs"):
-        _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14, 8.9e-16)
+        _brent_on(lambda x: x * x + 1.0, -1.0, 1.0)
     with pytest.raises(ValueError, match="different signs"):
-        _brent(lambda x: -1.0 - x * x, 0.0, 2.0, 1e-14, 8.9e-16)
+        _brent_on(lambda x: -1.0 - x * x, 0.0, 2.0)
+    with pytest.raises(ValueError, match="different signs"):   # the given signs decide
+        _brent(lambda x: x, -1.0, 1.0, 1e-14, 8.9e-16, fa=1.0, fb=1.0)
+
+
+def test_brent_refuses_a_nan_bracket_value():
+    """A NaN at a bracket's end, or at a step, names where it is."""
+    for fa, fb, x in ((math.nan, 1.0, -1.0), (-1.0, math.nan, 1.0)):
+        with pytest.raises(ValueError, match=rf"function value at x={x} is NaN"):
+            _brent(lambda x: x, -1.0, 1.0, 1e-14, 8.9e-16, fa=fa, fb=fb)
+    with pytest.raises(ValueError, match=r"function value at x=0.0 is NaN"):
+        _brent(lambda x: math.nan, -1.0, 1.0, 1e-14, 8.9e-16, fa=-1.0, fb=1.0)

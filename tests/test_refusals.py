@@ -151,7 +151,8 @@ REFUSALS = [
      InversionError, "cusp: no convergence after 100 iterations (residual 1.378e+07)"),
     ("rindler-accel", lambda: radar.rindler_worldline(0.0), ValueError,
      "acceleration must be positive"),
-    ("brent-nan", lambda: radar._brent(lambda x: math.nan, 0.0, 1.0, 1e-12, 1e-15), ValueError,
+    ("brent-nan", lambda: radar._brent(lambda x: math.nan, 0.0, 1.0, 1e-12, 1e-15,
+                                       fa=math.nan, fb=math.nan), ValueError,
      "the function value at x=0.0 is NaN"),
     ("grid-points", lambda: relquant.radial_grid(1, 10.0), ValueError, "n_points must be >= 2"),
     ("grid-length", lambda: relquant.radial_grid(16, 0.0), ValueError, "length must be positive"),
